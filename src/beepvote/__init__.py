@@ -1,88 +1,4 @@
 """Slot-synchronous beep-network simulator for distributed majority
 voting, with an exact success oracle and analytic lower bounds."""
 
-from .analysis import (
-    MarkovResult,
-    StateClass,
-    classify,
-    corollary_ratio,
-    lower_bound_closed,
-    lower_bound_two_event,
-    markov_success,
-    prop1_rounds,
-    sample_success,
-    transition_prob,
-)
-from .dvb1 import (
-    Dvb1Automaton,
-    Dvb1Params,
-    OnePhaseResult,
-    dvb1_params,
-    dvb1_run,
-    one_phase,
-    termination_detection,
-)
-from .dvb2 import (
-    Dvb2Automaton,
-    Dvb2Params,
-    assign_ids,
-    dmvr,
-    dvb2_params,
-    dvb2_run,
-    id_space,
-)
-from .engine import (
-    FastForward,
-    SlotRequest,
-    TrialMetrics,
-    TrialResult,
-    channel_activity,
-    run,
-    step,
-)
-from .harness import (
-    CSV_HEADER,
-    ExperimentConfig,
-    SweepRow,
-    delta_fractions,
-    emit,
-    make_assignment,
-    parse_config,
-    render,
-    run_sweep,
-    wilson_interval,
-)
-from .topology import (
-    Complete,
-    ErdosRenyi,
-    Graph,
-    LevelAssignment,
-    Mesh2D,
-    build,
-    default_edge_probability,
-    exact_diameter,
-    graph_from_adjacency,
-    graph_from_edges,
-    is_connected,
-    spots,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "MarkovResult", "StateClass", "classify", "corollary_ratio",
-    "lower_bound_closed", "lower_bound_two_event", "markov_success",
-    "prop1_rounds", "sample_success", "transition_prob",
-    "Dvb1Automaton", "Dvb1Params", "OnePhaseResult", "dvb1_params",
-    "dvb1_run", "one_phase", "termination_detection",
-    "Dvb2Automaton", "Dvb2Params", "assign_ids", "dmvr", "dvb2_params",
-    "dvb2_run", "id_space",
-    "FastForward", "SlotRequest", "TrialMetrics", "TrialResult",
-    "channel_activity", "run", "step",
-    "CSV_HEADER", "ExperimentConfig", "SweepRow", "delta_fractions",
-    "emit", "make_assignment", "parse_config", "render", "run_sweep",
-    "wilson_interval",
-    "Complete", "ErdosRenyi", "Graph", "LevelAssignment", "Mesh2D",
-    "build", "default_edge_probability", "exact_diameter",
-    "graph_from_adjacency", "graph_from_edges", "is_connected", "spots",
-]

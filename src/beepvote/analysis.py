@@ -23,6 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+# markov_success holds (K + 1) float64 values and one index tuple per
+# state; past this many states it would take gigabytes, so it refuses
+MAX_MARKOV_STATES = 10**6
+
 
 def prop1_rounds(n: int, epsilon: float) -> int:
     """Rounds after which all n nodes are dead with probability at least
@@ -92,7 +96,7 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     total, so each state only needs already-solved ones plus a self-loop
     renormalization by 1 / (1 - p^total).  The state space has
     prod(n_k + 1) points, which is fine at desk scale but grows quickly
-    with the level count.
+    with the level count; above MAX_MARKOV_STATES it raises ValueError.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or len(counts) < 1:
@@ -101,6 +105,12 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
         raise ValueError("counts must be non-negative")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    state_count = math.prod(int(c) + 1 for c in counts)
+    if state_count > MAX_MARKOV_STATES:
+        raise ValueError(
+            f"counts {tuple(int(c) for c in counts)} span {state_count} chain states, "
+            f"above the limit of {MAX_MARKOV_STATES}"
+        )
     k = len(counts)
     # pmfs[i][a, j] = P(Binomial(a, p) = j), rows 0..n_i
     pmfs = []

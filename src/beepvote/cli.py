@@ -10,22 +10,26 @@ configuration or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
 
 from . import analysis
-from .dvb1 import dvb1_params, dvb1_run
-from .dvb2 import dvb2_params, dvb2_run
+from .dvb2 import ID_MODES
 from .harness import (
-    delta_fractions,
+    ALGOS,
+    TOPOLOGY_NAMES,
+    ExperimentConfig,
     emit,
+    level_counts,
     make_assignment,
     parse_config,
     run_sweep,
+    simulate,
     topology_spec,
 )
-from .topology import build, spots
+from .topology import D_MODES, build, spots
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,18 +40,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, trials=False):
-        p.add_argument("--algo", choices=("dvb1", "dvb2"), default="dvb1")
-        p.add_argument("--topology", default="complete",
-                       choices=("complete", "mesh2d", "erdos_renyi"))
+        p.add_argument("--algo", choices=ALGOS, default="dvb1")
+        p.add_argument("--topology", default="complete", choices=TOPOLOGY_NAMES)
         p.add_argument("--nodes", type=int, default=100)
         p.add_argument("--levels", type=int, default=2)
         p.add_argument("--delta", type=float, default=0.7)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--c1", type=float, default=20.0)
         p.add_argument("--c2", type=float, default=20.0)
-        p.add_argument("--d-mode", choices=("exact", "upper_bound_n"), default="exact")
-        p.add_argument("--id-mode", choices=("random", "preassigned_unique"),
-                       default="random")
+        p.add_argument("--d-mode", choices=D_MODES, default="exact")
+        p.add_argument("--id-mode", choices=ID_MODES, default="random")
         if trials:
             p.add_argument("--trials", type=int, default=1000)
 
@@ -82,35 +84,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _counts_for(n: int, levels: int, delta: float) -> tuple[int, ...]:
-    fractions = delta_fractions(levels, delta)
-    counts = [int(f * n + 1e-9) for f in fractions]
-    counts[max(range(levels), key=lambda i: fractions[i])] += n - sum(counts)
-    return tuple(counts)
-
-
 def _cmd_run(args) -> int:
+    config = ExperimentConfig(
+        algo=args.algo, topology=(args.topology,), sizes=(args.nodes,),
+        levels=args.levels, deltas=(args.delta,), c1=args.c1, c2=args.c2,
+        d_mode=args.d_mode, id_mode=args.id_mode, max_phases=args.max_phases,
+    )
     rng = np.random.default_rng(args.seed)
-    graph = build(topology_spec(args.topology, args.nodes), rng)
-    assignment = make_assignment(args.nodes, args.levels, args.delta, rng)
-    trace = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
-        if args.algo == "dvb1":
-            params = dvb1_params(graph, args.levels, c1=args.c1, d_mode=args.d_mode)
-            res = dvb1_run(graph, assignment, params, seed=rng,
-                           max_phases=args.max_phases, trace=trace)
-        else:
-            params = dvb2_params(graph, args.levels, c2=args.c2,
-                                 id_mode=args.id_mode, d_mode=args.d_mode)
-            res = dvb2_run(graph, assignment, params, seed=rng,
-                           max_phases=args.max_phases, trace=trace)
-    finally:
-        if trace:
-            trace.close()
-    counts = ",".join(str(c) for c in assignment.level_counts())
+    with (open(args.trace, "w", encoding="utf-8") if args.trace
+          else contextlib.nullcontext()) as trace:
+        res = simulate(config, (args.topology, args.nodes, args.delta), rng, trace)
+    # the shuffled assignment holds exactly these counts, with a strict plurality
+    counts = level_counts(args.nodes, args.levels, args.delta)
+    majority = counts.index(max(counts)) + 1
     print(f"algo={args.algo} topology={args.topology} n={args.nodes} "
           f"k={args.levels} delta={args.delta:g} seed={args.seed}")
-    print(f"counts={counts} majority_level={assignment.plurality_level()}")
+    print(f"counts={','.join(map(str, counts))} majority_level={majority}")
     print(f"status={res.status} terminated={res.terminated} success={res.success}")
     print(f"phases={res.phases_elapsed} consensus_phase={res.consensus_phase} "
           f"slots={res.slots_elapsed} beeps={res.total_beeps}")
@@ -131,7 +120,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_markov(args) -> int:
     print("delta,counts,win_majority,draw")
     for delta in args.deltas:
-        counts = _counts_for(args.nodes, args.levels, delta)
+        counts = level_counts(args.nodes, args.levels, delta)
         result = analysis.markov_success(counts, args.survival)
         majority = max(range(args.levels), key=lambda i: counts[i])
         counts_text = "/".join(str(c) for c in counts)
@@ -147,7 +136,7 @@ def _cmd_bounds(args) -> int:
     print(f"# majority ratio threshold at epsilon={args.epsilon:g}: {ratio:.6g}")
     print("delta,counts,two_event_bound,closed_form_bound")
     for delta in args.deltas:
-        counts = _counts_for(args.nodes, args.levels, delta)
+        counts = level_counts(args.nodes, args.levels, delta)
         two = analysis.lower_bound_two_event(counts)
         ordered = sorted(counts, reverse=True)
         closed = analysis.lower_bound_closed(ordered[0], ordered[1], args.levels)

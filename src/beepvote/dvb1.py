@@ -32,15 +32,17 @@ import numpy as np
 
 from .engine import (
     FastForward,
+    PhasedVoting,
     SlotRequest,
+    TerminationWave,
     TrialResult,
+    check_assignment,
     drive_schedule,
     finish,
     run,
+    slot_budget,
 )
-from .topology import Graph, LevelAssignment
-
-D_MODES = ("exact", "upper_bound_n")
+from .topology import Graph, LevelAssignment, hop_bound
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class Dvb1Params:
         if not 0.0 < self.survival_prob < 1.0:
             raise ValueError("survival probability must lie in (0, 1)")
 
+    setup_slots = 0  # corrosion starts with no setup block
+
     @property
     def slots_per_phase(self) -> int:
         return self.rounds_per_phase * self.level_count
@@ -84,12 +88,9 @@ def dvb1_params(
 ) -> Dvb1Params:
     if c1 <= 0:
         raise ValueError("c1 must be positive")
-    if d_mode not in D_MODES:
-        raise ValueError(f"d_mode must be one of {D_MODES}")
     n = graph.node_count
     rounds = max(1, math.ceil(c1 * math.log2(n))) if n > 1 else 1
-    d = graph.diameter if d_mode == "exact" else n
-    d_sched = max(1, d)
+    d_sched = hop_bound(graph, d_mode)
     return Dvb1Params(
         level_count=level_count,
         rounds_per_phase=rounds,
@@ -144,60 +145,6 @@ def corrosion_phase_schedule(graph, values, allowed, params, rng):
     return all_dead_round
 
 
-class TerminationWave:
-    """One termination check over the current values.
-
-    Period k (k = 1..K-1): level-k holders beep in slot 1; a listener
-    with a different value that hears them clears its terminated flag.
-    During the d_sched relay slots every cleared node beeps, and any
-    listener that hears a relay beep clears its own flag one slot later.
-    A period that detects a difference floods every node within d_sched
-    hops, after which the remaining periods are skipped.  The level-K
-    period is redundant and never scheduled.
-    """
-
-    def __init__(self, graph: Graph, values: np.ndarray, level_count: int, d_sched: int):
-        self.graph = graph
-        self.values = values
-        self.level_count = level_count
-        self.d_sched = d_sched
-        self.flags: np.ndarray | None = None
-        self.heard_events = 0
-
-    def schedule(self):
-        n = self.graph.node_count
-        relay = self.d_sched
-        term = np.ones(n, dtype=bool)
-        for k in range(1, self.level_count):
-            beeps = self.values == k
-            if not beeps.any():
-                yield FastForward(relay + 1)
-                continue
-            activity = yield SlotRequest(beeps)
-            hears = activity & ~beeps
-            self.heard_events += int(hears.sum())
-            term &= ~hears
-            d = 0
-            while d < relay:
-                frontier = ~term
-                cleared = int(frontier.sum())
-                if cleared == 0:
-                    yield FastForward(relay - d)
-                    break
-                if cleared == n:
-                    yield FastForward(relay - d, (relay - d) * n)
-                    break
-                activity = yield SlotRequest(frontier)
-                hears = activity & term
-                self.heard_events += int(hears.sum())
-                term &= ~hears
-                d += 1
-            if not term.all():
-                break
-        self.flags = term
-        return term
-
-
 @dataclass(frozen=True)
 class TerminationOutcome:
     flags: tuple
@@ -232,81 +179,14 @@ def termination_detection(
     )
 
 
-class Dvb1Automaton:
+class Dvb1Automaton(PhasedVoting):
     """All-node lockstep automaton for a full DVB1 run."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        params: Dvb1Params,
-        assignment: LevelAssignment,
-        rng: np.random.Generator,
-        max_phases: int,
-    ):
-        if assignment.node_count != graph.node_count:
-            raise ValueError("assignment length must match node count")
-        if assignment.level_count != params.level_count:
-            raise ValueError("assignment and params disagree on level count")
-        self.graph = graph
-        self.params = params
-        self.rng = rng
-        self.max_phases = max_phases
-        self.values = np.array(assignment.values, dtype=np.int64)
-        self.allowed = np.ones(graph.node_count, dtype=bool)
-        self.status = "completed"
-        self._phases = 0
-        self._consensus: int | None = 0 if self._unanimous() else None
-        self._terminated = False
-
-    def _unanimous(self) -> bool:
-        return bool((self.values == self.values[0]).all())
-
-    def schedule(self):
-        params = self.params
-        since_check = 0
-        while True:
-            if self._phases >= self.max_phases:
-                self.status = "max_phases_exceeded"
-                return
-            yield from corrosion_phase_schedule(
-                self.graph, self.values, self.allowed, params, self.rng
-            )
-            self._phases += 1
-            if self._consensus is None and self._unanimous():
-                self._consensus = self._phases
-            since_check += 1
-            if since_check >= params.check_interval:
-                since_check = 0
-                wave = TerminationWave(
-                    self.graph, self.values, params.level_count, params.d_sched
-                )
-                flags = yield from wave.schedule()
-                if flags.all():
-                    self._terminated = True
-                    return
-                # detection floods every node, so the flag stays unanimous
-                assert not flags.any()
-
-    def final_values(self) -> np.ndarray:
-        return self.values
-
-    def phases_elapsed(self) -> int:
-        return self._phases
-
-    def consensus_phase(self) -> int | None:
-        return self._consensus
-
-    def terminated(self) -> bool:
-        return self._terminated
-
-
-def slot_budget(params: Dvb1Params, max_phases: int) -> int:
-    checks = max_phases // params.check_interval + 1
-    return (
-        max_phases * params.slots_per_phase
-        + checks * (params.level_count - 1) * (params.d_sched + 1)
-        + 1
-    )
+    def phase(self):
+        allowed = np.ones(self.graph.node_count, dtype=bool)
+        yield from corrosion_phase_schedule(
+            self.graph, self.values, allowed, self.params, self.rng
+        )
 
 
 def dvb1_run(
@@ -357,10 +237,7 @@ def one_phase(
     """Run exactly one corrosion phase with no termination slots."""
     if params is None:
         params = dvb1_params(graph, assignment.level_count)
-    if assignment.node_count != graph.node_count:
-        raise ValueError("assignment length must match node count")
-    if assignment.level_count != params.level_count:
-        raise ValueError("assignment and params disagree on level count")
+    check_assignment(graph, params, assignment)
     rng = np.random.default_rng(seed)
     values = np.array(assignment.values, dtype=np.int64)
     allowed = np.ones(graph.node_count, dtype=bool)

@@ -31,9 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dvb1 import TerminationWave
-from .engine import FastForward, SlotRequest, TrialResult, finish, run
-from .topology import Graph, LevelAssignment
+from .engine import (
+    FastForward,
+    PhasedVoting,
+    SlotRequest,
+    TrialResult,
+    finish,
+    run,
+    slot_budget,
+)
+from .topology import Graph, LevelAssignment, hop_bound
 
 ID_MODES = ("random", "preassigned_unique")
 
@@ -70,6 +77,10 @@ class Dvb2Params:
             raise ValueError(f"id_mode must be one of {ID_MODES}")
 
     @property
+    def setup_slots(self) -> int:
+        return self.y_slots
+
+    @property
     def slots_per_phase(self) -> int:
         y, k = self.y_slots, self.level_count
         return y * y + y + 4 * y * k
@@ -82,14 +93,12 @@ def dvb2_params(
     id_mode: str = "random",
     d_mode: str = "exact",
 ) -> Dvb2Params:
-    if d_mode not in ("exact", "upper_bound_n"):
-        raise ValueError("d_mode must be 'exact' or 'upper_bound_n'")
-    d = graph.diameter if d_mode == "exact" else graph.node_count
+    d_sched = hop_bound(graph, d_mode)
     return Dvb2Params(
         level_count=level_count,
         y_slots=id_space(graph.max_degree, c2),
-        d_sched=max(1, d),
-        check_interval=max(1, d),
+        d_sched=d_sched,
+        check_interval=d_sched,
         c2=c2,
         id_mode=id_mode,
     )
@@ -152,11 +161,11 @@ def dmvr(set1, set2, mem1, mem2, rng: np.random.Generator):
     return u1, u2, m1, m2
 
 
-class Dvb2Automaton:
+class Dvb2Automaton(PhasedVoting):
     """All-node lockstep automaton for a full DVB2 run.
 
     Exposes ids, per-node value sets, and memories for inspection; the
-    protocol's reported values are the memories.
+    memories are the protocol's reported `values`.
     """
 
     def __init__(
@@ -167,26 +176,10 @@ class Dvb2Automaton:
         rng: np.random.Generator,
         max_phases: int,
     ):
-        if assignment.node_count != graph.node_count:
-            raise ValueError("assignment length must match node count")
-        if assignment.level_count != params.level_count:
-            raise ValueError("assignment and params disagree on level count")
-        self.graph = graph
-        self.params = params
-        self.rng = rng
-        self.max_phases = max_phases
-        n = graph.node_count
+        super().__init__(graph, params, assignment, rng, max_phases)
         self.ids = assign_ids(graph, params.y_slots, params.id_mode, rng)
-        self.memory = np.array(assignment.values, dtype=np.int64)
-        self.value_sets = [frozenset([int(v)]) for v in self.memory]
-        self.neighbor_ids: list[tuple[int, ...]] = [()] * n
-        self.status = "completed"
-        self._phases = 0
-        self._consensus: int | None = 0 if self._unanimous() else None
-        self._terminated = False
-
-    def _unanimous(self) -> bool:
-        return bool((self.memory == self.memory[0]).all())
+        self.value_sets = [frozenset([int(v)]) for v in self.values]
+        self.neighbor_ids: list[tuple[int, ...]] = [()] * graph.node_count
 
     def level_multiset(self) -> np.ndarray:
         """Per-level membership count over all value sets."""
@@ -232,7 +225,9 @@ class Dvb2Automaton:
         yield from self._stage(events, self.params.y_slots, record)
         self.neighbor_ids = [tuple(sorted(s)) for s in found]
 
-    def _interaction_phase(self):
+    setup = _discovery
+
+    def phase(self):
         n = self.graph.node_count
         y = self.params.y_slots
         k_levels = self.params.level_count
@@ -298,19 +293,20 @@ class Dvb2Automaton:
             base = (int(self.ids[u]) - 1) * 2 * k_levels
             for k in self.value_sets[u]:
                 pairs.append((base + k - 1, u))
-            pairs.append((base + k_levels + int(self.memory[u]) - 1, u))
+            pairs.append((base + k_levels + int(self.values[u]) - 1, u))
         yield from self._stage(self._grouped(pairs), 2 * y * k_levels, record_transfer)
 
         # invitees merge; the inviter-side result goes back over the air
         back_set: list[frozenset] = [frozenset()] * n
         back_val = np.zeros(n, dtype=np.int64)
         for i in np.flatnonzero(invitee):
-            assert recv_val[i] > 0  # the chosen inviter always transmits
+            if recv_val[i] == 0:  # the chosen inviter always transmits
+                raise RuntimeError(f"invitee {i} received no value from its inviter")
             s1, s2, m1, m2 = dmvr(
-                self.value_sets[i], recv_set[i], int(self.memory[i]), int(recv_val[i]), rng
+                self.value_sets[i], recv_set[i], int(self.values[i]), int(recv_val[i]), rng
             )
             self.value_sets[i] = s1
-            self.memory[i] = m1
+            self.values[i] = m1
             back_set[i] = s2
             back_val[i] = m2
 
@@ -325,7 +321,7 @@ class Dvb2Automaton:
                 if r < k_levels:
                     self.value_sets[u] = self.value_sets[u] | {r + 1}
                 else:
-                    self.memory[u] = r - k_levels + 1
+                    self.values[u] = r - k_levels + 1
 
         pairs = []
         for i in np.flatnonzero(invitee):
@@ -334,52 +330,6 @@ class Dvb2Automaton:
                 pairs.append((base + k - 1, i))
             pairs.append((base + k_levels + int(back_val[i]) - 1, i))
         yield from self._stage(self._grouped(pairs), 2 * y * k_levels, record_return)
-
-    def schedule(self):
-        params = self.params
-        yield from self._discovery()
-        since_check = 0
-        while True:
-            if self._phases >= self.max_phases:
-                self.status = "max_phases_exceeded"
-                return
-            yield from self._interaction_phase()
-            self._phases += 1
-            if self._consensus is None and self._unanimous():
-                self._consensus = self._phases
-            since_check += 1
-            if since_check >= params.check_interval:
-                since_check = 0
-                wave = TerminationWave(
-                    self.graph, self.memory, params.level_count, params.d_sched
-                )
-                flags = yield from wave.schedule()
-                if flags.all():
-                    self._terminated = True
-                    return
-                assert not flags.any()
-
-    def final_values(self) -> np.ndarray:
-        return self.memory
-
-    def phases_elapsed(self) -> int:
-        return self._phases
-
-    def consensus_phase(self) -> int | None:
-        return self._consensus
-
-    def terminated(self) -> bool:
-        return self._terminated
-
-
-def slot_budget(params: Dvb2Params, max_phases: int) -> int:
-    checks = max_phases // params.check_interval + 1
-    return (
-        params.y_slots
-        + max_phases * params.slots_per_phase
-        + checks * (params.level_count - 1) * (params.d_sched + 1)
-        + 1
-    )
 
 
 def dvb2_run(

@@ -5,12 +5,11 @@ undifferentiated beep exactly when at least one of its neighbors beeps;
 a beeping node observes heard = false, and beep multiplicity is never
 observable.  `step` exposes that channel rule directly.
 
-`run` drives a protocol automaton slot by slot.  An automaton is any
-object exposing a `schedule()` generator that yields `SlotRequest`
-(a boolean beep vector, True = beep) and `FastForward` events.  For each
-SlotRequest the engine replies, via `send`, with the channel activity
-vector: activity[i] is true iff some neighbor of i beeped this slot.
-The literal per-node observation is `heard = activity & ~beeps`; the
+`drive_schedule` runs a slot-event generator: one that yields
+`SlotRequest` (a boolean beep vector, True = beep) and `FastForward`
+events.  For each SlotRequest the engine replies, via `send`, with the
+channel activity vector: activity[i] is true iff some neighbor of i
+beeped this slot.  The literal per-node observation is `heard = activity & ~beeps`; the
 activity form additionally lets a protocol model sender-side collision
 detection (a beeper noticing that a neighbor beeped in the same slot).
 
@@ -19,16 +18,21 @@ account for exactly without touching the channel: either no node beeps,
 or the beepers and the absence of state changes are provably known.  The
 engine only adds the declared slot and beep counts, so metrics match a
 naive slot-by-slot execution bit for bit.
+
+`PhasedVoting` is the skeleton both voting protocols share: an optional
+setup block, then voting phases, with a `TerminationWave` every
+check_interval phases.  A protocol is one subclass with a `phase()`
+generator; `run` drives it under a slot budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Protocol
+from typing import IO
 
 import numpy as np
 
-from .topology import Graph
+from .topology import Graph, LevelAssignment
 
 
 @dataclass(frozen=True)
@@ -67,23 +71,6 @@ class TrialResult:
     status: str
 
 
-class ProtocolAutomaton(Protocol):
-    """Lockstep automaton for all nodes of one protocol run."""
-
-    status: str
-
-    def schedule(self):  # generator of SlotRequest | FastForward
-        ...
-
-    def final_values(self) -> np.ndarray: ...
-
-    def phases_elapsed(self) -> int: ...
-
-    def consensus_phase(self) -> int | None: ...
-
-    def terminated(self) -> bool: ...
-
-
 def step(graph: Graph, beeps: np.ndarray) -> np.ndarray:
     """One synchronous slot: heard[i] iff node i listened and some
     neighbor of i beeped."""
@@ -94,64 +81,21 @@ def step(graph: Graph, beeps: np.ndarray) -> np.ndarray:
     return activity & ~beeps
 
 
-def channel_activity(graph: Graph, beeps: np.ndarray) -> np.ndarray:
-    """Raw channel state: activity[i] iff some neighbor of i beeped."""
-    return graph.adj @ beeps
+# what drive_schedule returns in place of the generator's own value
+# when the slot budget runs out first
+BUDGET_EXHAUSTED = object()
 
 
-def run(
-    graph: Graph,
-    automaton: ProtocolAutomaton,
-    slot_budget: int,
-    trace: IO[str] | None = None,
-) -> tuple[TrialMetrics, str]:
-    """Drive an automaton until its schedule ends or the budget runs out.
+def drive_schedule(
+    graph: Graph, gen, slot_budget: int | None = None, trace: IO[str] | None = None
+) -> tuple[int, int, object]:
+    """Run a slot-event generator until it returns or the budget runs out.
 
-    Returns the metrics and a status string.  The status is the
-    automaton's own (normally "completed" or "max_phases_exceeded")
-    unless the slot budget was exhausted first.
-    """
-    metrics = TrialMetrics()
-    gen = automaton.schedule()
-    reply = None
-    adj = graph.adj
-    while True:
-        try:
-            event = gen.send(reply)
-        except StopIteration:
-            return metrics, automaton.status
-        if isinstance(event, FastForward):
-            metrics.slots_elapsed += event.slots
-            metrics.total_beeps += event.beep_count
-            if trace is not None and event.slots:
-                trace.write(
-                    f"slots {metrics.slots_elapsed - event.slots}..."
-                    f"{metrics.slots_elapsed - 1} fast-forward "
-                    f"beeps={event.beep_count}\n"
-                )
-            reply = None
-            continue
-        if metrics.slots_elapsed >= slot_budget:
-            gen.close()
-            return metrics, "slot_budget_exhausted"
-        beeps = event.beeps
-        metrics.slots_elapsed += 1
-        metrics.total_beeps += int(beeps.sum())
-        activity = adj @ beeps
-        if trace is not None:
-            slot = metrics.slots_elapsed - 1
-            heard = activity & ~beeps
-            for i in range(graph.node_count):
-                action = "beep" if beeps[i] else "listen"
-                trace.write(f"slot={slot} node={i} action={action} heard={int(heard[i])}\n")
-        reply = activity
-
-
-def drive_schedule(graph: Graph, gen) -> tuple[int, int, object]:
-    """Run a slot-event generator to completion with no budget.
-
-    Returns (slots, beeps, return_value) where return_value is whatever
-    the generator returned on StopIteration.
+    Returns (slots, beeps, value).  value is whatever the generator
+    returned on StopIteration, or BUDGET_EXHAUSTED if it asked for a
+    channel slot after slot_budget slots had elapsed (the generator is
+    then closed).  trace, if given, gets one line per fast-forwarded
+    stretch and one per node per channel slot.
     """
     slots = 0
     beeps = 0
@@ -165,15 +109,203 @@ def drive_schedule(graph: Graph, gen) -> tuple[int, int, object]:
         if isinstance(event, FastForward):
             slots += event.slots
             beeps += event.beep_count
+            if trace is not None and event.slots:
+                trace.write(
+                    f"slots {slots - event.slots}...{slots - 1} fast-forward "
+                    f"beeps={event.beep_count}\n"
+                )
             reply = None
-        else:
-            slots += 1
-            beeps += int(event.beeps.sum())
-            reply = adj @ event.beeps
+            continue
+        if slot_budget is not None and slots >= slot_budget:
+            gen.close()
+            return slots, beeps, BUDGET_EXHAUSTED
+        mask = event.beeps
+        slots += 1
+        beeps += int(mask.sum())
+        reply = adj @ mask
+        if trace is not None:
+            heard = reply & ~mask
+            for i in range(graph.node_count):
+                action = "beep" if mask[i] else "listen"
+                trace.write(f"slot={slots - 1} node={i} action={action} heard={int(heard[i])}\n")
+
+
+class TerminationWave:
+    """One termination check over the current values.
+
+    Period k (k = 1..K-1): level-k holders beep in slot 1; a listener
+    with a different value that hears them clears its terminated flag.
+    During the d_sched relay slots every cleared node beeps, and any
+    listener that hears a relay beep clears its own flag one slot later.
+    A period that detects a difference floods every node within d_sched
+    hops, after which the remaining periods are skipped.  The level-K
+    period is redundant and never scheduled.
+    """
+
+    def __init__(self, graph: Graph, values: np.ndarray, level_count: int, d_sched: int):
+        self.graph = graph
+        self.values = values
+        self.level_count = level_count
+        self.d_sched = d_sched
+        self.flags: np.ndarray | None = None
+        self.heard_events = 0
+
+    def schedule(self):
+        n = self.graph.node_count
+        relay = self.d_sched
+        term = np.ones(n, dtype=bool)
+        for k in range(1, self.level_count):
+            beeps = self.values == k
+            if not beeps.any():
+                yield FastForward(relay + 1)
+                continue
+            activity = yield SlotRequest(beeps)
+            hears = activity & ~beeps
+            self.heard_events += int(hears.sum())
+            term &= ~hears
+            d = 0
+            while d < relay:
+                frontier = ~term
+                cleared = int(frontier.sum())
+                if cleared == 0:
+                    yield FastForward(relay - d)
+                    break
+                if cleared == n:
+                    yield FastForward(relay - d, (relay - d) * n)
+                    break
+                activity = yield SlotRequest(frontier)
+                hears = activity & term
+                self.heard_events += int(hears.sum())
+                term &= ~hears
+                d += 1
+            if not term.all():
+                break
+        self.flags = term
+        return term
+
+
+def check_assignment(graph: Graph, params, assignment: LevelAssignment) -> None:
+    """Reject an assignment that does not fit the graph or the params."""
+    if assignment.node_count != graph.node_count:
+        raise ValueError("assignment length must match node count")
+    if assignment.level_count != params.level_count:
+        raise ValueError("assignment and params disagree on level count")
+
+
+def slot_budget(params, max_phases: int) -> int:
+    """Slots a run of at most max_phases phases can take: the setup
+    block, every phase, and a full termination check after every
+    check_interval phases, plus one slot of slack."""
+    checks = max_phases // params.check_interval + 1
+    return (
+        params.setup_slots
+        + max_phases * params.slots_per_phase
+        + checks * (params.level_count - 1) * (params.d_sched + 1)
+        + 1
+    )
+
+
+class PhasedVoting:
+    """All-node lockstep automaton for one phased voting run.
+
+    `schedule()` runs `setup()` once, then voting phases, each a
+    `phase()` generator that updates `values` (the per-node reported
+    levels) in place.  After every params.check_interval phases a
+    TerminationWave checks `values`, and a silent wave ends the run.
+    Past max_phases phases the run stops with status
+    "max_phases_exceeded".  params must provide level_count, d_sched
+    and check_interval.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        params,
+        assignment: LevelAssignment,
+        rng: np.random.Generator,
+        max_phases: int,
+    ):
+        check_assignment(graph, params, assignment)
+        self.graph = graph
+        self.params = params
+        self.rng = rng
+        self.max_phases = max_phases
+        self.values = np.array(assignment.values, dtype=np.int64)
+        self.status = "completed"
+        self._phases = 0
+        self._consensus: int | None = 0 if self._unanimous() else None
+        self._terminated = False
+
+    def setup(self):
+        """Slot events run once before the first phase; none by default."""
+        yield from ()
+
+    def phase(self):
+        """Slot events of one voting phase."""
+        raise NotImplementedError
+
+    def _unanimous(self) -> bool:
+        return bool((self.values == self.values[0]).all())
+
+    def schedule(self):
+        params = self.params
+        yield from self.setup()
+        since_check = 0
+        while self._phases < self.max_phases:
+            yield from self.phase()
+            self._phases += 1
+            if self._consensus is None and self._unanimous():
+                self._consensus = self._phases
+            since_check += 1
+            if since_check >= params.check_interval:
+                since_check = 0
+                wave = TerminationWave(
+                    self.graph, self.values, params.level_count, params.d_sched
+                )
+                flags = yield from wave.schedule()
+                if flags.all():
+                    self._terminated = True
+                    return
+                # a detected difference floods every node within d_sched
+                # hops, so split flags mean d_sched is below the diameter
+                if flags.any():
+                    raise RuntimeError(
+                        "termination flags disagree: d_sched does not cover the graph"
+                    )
+        self.status = "max_phases_exceeded"
+
+    def final_values(self) -> np.ndarray:
+        return self.values
+
+    def phases_elapsed(self) -> int:
+        return self._phases
+
+    def consensus_phase(self) -> int | None:
+        return self._consensus
+
+    def terminated(self) -> bool:
+        return self._terminated
+
+
+def run(
+    graph: Graph,
+    automaton: PhasedVoting,
+    slot_budget: int,
+    trace: IO[str] | None = None,
+) -> tuple[TrialMetrics, str]:
+    """Drive an automaton until its schedule ends or the budget runs out.
+
+    Returns the metrics and a status string.  The status is the
+    automaton's own (normally "completed" or "max_phases_exceeded")
+    unless the slot budget was exhausted first.
+    """
+    slots, beeps, value = drive_schedule(graph, automaton.schedule(), slot_budget, trace)
+    status = "slot_budget_exhausted" if value is BUDGET_EXHAUSTED else automaton.status
+    return TrialMetrics(slots, beeps), status
 
 
 def finish(
-    automaton: ProtocolAutomaton,
+    automaton: PhasedVoting,
     metrics: TrialMetrics,
     status: str,
     majority_level: int | None,

@@ -7,9 +7,12 @@ self-contained (graph resampling, level assignment, protocol run all on
 the trial stream, in that order), so the worker count never changes any
 output row, and appending sweep points never perturbs existing trials.
 
-Random graphs are resampled per trial; complete graphs and meshes are
-built once per point.  A trial that raises is counted in the row's
-errors column and excluded from the rate and the means.
+Every trial builds its own graph, so random graphs are resampled per
+trial.  A trial that raises is counted in the row's errors column and
+excluded from the rate and the means.
+
+`simulate` is the one place that turns a config and a sweep point into
+a protocol run; `run_trial` and the `beepvote run` command both call it.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .dvb1 import dvb1_params, dvb1_run
 from .dvb2 import ID_MODES, dvb2_params, dvb2_run
 from .topology import (
+    D_MODES,
     Complete,
     ErdosRenyi,
     LevelAssignment,
@@ -39,7 +43,6 @@ CSV_HEADER = (
 )
 TOPOLOGY_NAMES = ("complete", "mesh2d", "erdos_renyi")
 ALGOS = ("dvb1", "dvb2")
-D_MODES = ("exact", "upper_bound_n")
 
 Z95 = 1.959963984540054
 
@@ -74,15 +77,12 @@ def delta_fractions(level_count: int, delta: float) -> tuple[float, ...]:
     raise ValueError("delta parameterization covers 2 or 3 levels; pass fractions")
 
 
-def make_assignment(
-    n: int,
-    level_count: int,
-    delta: float | None,
-    rng: np.random.Generator,
-    fractions=None,
-) -> LevelAssignment:
-    """Counts from level fractions (floor, remainder to the majority
-    level), shuffled uniformly over node indices."""
+def level_counts(
+    n: int, level_count: int, delta: float | None, fractions=None
+) -> tuple[int, ...]:
+    """Per-level node counts from level fractions (given, or from delta):
+    each level gets the floor of its share, the majority level the
+    remainder."""
     if fractions is None:
         fractions = delta_fractions(level_count, delta)
     if len(fractions) != level_count:
@@ -92,6 +92,18 @@ def make_assignment(
     counts = [int(math.floor(f * n + 1e-9)) for f in fractions]
     majority = max(range(level_count), key=lambda i: fractions[i])
     counts[majority] += n - sum(counts)
+    return tuple(counts)
+
+
+def make_assignment(
+    n: int,
+    level_count: int,
+    delta: float | None,
+    rng: np.random.Generator,
+    fractions=None,
+) -> LevelAssignment:
+    """`level_counts`, shuffled uniformly over node indices."""
+    counts = level_counts(n, level_count, delta, fractions)
     top = sorted(counts, reverse=True)
     if len(top) > 1 and top[0] == top[1]:
         raise ValueError("no strict plurality after rounding")
@@ -222,65 +234,42 @@ class SweepRow:
     errors: int
 
     def csv_line(self) -> str:
-        return ",".join(
-            [self.algo, self.topology, str(self.n), str(self.k)]
-            + [
-                f"{v:.6g}"
-                for v in (
-                    self.delta,
-                    self.trials,
-                    self.success_rate,
-                    self.mean_phases,
-                    self.mean_slots,
-                    self.mean_beeps,
-                    self.ci95_lo,
-                    self.ci95_hi,
-                    self.errors,
-                )
-            ]
-        )
+        values = astuple(self)
+        return ",".join([str(v) for v in values[:4]] + [f"{v:.6g}" for v in values[4:]])
 
     def json_obj(self) -> dict:
-        keys = CSV_HEADER.split(",")
-        raw = [
-            self.algo,
-            self.topology,
-            self.n,
-            self.k,
-            self.delta,
-            self.trials,
-            self.success_rate,
-            self.mean_phases,
-            self.mean_slots,
-            self.mean_beeps,
-            self.ci95_lo,
-            self.ci95_hi,
-            self.errors,
-        ]
         return {
             k: float(f"{v:.6g}") if isinstance(v, float) else v
-            for k, v in zip(keys, raw)
+            for k, v in zip(CSV_HEADER.split(","), astuple(self))
         }
 
 
-def run_trial(config: ExperimentConfig, point_index: int, point, trial_index: int):
-    """One self-contained seeded trial; returns a TrialResult."""
+def simulate(config: ExperimentConfig, point, rng: np.random.Generator, trace=None):
+    """Build the point's graph, draw its level assignment and run
+    config.algo on them, every draw from rng in that order; returns a
+    TrialResult.  trace, if given, receives the per-slot log."""
     name, n, delta = point
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, point_index, trial_index])
-    )
-    spec = topology_spec(name, n)
-    graph = build(spec, rng)
+    graph = build(topology_spec(name, n), rng)
     assignment = make_assignment(n, config.levels, delta, rng)
     if config.algo == "dvb1":
         params = dvb1_params(graph, config.levels, c1=config.c1, d_mode=config.d_mode)
         return dvb1_run(
-            graph, assignment, params, seed=rng, max_phases=config.max_phases
+            graph, assignment, params, seed=rng, max_phases=config.max_phases, trace=trace
         )
     params = dvb2_params(
         graph, config.levels, c2=config.c2, id_mode=config.id_mode, d_mode=config.d_mode
     )
-    return dvb2_run(graph, assignment, params, seed=rng, max_phases=config.max_phases)
+    return dvb2_run(
+        graph, assignment, params, seed=rng, max_phases=config.max_phases, trace=trace
+    )
+
+
+def run_trial(config: ExperimentConfig, point_index: int, point, trial_index: int):
+    """One self-contained seeded trial; returns a TrialResult."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.master_seed, point_index, trial_index])
+    )
+    return simulate(config, point, rng)
 
 
 def run_point(config: ExperimentConfig, point_index: int, point) -> SweepRow:

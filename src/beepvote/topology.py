@@ -8,13 +8,15 @@ each node to a voting level in 1..K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 ER_RETRY_LIMIT = 1000
+D_MODES = ("exact", "upper_bound_n")
 
 
 def default_edge_probability(n: int) -> float:
@@ -59,15 +61,16 @@ class Graph:
     adj: np.ndarray
     diameter: int
     max_degree: int
-    neighbors: tuple = field(repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adj, dtype=bool)
         adj.setflags(write=False)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(
-            self, "neighbors", tuple(np.flatnonzero(adj[i]) for i in range(self.node_count))
-        )
+
+    @cached_property
+    def neighbors(self) -> tuple:
+        """Per-node index arrays of adjacent nodes, built on first use."""
+        return tuple(np.flatnonzero(self.adj[i]) for i in range(self.node_count))
 
     @property
     def edge_count(self) -> int:
@@ -75,6 +78,15 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
+
+
+def hop_bound(graph: Graph, d_mode: str) -> int:
+    """The hop bound a protocol schedules its relay waves for: the exact
+    diameter, or N when only the trivial upper bound is assumed; at
+    least 1."""
+    if d_mode not in D_MODES:
+        raise ValueError(f"d_mode must be one of {D_MODES}")
+    return max(1, graph.diameter if d_mode == "exact" else graph.node_count)
 
 
 def _check_square_symmetric(adj: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line entry point via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,18 @@ def test_markov_command(capsys):
     assert "0.965103" in lines[1]
     assert lines[2].startswith("0.55,45/55,")
     assert "0.539645" in lines[2]
+
+
+def test_markov_state_count_guard_exits_one(capsys):
+    # (567, 333, 100) spans about 19M chain states; the oracle must refuse
+    # before allocating, not after
+    start = time.perf_counter()
+    rc = main(["markov", "--nodes", "1000", "--levels", "3", "--deltas", "0.1"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert elapsed < 1.0
 
 
 def test_bounds_command(capsys):

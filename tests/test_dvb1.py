@@ -5,9 +5,11 @@ allowance so they test the claim, not the noise.
 """
 
 import numpy as np
+import pytest
 
 from beepvote.analysis import lower_bound_two_event
 from beepvote.dvb1 import (
+    Dvb1Params,
     corrosion_phase_schedule,
     dvb1_params,
     dvb1_run,
@@ -264,3 +266,14 @@ def test_termination_flag_unanimous_on_star():
     out = termination_detection(g, np.array([1, 2, 2, 2]), 2, g.diameter)
     assert out.unanimous
     assert not out.terminated
+
+
+def test_split_termination_flags_raise():
+    # a relay wave of d_sched = 1 hop cannot flood an 11-hop path, so the
+    # check leaves some flags set and others cleared; that is an error,
+    # never a silent run on to the phase cap
+    g = graph_from_edges(12, [(i, i + 1) for i in range(11)])
+    asg = LevelAssignment([1] * 6 + [2] * 6, 2)
+    params = Dvb1Params(level_count=2, rounds_per_phase=1, d_sched=1, check_interval=1)
+    with pytest.raises(RuntimeError, match="flags disagree"):
+        dvb1_run(g, asg, params, seed=0)
