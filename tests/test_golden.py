@@ -1,7 +1,8 @@
 """Golden outputs, pinned byte for byte.
 
 Sweep CSV rows for both protocols over every d_mode and id_mode (DVB2
-under a 40-phase cap), the stdout of each `beepvote` subcommand, and the
+under a 40-phase cap), DVB2 rows with a tiny id space (c2 = 0.01, so
+Y = Delta + 1 and random ids often collide inside a neighborhood), the stdout of each `beepvote` subcommand, and the
 per-slot trace files of one run per protocol.  The expected text was
 recorded from a known-good build.  A pure refactor must reproduce it
 exactly; a deliberate behaviour change re-records it and says why.
@@ -152,6 +153,33 @@ dvb2,erdos_renyi,16,3,0.1,3,1,26.6667,2.11428e+07,1174.33,0.438503,1,0
 """,
 }
 
+# levels -> DVB2 CSV rows with c2 = 0.01 and random ids: Y = Delta + 1,
+# so handshakes collide often and the collided exchange paths run
+COLLISION_ROWS = {
+    2: """\
+dvb2,complete,6,2,0.6,4,0.75,12.5,1156,237.75,0.300642,0.954413,0
+dvb2,complete,6,2,0.8,4,1,2.75,259,43.75,0.510109,1,0
+dvb2,complete,12,2,0.6,4,1,9.5,2425,321.75,0.510109,1,0
+dvb2,complete,12,2,0.8,4,1,8.25,2107.5,281.25,0.510109,1,0
+dvb2,mesh2d,6,2,0.6,4,0.5,18.75,1030,286.25,0.150039,0.849961,0
+dvb2,mesh2d,6,2,0.8,4,0.75,7.75,497,142,0.300642,0.954413,0
+dvb2,mesh2d,12,2,0.6,4,0.25,20.25,1518,675.75,0.0455873,0.699358,0
+dvb2,mesh2d,12,2,0.8,4,1,7.75,717,267.25,0.510109,1,0
+dvb2,erdos_renyi,6,2,0.6,4,1,5.75,555,97.75,0.510109,1,0
+dvb2,erdos_renyi,6,2,0.8,4,1,3,326.25,50,0.510109,1,0
+dvb2,erdos_renyi,12,2,0.6,4,1,11.5,2209.5,408.75,0.510109,1,0
+dvb2,erdos_renyi,12,2,0.8,4,1,7.5,1850,250.5,0.510109,1,0
+""",
+    3: """\
+dvb2,complete,6,3,0.1,4,0.25,14.5,1689.5,280.75,0.0455873,0.699358,0
+dvb2,complete,12,3,0.1,4,0.5,16.5,5001,667,0.150039,0.849961,0
+dvb2,mesh2d,6,3,0.1,4,0.75,19.75,1428,308.5,0.300642,0.954413,0
+dvb2,mesh2d,12,3,0.1,4,0.25,23.5,2174,803.75,0.0455873,0.699358,0
+dvb2,erdos_renyi,6,3,0.1,4,0.75,14,1711.5,260.75,0.300642,0.954413,0
+dvb2,erdos_renyi,12,3,0.1,4,0.25,22.5,5087.5,899,0.0455873,0.699358,0
+""",
+}
+
 # argv -> stdout
 CLI_STDOUT = {
     "run --nodes 30 --delta 0.9 --seed 5": """\
@@ -259,6 +287,22 @@ def test_sweep_rows(key):
         max_phases=40 if algo == "dvb2" else None,
     )
     assert render(run_sweep(config), "csv") == CSV_HEADER + "\n" + SWEEP_ROWS[key]
+
+
+@pytest.mark.parametrize("levels", list(COLLISION_ROWS))
+def test_collision_rows(levels):
+    config = ExperimentConfig(
+        algo="dvb2",
+        topology=("complete", "mesh2d", "erdos_renyi"),
+        sizes=(6, 12),
+        levels=levels,
+        deltas=SWEEP_DELTAS[levels],
+        trials=4,
+        master_seed=5,
+        c2=0.01,
+        max_phases=25,
+    )
+    assert render(run_sweep(config), "csv") == CSV_HEADER + "\n" + COLLISION_ROWS[levels]
 
 
 @pytest.mark.parametrize("argv", list(CLI_STDOUT))
