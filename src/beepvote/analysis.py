@@ -9,6 +9,7 @@ the first time the counts form a halting pattern:
            exactly one other level is down to a single survivor;
   draw:    no survivors anywhere.
 
+`halting` is that rule, vectorised; every function below reads it.
 `markov_success` solves the absorption probabilities exactly;
 `sample_success` estimates them by direct simulation and exists as an
 independent cross-check.  The closed-form lower bounds trade tightness
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-# markov_success holds (K + 1) float64 values and one index tuple per
-# state; past this many states it would take gigabytes, so it refuses
+# markov_success holds (K + 1) float64 values and K int64 counts per
+# state and visits every state in a Python loop; past this many states it
+# would take gigabytes and minutes, so it refuses
 MAX_MARKOV_STATES = 10**6
 
 
@@ -44,23 +46,37 @@ class StateClass:
     level: int | None = None  # 1-based winning level for kind == "win"
 
 
-def classify(counts) -> StateClass:
-    """Halting classification of an alive-count vector."""
+def _count_vector(counts) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or len(counts) < 1:
         raise ValueError("counts must be a non-empty 1D vector")
     if (counts < 0).any():
         raise ValueError("counts must be non-negative")
-    order = np.sort(counts)[::-1]
-    c1 = order[0]
-    c2 = order[1] if len(order) > 1 else 0
-    c3 = order[2] if len(order) > 2 else 0
-    if c1 == 0:
+    return counts
+
+
+def halting(alive) -> np.ndarray:
+    """Halting rule along the last axis of alive-count vectors: the
+    0-based winning level, K for a draw, or -1 for a transient state."""
+    alive = np.asarray(alive, dtype=np.int64)
+    k = alive.shape[-1]
+    order = -np.sort(-alive, axis=-1)
+    none = np.zeros(alive.shape[:-1], dtype=np.int64)
+    c1 = order[..., 0]
+    c2 = order[..., 1] if k > 1 else none
+    c3 = order[..., 2] if k > 2 else none
+    win = (c1 > 0) & ((c2 == 0) | ((c1 >= 2) & (c2 == 1) & (c3 == 0)))
+    return np.where(c1 == 0, k, np.where(win, alive.argmax(axis=-1), -1))
+
+
+def classify(counts) -> StateClass:
+    """Halting classification of an alive-count vector."""
+    counts = _count_vector(counts)
+    h = int(halting(counts))
+    if h == len(counts):
         return StateClass("draw")
-    if c2 == 0:
-        return StateClass("win", int(np.argmax(counts)) + 1)
-    if c1 >= 2 and c2 == 1 and c3 == 0:
-        return StateClass("win", int(np.argmax(counts)) + 1)
+    if h >= 0:
+        return StateClass("win", h + 1)
     return StateClass("transient")
 
 
@@ -91,18 +107,15 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     """Exact absorption probabilities of the alive-count chain.
 
     Dynamic programming over the grid of states dominated componentwise
-    by the initial counts, in ascending total order: every transition
-    out of a transient state except the self-loop strictly lowers the
-    total, so each state only needs already-solved ones plus a self-loop
+    by the initial counts, in C order: every transition out of a
+    transient state except the self-loop goes to a state it dominates
+    componentwise, which comes earlier in lexicographic order, so each
+    state only needs already-solved ones plus a self-loop
     renormalization by 1 / (1 - p^total).  The state space has
     prod(n_k + 1) points, which is fine at desk scale but grows quickly
     with the level count; above MAX_MARKOV_STATES it raises ValueError.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or len(counts) < 1:
-        raise ValueError("counts must be a non-empty 1D vector")
-    if (counts < 0).any():
-        raise ValueError("counts must be non-negative")
+    counts = _count_vector(counts)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     state_count = math.prod(int(c) + 1 for c in counts)
@@ -117,21 +130,17 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     for n_i in counts:
         grid = np.arange(n_i + 1)
         pmfs.append(stats.binom.pmf(grid[None, :], grid[:, None], p))
-    value = np.zeros(tuple(int(c) + 1 for c in counts) + (k + 1,))
-    states = sorted(np.ndindex(*[int(c) + 1 for c in counts]), key=sum)
-    for state in states:
-        cls = classify(state)
-        if cls.kind == "draw":
-            value[state + (k,)] = 1.0
-            continue
-        if cls.kind == "win":
-            value[state + (cls.level - 1,)] = 1.0
+    shape = tuple(int(c) + 1 for c in counts)
+    kind = halting(np.moveaxis(np.indices(shape), 0, -1))
+    # halting states hold their one-hot outcome; transient ones start at 0
+    value = (kind[..., None] == np.arange(k + 1)).astype(np.float64)
+    for state in np.ndindex(*shape):
+        if kind[state] >= 0:
             continue
         sub = value[tuple(slice(0, a + 1) for a in state)]
         for axis, a in enumerate(state):
             sub = np.tensordot(pmfs[axis][a, : a + 1], sub, axes=(0, 0))
-        total = sum(state)
-        value[state] = sub / (1.0 - p**total)
+        value[state] = sub / (1.0 - p ** sum(state))
     out = value[tuple(int(c) for c in counts)]
     return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
 
@@ -140,9 +149,9 @@ def sample_success(
     counts, p: float = 0.5, samples: int = 10**6, seed=0, max_rounds: int = 10_000
 ) -> MarkovResult:
     """Monte-Carlo estimate of the same absorption probabilities by
-    simulating the thinning process directly.  Independent of
-    markov_success by construction; used to cross-check it."""
-    counts = np.asarray(counts, dtype=np.int64)
+    simulating the thinning process directly.  It shares only the
+    `halting` rule with markov_success; used to cross-check it."""
+    counts = _count_vector(counts)
     k = len(counts)
     rng = np.random.default_rng(seed)
     alive = np.tile(counts, (samples, 1))
@@ -150,21 +159,10 @@ def sample_success(
     draw = 0
     active = np.arange(samples)
     for _ in range(max_rounds):
-        if len(active) == 0:
-            break
-        a = alive[active]
-        order = -np.sort(-a, axis=1)
-        c1 = order[:, 0]
-        c2 = order[:, 1] if k > 1 else np.zeros(len(active), dtype=np.int64)
-        c3 = order[:, 2] if k > 2 else np.zeros(len(active), dtype=np.int64)
-        is_draw = c1 == 0
-        is_win = (~is_draw) & ((c2 == 0) | ((c1 >= 2) & (c2 == 1) & (c3 == 0)))
-        if is_win.any():
-            winners = a[is_win].argmax(axis=1)
-            win += np.bincount(winners, minlength=k)
-        draw += int(is_draw.sum())
-        halted = is_draw | is_win
-        active = active[~halted]
+        h = halting(alive[active])
+        win += np.bincount(h[(h >= 0) & (h < k)], minlength=k)
+        draw += int((h == k).sum())
+        active = active[h < 0]
         if len(active) == 0:
             break
         alive[active] = rng.binomial(alive[active], p)
@@ -182,11 +180,9 @@ def lower_bound_two_event(counts, p: float = 0.5, r_max: int | None = None) -> f
     term where the plurality itself is the single survivor), and takes
     the best horizon r in 0..r_max.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or len(counts) < 1:
-        raise ValueError("counts must be a non-empty 1D vector")
-    if (counts < 0).any() or counts.sum() < 1:
-        raise ValueError("counts must be non-negative with at least one node")
+    counts = _count_vector(counts)
+    if counts.sum() < 1:
+        raise ValueError("counts must include at least one node")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     top = counts.max()

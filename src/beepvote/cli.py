@@ -39,22 +39,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, trials=False):
-        p.add_argument("--algo", choices=ALGOS, default="dvb1")
+    def common(p):
         p.add_argument("--topology", default="complete", choices=TOPOLOGY_NAMES)
         p.add_argument("--nodes", type=int, default=100)
         p.add_argument("--levels", type=int, default=2)
         p.add_argument("--delta", type=float, default=0.7)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--c1", type=float, default=20.0)
-        p.add_argument("--c2", type=float, default=20.0)
-        p.add_argument("--d-mode", choices=D_MODES, default="exact")
-        p.add_argument("--id-mode", choices=ID_MODES, default="random")
-        if trials:
-            p.add_argument("--trials", type=int, default=1000)
 
     p_run = sub.add_parser("run", help="run one trial and print its outcome")
     common(p_run)
+    p_run.add_argument("--algo", choices=ALGOS, default="dvb1")
+    p_run.add_argument("--c1", type=float, default=20.0)
+    p_run.add_argument("--c2", type=float, default=20.0)
+    p_run.add_argument("--d-mode", choices=D_MODES, default="exact")
+    p_run.add_argument("--id-mode", choices=ID_MODES, default="random")
     p_run.add_argument("--max-phases", type=int, default=None)
     p_run.add_argument("--trace", default=None, help="write a per-slot log to this file")
 

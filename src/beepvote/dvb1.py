@@ -3,7 +3,7 @@
 The run alternates corrosion phases with a relay-wave termination check.
 A corrosion phase is T rounds of K slots, one slot per level.  In round
 j, every node still allowed to beep announces its level in that level's
-slot and then survives the round with probability p; every node records,
+slot and then survives the round with probability 1/2; every node records,
 per level, whether any neighbor beeped in that slot.  A node that heard
 exactly one level at the end of a round adopts it (dead nodes keep
 listening and adopting; they only stop beeping).
@@ -44,6 +44,8 @@ from .engine import (
 )
 from .topology import Graph, LevelAssignment, hop_bound
 
+SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
+
 
 @dataclass(frozen=True)
 class Dvb1Params:
@@ -59,8 +61,6 @@ class Dvb1Params:
     rounds_per_phase: int
     d_sched: int
     check_interval: int
-    survival_prob: float = 0.5
-    c1: float = 20.0
 
     def __post_init__(self) -> None:
         if self.level_count < 1:
@@ -69,8 +69,6 @@ class Dvb1Params:
             raise ValueError("rounds per phase must be >= 1")
         if self.d_sched < 1 or self.check_interval < 1:
             raise ValueError("termination scheduling constants must be >= 1")
-        if not 0.0 < self.survival_prob < 1.0:
-            raise ValueError("survival probability must lie in (0, 1)")
 
     setup_slots = 0  # corrosion starts with no setup block
 
@@ -83,7 +81,6 @@ def dvb1_params(
     graph: Graph,
     level_count: int,
     c1: float = 20.0,
-    survival_prob: float = 0.5,
     d_mode: str = "exact",
 ) -> Dvb1Params:
     if c1 <= 0:
@@ -96,8 +93,6 @@ def dvb1_params(
         rounds_per_phase=rounds,
         d_sched=d_sched,
         check_interval=d_sched,
-        survival_prob=survival_prob,
-        c1=c1,
     )
 
 
@@ -116,7 +111,7 @@ def corrosion_phase_schedule(graph, values, allowed, params, rng):
     n = graph.node_count
     level_count = params.level_count
     rounds = params.rounds_per_phase
-    death = 1.0 - params.survival_prob
+    death = 1.0 - SURVIVAL_PROB
     allowed[:] = True
     flags = np.zeros((n, level_count), dtype=bool)
     all_dead_round = None

@@ -9,12 +9,12 @@ heard inviter and accept in a Y-slot sweep, and the matched pair swaps
 value sets in two 2YK-slot transfer blocks, applying the merge rule in
 between.  A phase therefore costs exactly Y^2 + Y + 4YK slots.
 
-Only slots that actually carry a beep are simulated; every silent slot
-is fast-forwarded with exact slot accounting, which is what makes the
-Y^2 invitation grid affordable.  All records still go through the real
-shared channel, so id collisions corrupt handshakes exactly as they
-would slot by slot: simultaneous same-slot beeps merge, and whichever
-node hears them acts on the merged observation.
+Every block goes through `_send`, which simulates only the slots that
+carry a beep and fast-forwards every silent slot with exact slot
+accounting; that is what makes the Y^2 invitation grid affordable.  All
+beeps still go through the real shared channel, so id collisions corrupt
+handshakes exactly as they would slot by slot: simultaneous same-slot
+beeps merge, and whichever node hears them acts on the merged observation.
 
 The merge rule conserves the per-level multiset over each pair: the
 smaller set becomes the union and the larger the intersection, a set
@@ -43,6 +43,7 @@ from .engine import (
 from .topology import Graph, LevelAssignment, hop_bound
 
 ID_MODES = ("random", "preassigned_unique")
+INVITE_PROB = 0.5  # chance that a node invites rather than listens, each phase
 
 
 def id_space(max_degree: int, c2: float = 20.0) -> int:
@@ -60,8 +61,6 @@ class Dvb2Params:
     y_slots: int
     d_sched: int
     check_interval: int
-    invite_prob: float = 0.5
-    c2: float = 20.0
     id_mode: str = "random"
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class Dvb2Params:
             raise ValueError("id space must be >= 1")
         if self.d_sched < 1 or self.check_interval < 1:
             raise ValueError("termination scheduling constants must be >= 1")
-        if not 0.0 < self.invite_prob < 1.0:
-            raise ValueError("invite probability must lie in (0, 1)")
         if self.id_mode not in ID_MODES:
             raise ValueError(f"id_mode must be one of {ID_MODES}")
 
@@ -99,7 +96,6 @@ def dvb2_params(
         y_slots=id_space(graph.max_degree, c2),
         d_sched=d_sched,
         check_interval=d_sched,
-        c2=c2,
         id_mode=id_mode,
     )
 
@@ -189,40 +185,58 @@ class Dvb2Automaton(PhasedVoting):
                 counts[k - 1] += 1
         return counts
 
-    def _stage(self, events, stage_len, record):
-        """Run one block of slots given its beep events, fast-forwarding
-        every silent slot.  events: sorted (offset, beeper index array)."""
-        cursor = 0
-        for offset, beepers in events:
-            if offset > cursor:
-                yield FastForward(offset - cursor)
-            beeps = np.zeros(self.graph.node_count, dtype=bool)
-            beeps[beepers] = True
-            activity = yield SlotRequest(beeps)
-            record(offset, beeps, activity)
-            cursor = offset + 1
-        if stage_len > cursor:
-            yield FastForward(stage_len - cursor)
-
-    @staticmethod
-    def _grouped(pairs):
-        """(offset, node) pairs to sorted (offset, node array) events."""
+    def _send(self, pairs, stage_len):
+        """Run one block of stage_len slots in which every (offset, node)
+        pair beeps, fast-forwarding the silent slots.  Returns
+        (offset, heard) for each slot that carried a beep, in slot order;
+        heard is the listeners' observation, activity & ~beeps."""
         by_offset: dict[int, list[int]] = {}
         for offset, node in pairs:
             by_offset.setdefault(offset, []).append(node)
-        return [(off, np.array(by_offset[off])) for off in sorted(by_offset)]
+        heard = []
+        cursor = 0
+        for offset in sorted(by_offset):
+            if offset > cursor:
+                yield FastForward(offset - cursor)
+            beeps = np.zeros(self.graph.node_count, dtype=bool)
+            beeps[by_offset[offset]] = True
+            activity = yield SlotRequest(beeps)
+            heard.append((offset, activity & ~beeps))
+            cursor = offset + 1
+        if stage_len > cursor:
+            yield FastForward(stage_len - cursor)
+        return heard
+
+    def _exchange(self, senders, send_block, sets, vals, listeners, listen_block):
+        """One value-set transfer over Y blocks of 2K slots: sender u beeps
+        slot k of block send_block[u] for each level k in sets[u], then
+        slot K + vals[u]; listener i decodes block listen_block[i].
+        Returns the sets and the last values heard (0 where none was)."""
+        k_levels = self.params.level_count
+        width = 2 * k_levels
+        pairs = []
+        for u in senders:
+            base = (int(send_block[u]) - 1) * width
+            pairs += [(base + k - 1, u) for k in sets[u]]
+            pairs.append((base + k_levels + int(vals[u]) - 1, u))
+        n = self.graph.node_count
+        recv_set: list[set[int]] = [set() for _ in range(n)]
+        recv_val = np.zeros(n, dtype=np.int64)
+        for offset, heard in (yield from self._send(pairs, self.params.y_slots * width)):
+            j, r = divmod(offset, width)
+            for i in np.flatnonzero(heard & listeners & (listen_block == j + 1)):
+                if r < k_levels:
+                    recv_set[i].add(r + 1)
+                else:
+                    recv_val[i] = r - k_levels + 1
+        return recv_set, recv_val
 
     def _discovery(self):
-        ids = self.ids
         found: list[set[int]] = [set() for _ in range(self.graph.node_count)]
-
-        def record(offset, beeps, activity):
-            j = offset + 1
-            for i in np.flatnonzero(activity & ~beeps):
-                found[i].add(j)
-
-        events = self._grouped((int(j) - 1, i) for i, j in enumerate(ids))
-        yield from self._stage(events, self.params.y_slots, record)
+        pairs = ((int(j) - 1, i) for i, j in enumerate(self.ids))
+        for offset, heard in (yield from self._send(pairs, self.params.y_slots)):
+            for i in np.flatnonzero(heard):
+                found[i].add(offset + 1)
         self.neighbor_ids = [tuple(sorted(s)) for s in found]
 
     setup = _discovery
@@ -230,9 +244,9 @@ class Dvb2Automaton(PhasedVoting):
     def phase(self):
         n = self.graph.node_count
         y = self.params.y_slots
-        k_levels = self.params.level_count
+        ids = self.ids
         rng = self.rng
-        inviter = rng.random(n) < self.params.invite_prob
+        inviter = rng.random(n) < INVITE_PROB
 
         # each inviter aims at one known neighbor id; no known ids, no invite
         target = np.zeros(n, dtype=np.int64)
@@ -243,60 +257,30 @@ class Dvb2Automaton(PhasedVoting):
 
         # invitation grid: inviter with id j1 aiming at j2 beeps in slot (j1, j2)
         heard_from: list[set[int]] = [set() for _ in range(n)]
-
-        def record_invite(offset, beeps, activity):
-            j1, j2 = offset // y + 1, offset % y + 1
-            hearers = activity & ~inviter & (self.ids == j2)
-            for i in np.flatnonzero(hearers):
-                heard_from[i].add(j1)
-
-        pairs = [
-            ((int(self.ids[i]) - 1) * y + (int(target[i]) - 1), i)
-            for i in np.flatnonzero(inviter)
-            if target[i]
-        ]
-        yield from self._stage(self._grouped(pairs), y * y, record_invite)
+        pairs = [((int(ids[i]) - 1) * y + int(target[i]) - 1, i) for i in np.flatnonzero(target)]
+        for offset, heard in (yield from self._send(pairs, y * y)):
+            j1, j2 = divmod(offset, y)
+            for i in np.flatnonzero(heard & ~inviter & (ids == j2 + 1)):
+                heard_from[i].add(j1 + 1)
 
         # invitees pick one heard inviter id and beep in that id's slot
         chosen = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            if not inviter[i] and heard_from[i]:
+            if heard_from[i]:
                 ids_heard = sorted(heard_from[i])
                 chosen[i] = ids_heard[rng.integers(len(ids_heard))]
         accepted = np.zeros(n, dtype=bool)
+        pairs = [(int(chosen[i]) - 1, i) for i in np.flatnonzero(chosen)]
+        for offset, heard in (yield from self._send(pairs, y)):
+            accepted |= heard & inviter & (ids == offset + 1)
 
-        def record_accept(offset, beeps, activity):
-            j = offset + 1
-            accepted[:] |= activity & inviter & (self.ids == j)
-
-        events = self._grouped((int(j) - 1, i) for i, j in enumerate(chosen) if j)
-        yield from self._stage(events, y, record_accept)
-
-        # accepted inviters send set membership then a value one-hot in
-        # their own 2K-slot id block; their invitees listen on that block
+        # accepted inviters send on their own id block, invitees listen on
+        # their chosen id's block; invitees merge, and the inviter-side
+        # result goes back the other way
         invitee = chosen > 0
-        recv_set: list[set[int]] = [set() for _ in range(n)]
-        recv_val = np.zeros(n, dtype=np.int64)
-
-        def record_transfer(offset, beeps, activity):
-            j = offset // (2 * k_levels) + 1
-            r = offset % (2 * k_levels)
-            hearers = activity & invitee & (chosen == j)
-            for i in np.flatnonzero(hearers):
-                if r < k_levels:
-                    recv_set[i].add(r + 1)
-                else:
-                    recv_val[i] = r - k_levels + 1
-
-        pairs = []
-        for u in np.flatnonzero(accepted):
-            base = (int(self.ids[u]) - 1) * 2 * k_levels
-            for k in self.value_sets[u]:
-                pairs.append((base + k - 1, u))
-            pairs.append((base + k_levels + int(self.values[u]) - 1, u))
-        yield from self._stage(self._grouped(pairs), 2 * y * k_levels, record_transfer)
-
-        # invitees merge; the inviter-side result goes back over the air
+        recv_set, recv_val = yield from self._exchange(
+            np.flatnonzero(accepted), ids, self.value_sets, self.values, invitee, chosen
+        )
         back_set: list[frozenset] = [frozenset()] * n
         back_val = np.zeros(n, dtype=np.int64)
         for i in np.flatnonzero(invitee):
@@ -309,27 +293,13 @@ class Dvb2Automaton(PhasedVoting):
             self.values[i] = m1
             back_set[i] = s2
             back_val[i] = m2
-
+        recv_set, recv_val = yield from self._exchange(
+            np.flatnonzero(invitee), chosen, back_set, back_val, accepted, ids
+        )
         for u in np.flatnonzero(accepted):
-            self.value_sets[u] = frozenset()
-
-        def record_return(offset, beeps, activity):
-            j = offset // (2 * k_levels) + 1
-            r = offset % (2 * k_levels)
-            hearers = activity & accepted & (self.ids == j)
-            for u in np.flatnonzero(hearers):
-                if r < k_levels:
-                    self.value_sets[u] = self.value_sets[u] | {r + 1}
-                else:
-                    self.values[u] = r - k_levels + 1
-
-        pairs = []
-        for i in np.flatnonzero(invitee):
-            base = (int(chosen[i]) - 1) * 2 * k_levels
-            for k in back_set[i]:
-                pairs.append((base + k - 1, i))
-            pairs.append((base + k_levels + int(back_val[i]) - 1, i))
-        yield from self._stage(self._grouped(pairs), 2 * y * k_levels, record_return)
+            self.value_sets[u] = frozenset(recv_set[u])
+            if recv_val[u]:
+                self.values[u] = recv_val[u]
 
 
 def dvb2_run(

@@ -46,7 +46,7 @@ class ErdosRenyi:
 TopologySpec = Complete | Mesh2D | ErdosRenyi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class Graph:
     """Immutable undirected graph with precomputed metrics.
 
@@ -197,7 +197,7 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
     raise TypeError(f"unknown topology spec: {spec!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class LevelAssignment:
     """Per-node voting levels.
 

@@ -6,10 +6,12 @@ formula and by hand where tractable.
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from beepvote.analysis import (
     classify,
     corollary_ratio,
+    halting,
     lower_bound_closed,
     lower_bound_two_event,
     markov_success,
@@ -98,6 +100,19 @@ def test_classify():
     assert classify((2, 1, 1)).kind == "transient"
 
 
+def test_halting_is_classify_along_the_last_axis():
+    grid = np.moveaxis(np.indices((4, 3, 3)), 0, -1)
+    kind = halting(grid)
+    assert kind.shape == (4, 3, 3)
+    for state in np.ndindex(4, 3, 3):
+        cls = classify(state)
+        if cls.kind == "win":
+            assert kind[state] == cls.level - 1
+        else:
+            assert kind[state] == {"draw": 3, "transient": -1}[cls.kind]
+    assert halting((0,)) == 1 and halting((4,)) == 0
+
+
 def test_transition_examples():
     assert transition_prob((2, 2), (1, 1), 0.5) == pytest.approx(0.25)
     assert transition_prob((2, 2), (2, 2), 0.5) == pytest.approx(0.5**4)
@@ -156,3 +171,39 @@ def test_sampler_matches_exact_chain():
     assert abs(sampled.win_prob[0] - exact.win_prob[0]) < 0.005
     assert abs(sampled.win_prob[1] - exact.win_prob[1]) < 0.005
     assert abs(sampled.draw_prob - exact.draw_prob) < 0.005
+
+
+def _sum_ordered_dp(counts, p):
+    """Reference absorption solver: the same recursion, with its own
+    halting rule, visiting states in ascending total order."""
+    k = len(counts)
+    pmfs = []
+    for n_i in counts:
+        grid = np.arange(n_i + 1)
+        pmfs.append(stats.binom.pmf(grid[None, :], grid[:, None], p))
+    value = np.zeros(tuple(c + 1 for c in counts) + (k + 1,))
+    for state in sorted(np.ndindex(*[c + 1 for c in counts]), key=sum):
+        order = sorted(state, reverse=True) + [0, 0]
+        if order[0] == 0:
+            value[state + (k,)] = 1.0
+            continue
+        if order[1] == 0 or (order[0] >= 2 and order[1] == 1 and order[2] == 0):
+            value[state + (int(np.argmax(state)),)] = 1.0
+            continue
+        sub = value[tuple(slice(0, a + 1) for a in state)]
+        for axis, a in enumerate(state):
+            sub = np.tensordot(pmfs[axis][a, : a + 1], sub, axes=(0, 0))
+        value[state] = sub / (1.0 - p ** sum(state))
+    return value[tuple(counts)]
+
+
+@pytest.mark.parametrize(
+    "counts", [(1, 1), (5, 7), (9, 4), (0, 6), (3, 4, 2), (5, 1, 3), (2, 2, 2), (6, 0, 4)]
+)
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
+    res = markov_success(counts, p)
+    ref = _sum_ordered_dp(counts, p)
+    k = len(counts)
+    assert np.array_equal(res.win_prob, ref[:k])
+    assert res.draw_prob == ref[k]

@@ -110,3 +110,14 @@ def test_missing_config_exits_one(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "flag", [["--algo", "dvb2"], ["--c1", "3"], ["--c2", "3"],
+             ["--d-mode", "exact"], ["--id-mode", "random"]]
+)
+def test_spots_rejects_protocol_flags(flag, capsys):
+    # spots only builds a graph and an assignment; protocol flags belong to run
+    with pytest.raises(SystemExit):
+        main(["spots", "--nodes", "9"] + flag)
+    capsys.readouterr()

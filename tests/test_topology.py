@@ -137,3 +137,14 @@ def test_assignment_tie_has_no_plurality():
 def test_assignment_unused_level_allowed():
     asg = LevelAssignment(np.array([1, 1, 1]), 3)
     assert asg.level_counts().tolist() == [3, 0, 0]
+
+
+def test_graph_and_assignment_compare_by_identity():
+    # fields hold arrays, so the generated field-wise __eq__ would raise
+    g, h = build(Complete(3)), build(Complete(3))
+    a, b = LevelAssignment(np.array([1, 2, 1]), 2), LevelAssignment(np.array([1, 2, 1]), 2)
+    for x, y in ((g, h), (a, b)):
+        assert x == x
+        assert x != y
+        assert hash(x) == hash(x)
+        assert len({x, y}) == 2
