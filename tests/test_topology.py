@@ -42,6 +42,26 @@ def test_mesh_diameter_and_degrees():
     assert g.max_degree == 4
 
 
+def test_one_node_graphs_have_degree_zero():
+    for g in (build(Complete(1)), build(Mesh2D(1, 1))):
+        assert g.node_count == 1
+        assert g.max_degree == 0
+
+
+def test_mesh_matches_row_major_edge_list():
+    for r in range(1, 7):
+        for c in range(1, 7):
+            edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+            edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
+            g, ref = build(Mesh2D(r, c)), graph_from_edges(r * c, edges)
+            assert np.array_equal(g.adj, ref.adj)
+            assert (g.node_count, g.diameter, g.max_degree) == (
+                ref.node_count,
+                ref.diameter,
+                ref.max_degree,
+            )
+
+
 def test_mesh_row_major_edges():
     g = build(Mesh2D(2, 3))
     assert g.adj[0, 1] and g.adj[1, 2] and g.adj[0, 3] and g.adj[2, 5]
@@ -111,9 +131,45 @@ def test_spots_partition_and_maximality():
         for i in part:
             spot_of[i] = idx
     for i in range(25):
-        for j in g.neighbors[i]:
+        for j in np.flatnonzero(g.adj[i]):
             if values[i] == values[j]:
                 assert spot_of[i] == spot_of[int(j)]
+
+
+def _bfs_spots(graph, values):
+    """Reference: the per-node BFS spots was first written as."""
+    seen = np.zeros(graph.node_count, dtype=bool)
+    out = []
+    for start in range(graph.node_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for v in np.flatnonzero(graph.adj[u]):
+                v = int(v)
+                if not seen[v] and values[v] == values[start]:
+                    seen[v] = True
+                    comp.append(v)
+                    frontier.append(v)
+        out.append(sorted(comp))
+    return out
+
+
+def test_spots_match_reference_bfs():
+    rng = np.random.default_rng(31)
+    for case in range(50):
+        n = int(rng.integers(1, 30))
+        if case % 5 == 0:
+            g = build(Complete(n))
+        elif case % 5 == 1:
+            g = build(Mesh2D(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        else:
+            g = build(ErdosRenyi(n, float(rng.uniform(0.1, 0.6))), rng)
+        values = rng.integers(1, int(rng.integers(2, 5)), size=g.node_count)
+        assert spots(g, values) == _bfs_spots(g, values)
 
 
 def test_assignment_validates_levels():
