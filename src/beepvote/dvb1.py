@@ -218,10 +218,6 @@ class OnePhaseResult:
     slots: int
     beeps: int
 
-    @property
-    def unanimous(self) -> bool:
-        return len(set(self.final_values)) == 1
-
 
 def one_phase(
     graph: Graph,

@@ -115,8 +115,7 @@ def assign_ids(
         return rng.integers(1, y_slots + 1, size=n).astype(np.int64)
     if id_mode != "preassigned_unique":
         raise ValueError(f"id_mode must be one of {ID_MODES}")
-    adj = graph.adj
-    two_hop = adj | (adj @ adj)
+    two_hop = graph.two_hop()
     ids = np.zeros(n, dtype=np.int64)
     for i in range(n):
         taken = set(ids[np.flatnonzero(two_hop[i][:i])]) | {int(ids[i])}

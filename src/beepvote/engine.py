@@ -3,15 +3,17 @@
 In every slot each node either beeps or listens.  A listener hears an
 undifferentiated beep exactly when at least one of its neighbors beeps;
 a beeping node observes heard = false, and beep multiplicity is never
-observable.  `step` exposes that channel rule directly.
+observable.  The graph answers that rule itself: `Graph.activity(beeps)`
+is true at i iff some neighbor of i beeped, and the engine never reads
+how adjacency is stored.  `step` returns one slot's per-node
+observation, `heard = activity & ~beeps`.
 
 `drive_schedule` runs a slot-event generator: one that yields
 `SlotRequest` (a boolean beep vector, True = beep) and `FastForward`
 events.  For each SlotRequest the engine replies, via `send`, with the
-channel activity vector: activity[i] is true iff some neighbor of i
-beeped this slot.  The literal per-node observation is `heard = activity & ~beeps`; the
-activity form additionally lets a protocol model sender-side collision
-detection (a beeper noticing that a neighbor beeped in the same slot).
+activity vector itself rather than `heard`; the activity form
+additionally lets a protocol model sender-side collision detection (a
+beeper noticing that a neighbor beeped in the same slot).
 
 FastForward covers stretches of slots whose outcome the automaton can
 account for exactly without touching the channel: either no node beeps,
@@ -77,8 +79,7 @@ def step(graph: Graph, beeps: np.ndarray) -> np.ndarray:
     beeps = np.asarray(beeps, dtype=bool)
     if beeps.shape != (graph.node_count,):
         raise ValueError("beep vector length must match node count")
-    activity = graph.adj @ beeps
-    return activity & ~beeps
+    return graph.activity(beeps) & ~beeps
 
 
 # what drive_schedule returns in place of the generator's own value
@@ -100,7 +101,6 @@ def drive_schedule(
     slots = 0
     beeps = 0
     reply = None
-    adj = graph.adj
     while True:
         try:
             event = gen.send(reply)
@@ -122,7 +122,7 @@ def drive_schedule(
         mask = event.beeps
         slots += 1
         beeps += int(mask.sum())
-        reply = adj @ mask
+        reply = graph.activity(mask)
         if trace is not None:
             heard = reply & ~mask
             for i in range(graph.node_count):
@@ -147,7 +147,6 @@ class TerminationWave:
         self.values = values
         self.level_count = level_count
         self.d_sched = d_sched
-        self.flags: np.ndarray | None = None
         self.heard_events = 0
 
     def schedule(self):
@@ -180,7 +179,6 @@ class TerminationWave:
                 d += 1
             if not term.all():
                 break
-        self.flags = term
         return term
 
 

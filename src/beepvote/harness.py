@@ -317,6 +317,8 @@ def sweep_points(config: ExperimentConfig):
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     points = sweep_points(config)
+    # fork starts every worker at the first submit; more than one per point is waste
+    workers = min(workers, len(points))
     if workers <= 1:
         return [run_point(config, i, p) for i, p in enumerate(points)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -48,36 +48,47 @@ TopologySpec = Complete | Mesh2D | ErdosRenyi
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class Graph:
-    """Immutable undirected graph with precomputed metrics.
+    """Immutable undirected graph, the one place adjacency is stored.
+
+    Nothing outside this module reads `adj`: the engine and protocols see
+    edges only through the channel rule (`activity`) and the two-hop
+    relation (`two_hop`).
 
     Attributes:
-        node_count: number of nodes N.
         adj: (N, N) boolean adjacency matrix, symmetric, zero diagonal.
         diameter: exact hop diameter (0 for a single node).
-        max_degree: maximum vertex degree.
     """
 
-    node_count: int
     adj: np.ndarray
     diameter: int
-    max_degree: int
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adj, dtype=bool)
         adj.setflags(write=False)
         object.__setattr__(self, "adj", adj)
 
+    @property
+    def node_count(self) -> int:
+        return self.adj.shape[0]
+
     @cached_property
-    def neighbors(self) -> tuple:
-        """Per-node index arrays of adjacent nodes, built on first use."""
-        return tuple(np.flatnonzero(self.adj[i]) for i in range(self.node_count))
+    def max_degree(self) -> int:
+        return int(self.adj.sum(axis=1).max(initial=0))
 
     @property
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        return int(self.adj[i].sum())
+
+    def activity(self, beeps: np.ndarray) -> np.ndarray:
+        """The channel rule: activity[i] iff some neighbor of i beeped."""
+        return self.adj @ beeps
+
+    def two_hop(self) -> np.ndarray:
+        """(N, N) boolean: j is a neighbor of i or a neighbor of one."""
+        return self.adj | (self.adj @ self.adj)
 
 
 def hop_bound(graph: Graph, d_mode: str) -> int:
@@ -119,16 +130,7 @@ def exact_diameter(adj: np.ndarray) -> int:
 def graph_from_adjacency(adj: np.ndarray) -> Graph:
     adj = np.asarray(adj, dtype=bool).copy()
     _check_square_symmetric(adj)
-    if not is_connected(adj):
-        raise ValueError("graph not connected")
-    n = adj.shape[0]
-    degrees = adj.sum(axis=1)
-    return Graph(
-        node_count=n,
-        adj=adj,
-        diameter=exact_diameter(adj),
-        max_degree=int(degrees.max()) if n else 0,
-    )
+    return Graph(adj, exact_diameter(adj))
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -153,8 +155,7 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
             raise ValueError("node count must be >= 1")
         adj = np.ones((spec.n, spec.n), dtype=bool)
         np.fill_diagonal(adj, False)
-        diameter = 1 if spec.n > 1 else 0
-        return Graph(spec.n, adj, diameter, spec.n - 1 if spec.n > 1 else 0)
+        return Graph(adj, min(spec.n - 1, 1))
 
     if isinstance(spec, Mesh2D):
         r, c = spec.rows, spec.cols
@@ -162,15 +163,12 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
             raise ValueError("mesh dimensions must be >= 1")
         n = r * c
         adj = np.zeros((n, n), dtype=bool)
-        for i in range(r):
-            for j in range(c):
-                a = i * c + j
-                if j + 1 < c:
-                    adj[a, a + 1] = adj[a + 1, a] = True
-                if i + 1 < r:
-                    adj[a, a + c] = adj[a + c, a] = True
-        degrees = adj.sum(axis=1)
-        return Graph(n, adj, (r - 1) + (c - 1), int(degrees.max()) if n > 1 else 0)
+        nodes = np.arange(n)
+        right = nodes[(nodes + 1) % c != 0]  # every node but the last column
+        down = nodes[: n - c]  # every node but the last row
+        adj[right, right + 1] = adj[right + 1, right] = True
+        adj[down, down + c] = adj[down + c, down] = True
+        return Graph(adj, (r - 1) + (c - 1))
 
     if isinstance(spec, ErdosRenyi):
         n = spec.n
@@ -190,8 +188,7 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
             adj[iu[0][mask], iu[1][mask]] = True
             adj |= adj.T
             if is_connected(adj):
-                degrees = adj.sum(axis=1)
-                return Graph(n, adj, exact_diameter(adj), int(degrees.max()) if n > 1 else 0)
+                return Graph(adj, exact_diameter(adj))
         raise ValueError("connectivity retry limit exceeded")
 
     raise TypeError(f"unknown topology spec: {spec!r}")
@@ -246,21 +243,9 @@ def spots(graph: Graph, values: np.ndarray) -> list[list[int]]:
     values = np.asarray(values)
     if len(values) != graph.node_count:
         raise ValueError("values length must match node count")
-    seen = np.zeros(graph.node_count, dtype=bool)
-    out: list[list[int]] = []
-    for start in range(graph.node_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in graph.neighbors[u]:
-                v = int(v)
-                if not seen[v] and values[v] == values[start]:
-                    seen[v] = True
-                    comp.append(v)
-                    frontier.append(v)
-        out.append(sorted(comp))
-    return out
+    same = graph.adj & (values[:, None] == values)
+    _, labels = connected_components(csr_matrix(same), directed=False)
+    parts: dict[int, list[int]] = {}
+    for node, label in enumerate(labels.tolist()):
+        parts.setdefault(label, []).append(node)
+    return list(parts.values())

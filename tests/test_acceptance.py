@@ -354,7 +354,7 @@ def test_criterion_09_merge_rule_conservation():
         while True:
             check_boundary()
             if hasattr(item, "beeps"):
-                item = gen.send(graph.adj @ item.beeps)
+                item = gen.send(graph.activity(item.beeps))
             else:
                 item = next(gen)
     except StopIteration:

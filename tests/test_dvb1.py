@@ -33,7 +33,7 @@ def pump_rounds(graph, gen, slots):
             reply = None
         else:
             consumed += 1
-            reply = graph.adj @ event.beeps
+            reply = graph.activity(event.beeps)
     try:
         gen.send(reply)
     except StopIteration:
@@ -108,7 +108,7 @@ def test_dead_nodes_stay_silent():
             assert not (beeps & dead).any()
             # allowed already reflects this slot's survival coins
             dead |= beeps & ~allowed
-            reply = g.adj @ beeps
+            reply = g.activity(beeps)
 
 
 def test_value_changes_obey_flags():
@@ -148,7 +148,7 @@ def test_value_changes_obey_flags():
                 acts = [None] * event.slots
                 reply = None
             else:
-                activity = g.adj @ event.beeps
+                activity = g.activity(event.beeps)
                 acts = [activity]
                 reply = activity
             for act in acts:

@@ -51,7 +51,7 @@ def test_unique_ids_distinct_within_two_hops():
     ids = assign_ids(g, id_space(g.max_degree), "preassigned_unique", rng)
     for i in range(30):
         seen = {int(ids[i])}
-        for j in g.neighbors[i]:
+        for j in np.flatnonzero(g.adj[i]):
             assert int(ids[j]) not in seen
             seen.add(int(ids[j]))
 
@@ -172,7 +172,7 @@ def test_acceptance_rate_on_two_nodes():
         if slot >= y and acc_lo <= (slot - y) % cycle < acc_hi:
             acc_beeps += int(event.beeps.sum())
         slot += 1
-        reply = g.adj @ event.beeps
+        reply = g.activity(event.beeps)
     rate = acc_beeps / ((slot - y) // cycle)
     sigma = (0.25 / phases) ** 0.5
     assert abs(rate - 0.5) <= 3 * sigma

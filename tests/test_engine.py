@@ -4,7 +4,7 @@ import pytest
 from beepvote.dvb1 import Dvb1Automaton, dvb1_params, dvb1_run, slot_budget
 from beepvote.engine import run, step
 from beepvote.harness import make_assignment
-from beepvote.topology import Complete, build, graph_from_edges
+from beepvote.topology import Complete, build, graph_from_adjacency, graph_from_edges
 
 
 def test_step_one_hop_only():
@@ -36,14 +36,17 @@ def test_channel_property_random_graphs():
     rng = np.random.default_rng(12)
     for _ in range(40):
         n = int(rng.integers(2, 12))
-        adj = rng.random((n, n)) < 0.4
-        adj = np.triu(adj, 1)
+        adj = np.triu(rng.random((n, n)) < 0.4, 1)
+        adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
         adj = adj | adj.T
+        g = graph_from_adjacency(adj)
         beeps = rng.random(n) < 0.5
-        heard = (adj @ beeps) & ~beeps
+        activity = g.activity(beeps)
+        heard = step(g, beeps)
         for i in range(n):
-            expected = (not beeps[i]) and any(beeps[j] for j in np.flatnonzero(adj[i]))
-            assert heard[i] == expected
+            neighbor_beeped = any(beeps[j] for j in np.flatnonzero(adj[i]))
+            assert activity[i] == neighbor_beeped
+            assert heard[i] == ((not beeps[i]) and neighbor_beeped)
 
 
 def test_identical_seeds_identical_results():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from beepvote import harness
 from beepvote.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -255,6 +256,29 @@ def test_sweep_rows_well_formed_and_repeatable():
 
 def test_sweep_worker_count_does_not_change_rows():
     assert run_sweep(SWEEP, workers=2) == run_sweep(SWEEP, workers=1)
+
+
+def test_sweep_workers_capped_at_point_count(monkeypatch):
+    # a stand-in pool that records its size and maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    rows = run_sweep(SWEEP, workers=5000)
+    assert sizes == [2]
+    assert rows == run_sweep(SWEEP, workers=1)
 
 
 def test_single_trial_rate_is_zero_or_one():

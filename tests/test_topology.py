@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from beepvote import topology
 from beepvote.topology import (
     Complete,
     ErdosRenyi,
@@ -25,10 +29,11 @@ def test_complete_graph_shape():
 
 
 def test_single_node():
-    g = build(Complete(1))
-    assert g.node_count == 1
-    assert g.edge_count == 0
-    assert g.diameter == 0
+    for g in (build(Complete(1)), build(Mesh2D(1, 1))):
+        assert g.node_count == 1
+        assert g.edge_count == 0
+        assert g.diameter == 0
+        assert g.max_degree == 0
 
 
 def test_mesh_diameter_and_degrees():
@@ -40,12 +45,6 @@ def test_mesh_diameter_and_degrees():
     assert g.degree(11) == 2
     assert g.degree(5) == 4
     assert g.max_degree == 4
-
-
-def test_one_node_graphs_have_degree_zero():
-    for g in (build(Complete(1)), build(Mesh2D(1, 1))):
-        assert g.node_count == 1
-        assert g.max_degree == 0
 
 
 def test_mesh_matches_row_major_edge_list():
@@ -204,3 +203,13 @@ def test_graph_and_assignment_compare_by_identity():
         assert x != y
         assert hash(x) == hash(x)
         assert len({x, y}) == 2
+
+
+def test_only_topology_reads_the_adjacency_matrix():
+    package = Path(topology.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "topology.py" and re.search(r"\.adj\b", path.read_text())
+    ]
+    assert readers == []
