@@ -100,44 +100,37 @@ def corrosion_phase_schedule(graph, values, allowed, params, rng):
     """Slot-event generator for one corrosion phase, mutating values and
     allowed in place.
 
-    Survival coins are drawn only for the nodes that beeped, in node
-    order, immediately after their beep slot.  Once every node is dead
-    the rest of the phase provably changes nothing (no beeps, hence no
-    flags, hence no adoptions) and is fast-forwarded.
+    Each round is one block of K slots, known when the round starts: a
+    survival coin only silences its own node, so it cannot change who
+    beeps in a later slot of the same round.  Coins are drawn for the
+    beepers in level order, and in node order within a level, as a
+    slot-by-slot run draws them.  The reply rows are the per-level hear
+    flags.  Once every node is dead the rest of the phase provably
+    changes nothing (no beeps, hence no flags, hence no adoptions) and
+    is fast-forwarded.
 
     Returns the 1-based round index at whose end all nodes were dead,
     or None if some node could still beep when the phase ended.
     """
-    n = graph.node_count
     level_count = params.level_count
     rounds = params.rounds_per_phase
     death = 1.0 - SURVIVAL_PROB
+    levels = np.arange(1, level_count + 1)[:, None]
     allowed[:] = True
-    flags = np.zeros((n, level_count), dtype=bool)
-    all_dead_round = None
     for j in range(rounds):
-        if all_dead_round is not None:
-            remaining = (rounds - j) * level_count
-            if remaining:
-                yield FastForward(remaining)
-            break
-        flags[:] = False
-        for k in range(1, level_count + 1):
-            beeps = (values == k) & allowed
-            beeper_idx = np.flatnonzero(beeps)
-            if len(beeper_idx) == 0:
-                yield FastForward(1)
-                continue
-            coins = rng.random(len(beeper_idx))
-            allowed[beeper_idx[coins < death]] = False
-            activity = yield SlotRequest(beeps)
-            flags[:, k - 1] = activity
+        beeps = (values == levels) & allowed
+        _, beepers = np.nonzero(beeps)  # level order, then node order
+        allowed[beepers[rng.random(len(beepers)) < death]] = False
+        flags = (yield SlotRequest(beeps)).T
         adopters = flags.sum(axis=1) == 1
         if adopters.any():
             values[adopters] = flags[adopters].argmax(axis=1) + 1
         if not allowed.any():
-            all_dead_round = j + 1
-    return all_dead_round
+            remaining = (rounds - j - 1) * level_count
+            if remaining:
+                yield FastForward(remaining)
+            return j + 1
+    return None
 
 
 @dataclass(frozen=True)

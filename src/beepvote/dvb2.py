@@ -9,9 +9,10 @@ heard inviter and accept in a Y-slot sweep, and the matched pair swaps
 value sets in two 2YK-slot transfer blocks, applying the merge rule in
 between.  A phase therefore costs exactly Y^2 + Y + 4YK slots.
 
-Every block goes through `_send`, which simulates only the slots that
-carry a beep and fast-forwards every silent slot with exact slot
-accounting; that is what makes the Y^2 invitation grid affordable.  All
+Every stage is one open-loop block sent through `_send`: all its
+(offset, node) beeps are known before it starts, so it is a single
+engine event, and the engine counts its silent slots without touching
+the channel; that is what makes the Y^2 invitation grid affordable.  All
 beeps still go through the real shared channel, so id collisions corrupt
 handshakes exactly as they would slot by slot: simultaneous same-slot
 beeps merge, and whichever node hears them acts on the merged observation.
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    FastForward,
     PhasedVoting,
     SlotRequest,
     TrialResult,
@@ -184,59 +184,42 @@ class Dvb2Automaton(PhasedVoting):
                 counts[k - 1] += 1
         return counts
 
-    def _send(self, pairs, stage_len):
-        """Run one block of stage_len slots in which every (offset, node)
-        pair beeps, fast-forwarding the silent slots.  Returns
-        (offset, heard) for each slot that carried a beep, in slot order;
-        heard is the listeners' observation, activity & ~beeps."""
-        by_offset: dict[int, list[int]] = {}
-        for offset, node in pairs:
-            by_offset.setdefault(offset, []).append(node)
-        heard = []
-        cursor = 0
-        for offset in sorted(by_offset):
-            if offset > cursor:
-                yield FastForward(offset - cursor)
-            beeps = np.zeros(self.graph.node_count, dtype=bool)
-            beeps[by_offset[offset]] = True
-            activity = yield SlotRequest(beeps)
-            heard.append((offset, activity & ~beeps))
-            cursor = offset + 1
-        if stage_len > cursor:
-            yield FastForward(stage_len - cursor)
-        return heard
+    def _send(self, offsets, nodes, stage_len):
+        """Run one block of stage_len slots in which node nodes[i] beeps in
+        slot offsets[i].  Returns (slots, heard): the distinct offsets that
+        carried a beep, ascending, and the (S, N) listeners' observation
+        in those slots, activity & ~beeps."""
+        slots, row = np.unique(np.asarray(offsets, dtype=np.int64), return_inverse=True)
+        beeps = np.zeros((len(slots), self.graph.node_count), dtype=bool)
+        beeps[row, nodes] = True
+        activity = yield SlotRequest(beeps, slots, stage_len)
+        return slots, activity & ~beeps
 
     def _exchange(self, senders, send_block, sets, vals, listeners, listen_block):
         """One value-set transfer over Y blocks of 2K slots: sender u beeps
         slot k of block send_block[u] for each level k in sets[u], then
         slot K + vals[u]; listener i decodes block listen_block[i].
-        Returns the sets and the last values heard (0 where none was)."""
+        Returns the sets and the last value heard (0 where none was)."""
         k_levels = self.params.level_count
         width = 2 * k_levels
-        pairs = []
+        offsets, nodes = [], []
         for u in senders:
             base = (int(send_block[u]) - 1) * width
-            pairs += [(base + k - 1, u) for k in sets[u]]
-            pairs.append((base + k_levels + int(vals[u]) - 1, u))
-        n = self.graph.node_count
-        recv_set: list[set[int]] = [set() for _ in range(n)]
-        recv_val = np.zeros(n, dtype=np.int64)
-        for offset, heard in (yield from self._send(pairs, self.params.y_slots * width)):
-            j, r = divmod(offset, width)
-            for i in np.flatnonzero(heard & listeners & (listen_block == j + 1)):
-                if r < k_levels:
-                    recv_set[i].add(r + 1)
-                else:
-                    recv_val[i] = r - k_levels + 1
+            offsets += [base + k - 1 for k in sets[u]] + [base + k_levels + int(vals[u]) - 1]
+            nodes += [u] * (len(sets[u]) + 1)
+        slots, heard = yield from self._send(offsets, nodes, self.params.y_slots * width)
+        block, col = np.divmod(slots, width)
+        got = heard & listeners & (listen_block == block[:, None] + 1)
+        # (N, 2K): node i heard column c of the block it listens to
+        heard_cols = got.T @ (col[:, None] == np.arange(width))
+        recv_set = [frozenset((np.flatnonzero(c) + 1).tolist()) for c in heard_cols[:, :k_levels]]
+        recv_val = (heard_cols[:, k_levels:] * np.arange(1, k_levels + 1)).max(axis=1)
         return recv_set, recv_val
 
     def _discovery(self):
-        found: list[set[int]] = [set() for _ in range(self.graph.node_count)]
-        pairs = ((int(j) - 1, i) for i, j in enumerate(self.ids))
-        for offset, heard in (yield from self._send(pairs, self.params.y_slots)):
-            for i in np.flatnonzero(heard):
-                found[i].add(offset + 1)
-        self.neighbor_ids = [tuple(sorted(s)) for s in found]
+        n = self.graph.node_count
+        slots, heard = yield from self._send(self.ids - 1, np.arange(n), self.params.y_slots)
+        self.neighbor_ids = [tuple((slots[h] + 1).tolist()) for h in heard.T]
 
     setup = _discovery
 
@@ -255,34 +238,31 @@ class Dvb2Automaton(PhasedVoting):
                 target[i] = known[rng.integers(len(known))]
 
         # invitation grid: inviter with id j1 aiming at j2 beeps in slot (j1, j2)
-        heard_from: list[set[int]] = [set() for _ in range(n)]
-        pairs = [((int(ids[i]) - 1) * y + int(target[i]) - 1, i) for i in np.flatnonzero(target)]
-        for offset, heard in (yield from self._send(pairs, y * y)):
-            j1, j2 = divmod(offset, y)
-            for i in np.flatnonzero(heard & ~inviter & (ids == j2 + 1)):
-                heard_from[i].add(j1 + 1)
+        senders = np.flatnonzero(target)
+        grid = (ids[senders] - 1) * y + target[senders] - 1
+        slots, heard = yield from self._send(grid, senders, y * y)
+        j1, j2 = np.divmod(slots, y)
+        invited = heard & ~inviter & (ids == j2[:, None] + 1)
 
         # invitees pick one heard inviter id and beep in that id's slot
         chosen = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            if heard_from[i]:
-                ids_heard = sorted(heard_from[i])
-                chosen[i] = ids_heard[rng.integers(len(ids_heard))]
-        accepted = np.zeros(n, dtype=bool)
-        pairs = [(int(chosen[i]) - 1, i) for i in np.flatnonzero(chosen)]
-        for offset, heard in (yield from self._send(pairs, y)):
-            accepted |= heard & inviter & (ids == offset + 1)
+        for i in np.flatnonzero(invited.any(axis=0)):
+            ids_heard = j1[invited[:, i]] + 1
+            chosen[i] = ids_heard[rng.integers(len(ids_heard))]
+        invitee = chosen > 0
+        invitees = np.flatnonzero(invitee)
+        slots, heard = yield from self._send(chosen[invitees] - 1, invitees, y)
+        accepted = (heard & inviter & (ids == slots[:, None] + 1)).any(axis=0)
 
         # accepted inviters send on their own id block, invitees listen on
         # their chosen id's block; invitees merge, and the inviter-side
         # result goes back the other way
-        invitee = chosen > 0
         recv_set, recv_val = yield from self._exchange(
             np.flatnonzero(accepted), ids, self.value_sets, self.values, invitee, chosen
         )
         back_set: list[frozenset] = [frozenset()] * n
         back_val = np.zeros(n, dtype=np.int64)
-        for i in np.flatnonzero(invitee):
+        for i in invitees:
             if recv_val[i] == 0:  # the chosen inviter always transmits
                 raise RuntimeError(f"invitee {i} received no value from its inviter")
             s1, s2, m1, m2 = dmvr(
@@ -293,10 +273,10 @@ class Dvb2Automaton(PhasedVoting):
             back_set[i] = s2
             back_val[i] = m2
         recv_set, recv_val = yield from self._exchange(
-            np.flatnonzero(invitee), chosen, back_set, back_val, accepted, ids
+            invitees, chosen, back_set, back_val, accepted, ids
         )
         for u in np.flatnonzero(accepted):
-            self.value_sets[u] = frozenset(recv_set[u])
+            self.value_sets[u] = recv_set[u]
             if recv_val[u]:
                 self.values[u] = recv_val[u]
 

@@ -9,17 +9,19 @@ how adjacency is stored.  `step` returns one slot's per-node
 observation, `heard = activity & ~beeps`.
 
 `drive_schedule` runs a slot-event generator: one that yields
-`SlotRequest` (a boolean beep vector, True = beep) and `FastForward`
-events.  For each SlotRequest the engine replies, via `send`, with the
-activity vector itself rather than `heard`; the activity form
-additionally lets a protocol model sender-side collision detection (a
-beeper noticing that a neighbor beeped in the same slot).
+`SlotRequest` and `FastForward` events.  A SlotRequest is one open-loop
+block, its (S, N) boolean beep rows (True = beep) fixed before it starts.
+The engine replies, via `send`, with the (S, N) activity rows rather
+than `heard`; the activity form additionally lets a protocol model
+sender-side collision detection (a beeper noticing that a neighbor
+beeped in the same slot).
 
 FastForward covers stretches of slots whose outcome the automaton can
 account for exactly without touching the channel: either no node beeps,
 or the beepers and the absence of state changes are provably known.  The
-engine only adds the declared slot and beep counts, so metrics match a
-naive slot-by-slot execution bit for bit.
+engine only adds the declared slot and beep counts, and counts a block's
+silent slots the same way, so metrics match a naive slot-by-slot
+execution bit for bit.
 
 `PhasedVoting` is the skeleton both voting protocols share: an optional
 setup block, then voting phases, with a `TerminationWave` every
@@ -30,7 +32,7 @@ generator; `run` drives it under a slot budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -39,7 +41,9 @@ from .topology import Graph, LevelAssignment
 
 @dataclass(frozen=True)
 class SlotRequest:
-    beeps: np.ndarray  # bool per node, True = beep
+    beeps: np.ndarray  # (S, N) bool, True = beep; row r beeps in slot offsets[r]
+    offsets: Sequence[int] | None = None  # increasing; None: 0..S-1
+    length: int | None = None  # block length in slots; None: S
 
 
 @dataclass(frozen=True)
@@ -94,12 +98,21 @@ def drive_schedule(
 
     Returns (slots, beeps, value).  value is whatever the generator
     returned on StopIteration, or BUDGET_EXHAUSTED if it asked for a
-    channel slot after slot_budget slots had elapsed (the generator is
-    then closed).  trace, if given, gets one line per fast-forwarded
-    stretch and one per node per channel slot.
+    channel slot, possibly inside a block, after slot_budget slots had
+    elapsed (the generator is then closed).  trace, if given, gets one
+    line per fast-forwarded stretch (a FastForward, a block's silent gap
+    or silent row) and one per node per channel slot.
     """
     slots = 0
     beeps = 0
+
+    def fast_forward(count: int, beep_count: int = 0) -> None:
+        nonlocal slots, beeps
+        slots += count
+        beeps += beep_count
+        if trace is not None and count:
+            trace.write(f"slots {slots - count}...{slots - 1} fast-forward beeps={beep_count}\n")
+
     reply = None
     while True:
         try:
@@ -107,27 +120,33 @@ def drive_schedule(
         except StopIteration as stop:
             return slots, beeps, stop.value
         if isinstance(event, FastForward):
-            slots += event.slots
-            beeps += event.beep_count
-            if trace is not None and event.slots:
-                trace.write(
-                    f"slots {slots - event.slots}...{slots - 1} fast-forward "
-                    f"beeps={event.beep_count}\n"
-                )
+            fast_forward(event.slots, event.beep_count)
             reply = None
             continue
-        if slot_budget is not None and slots >= slot_budget:
-            gen.close()
-            return slots, beeps, BUDGET_EXHAUSTED
-        mask = event.beeps
-        slots += 1
-        beeps += int(mask.sum())
-        reply = graph.activity(mask)
-        if trace is not None:
-            heard = reply & ~mask
-            for i in range(graph.node_count):
-                action = "beep" if mask[i] else "listen"
-                trace.write(f"slot={slots - 1} node={i} action={action} heard={int(heard[i])}\n")
+        rows = event.beeps
+        counts = rows.sum(axis=1).tolist()
+        live = rows.any(axis=1)  # a row in which nobody beeps skips the O(N^2) channel
+        reply = np.zeros(rows.shape, dtype=bool)
+        reply[live] = graph.activity(rows[live])
+        start = slots
+        offsets = range(len(rows)) if event.offsets is None else event.offsets
+        for r, offset in enumerate(offsets):
+            fast_forward(start + int(offset) - slots)
+            if not counts[r]:
+                fast_forward(1)
+                continue
+            if slot_budget is not None and slots >= slot_budget:
+                gen.close()
+                return slots, beeps, BUDGET_EXHAUSTED
+            if trace is not None:
+                heard = reply[r] & ~rows[r]
+                for i, beeped in enumerate(rows[r]):
+                    action = "beep" if beeped else "listen"
+                    trace.write(f"slot={slots} node={i} action={action} heard={int(heard[i])}\n")
+            slots += 1
+            beeps += counts[r]
+        length = len(rows) if event.length is None else event.length
+        fast_forward(start + int(length) - slots)
 
 
 class TerminationWave:
@@ -158,7 +177,7 @@ class TerminationWave:
             if not beeps.any():
                 yield FastForward(relay + 1)
                 continue
-            activity = yield SlotRequest(beeps)
+            (activity,) = yield SlotRequest(beeps[None])
             hears = activity & ~beeps
             self.heard_events += int(hears.sum())
             term &= ~hears
@@ -172,7 +191,7 @@ class TerminationWave:
                 if cleared == n:
                     yield FastForward(relay - d, (relay - d) * n)
                     break
-                activity = yield SlotRequest(frontier)
+                (activity,) = yield SlotRequest(frontier[None])
                 hears = activity & term
                 self.heard_events += int(hears.sum())
                 term &= ~hears

@@ -83,8 +83,8 @@ class Graph:
         return int(self.adj[i].sum())
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
-        """The channel rule: activity[i] iff some neighbor of i beeped."""
-        return self.adj @ beeps
+        """The channel rule, row by row: activity[i] iff some neighbor of i beeped."""
+        return (self.adj @ beeps.T).T
 
     def two_hop(self) -> np.ndarray:
         """(N, N) boolean: j is a neighbor of i or a neighbor of one."""
@@ -130,6 +130,8 @@ def exact_diameter(adj: np.ndarray) -> int:
 def graph_from_adjacency(adj: np.ndarray) -> Graph:
     adj = np.asarray(adj, dtype=bool).copy()
     _check_square_symmetric(adj)
+    if len(adj) < 1:
+        raise ValueError("node count must be >= 1")
     return Graph(adj, exact_diameter(adj))
 
 

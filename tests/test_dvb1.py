@@ -21,6 +21,18 @@ from beepvote.harness import make_assignment
 from beepvote.topology import Complete, LevelAssignment, Mesh2D, build, graph_from_edges
 
 
+def slot_rows(event):
+    """Per slot of an event, the index of the beep row sent in it, or
+    None for a silent slot."""
+    if isinstance(event, FastForward):
+        return [None] * event.slots
+    offsets = range(len(event.beeps)) if event.offsets is None else event.offsets
+    rows = [None] * (len(event.beeps) if event.length is None else event.length)
+    for r, offset in enumerate(offsets):
+        rows[offset] = r
+    return rows
+
+
 def pump_rounds(graph, gen, slots):
     """Advance a slot generator by exactly `slots` slots, then one more send
     so the round-end update has executed."""
@@ -28,12 +40,8 @@ def pump_rounds(graph, gen, slots):
     consumed = 0
     while consumed < slots:
         event = gen.send(reply)
-        if isinstance(event, FastForward):
-            consumed += event.slots
-            reply = None
-        else:
-            consumed += 1
-            reply = graph.activity(event.beeps)
+        consumed += len(slot_rows(event))
+        reply = None if isinstance(event, FastForward) else graph.activity(event.beeps)
     try:
         gen.send(reply)
     except StopIteration:
@@ -104,11 +112,11 @@ def test_dead_nodes_stay_silent():
             if isinstance(event, FastForward):
                 reply = None
                 continue
-            beeps = event.beeps
-            assert not (beeps & dead).any()
-            # allowed already reflects this slot's survival coins
-            dead |= beeps & ~allowed
-            reply = g.activity(beeps)
+            for beeps in event.beeps:
+                assert not (beeps & dead).any()
+                # allowed already reflects this round's survival coins
+                dead |= beeps & ~allowed
+            reply = g.activity(event.beeps)
 
 
 def test_value_changes_obey_flags():
@@ -145,12 +153,10 @@ def test_value_changes_obey_flags():
                 check(pending)
                 pending = None
             if isinstance(event, FastForward):
-                acts = [None] * event.slots
                 reply = None
             else:
-                activity = g.activity(event.beeps)
-                acts = [activity]
-                reply = activity
+                reply = g.activity(event.beeps)
+            acts = [None if r is None else reply[r] for r in slot_rows(event)]
             for act in acts:
                 flags[:, slot % 2] = False if act is None else act
                 slot += 1

@@ -169,10 +169,14 @@ def test_acceptance_rate_on_two_nodes():
             slot += event.slots
             reply = None
             continue
-        if slot >= y and acc_lo <= (slot - y) % cycle < acc_hi:
-            acc_beeps += int(event.beeps.sum())
-        slot += 1
-        reply = g.activity(event.beeps)
+        beeps = event.beeps
+        offsets = range(len(beeps)) if event.offsets is None else event.offsets
+        for r, offset in enumerate(offsets):
+            at = slot + offset
+            if at >= y and acc_lo <= (at - y) % cycle < acc_hi:
+                acc_beeps += int(beeps[r].sum())
+        slot += len(beeps) if event.length is None else event.length
+        reply = g.activity(beeps)
     rate = acc_beeps / ((slot - y) // cycle)
     sigma = (0.25 / phases) ** 0.5
     assert abs(rate - 0.5) <= 3 * sigma

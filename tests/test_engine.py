@@ -1,10 +1,28 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beepvote.dvb1 import Dvb1Automaton, dvb1_params, dvb1_run, slot_budget
-from beepvote.engine import run, step
+from beepvote.dvb2 import Dvb2Automaton, dvb2_params
+from beepvote.engine import (
+    BUDGET_EXHAUSTED,
+    FastForward,
+    TerminationWave,
+    drive_schedule,
+    run,
+    step,
+)
 from beepvote.harness import make_assignment
-from beepvote.topology import Complete, build, graph_from_adjacency, graph_from_edges
+from beepvote.topology import (
+    Complete,
+    LevelAssignment,
+    build,
+    graph_from_adjacency,
+    graph_from_edges,
+)
 
 
 def test_step_one_hop_only():
@@ -47,6 +65,11 @@ def test_channel_property_random_graphs():
             neighbor_beeped = any(beeps[j] for j in np.flatnonzero(adj[i]))
             assert activity[i] == neighbor_beeped
             assert heard[i] == ((not beeps[i]) and neighbor_beeped)
+        block = rng.random((int(rng.integers(0, 5)), n)) < 0.5
+        rows = g.activity(block)
+        assert rows.shape == block.shape
+        for r in range(len(block)):
+            assert np.array_equal(rows[r], g.activity(block[r]))
 
 
 def test_identical_seeds_identical_results():
@@ -88,3 +111,127 @@ def test_metrics_count_slots_and_beeps():
     assert status == "completed"
     assert metrics.slots_elapsed > 0
     assert 0 < metrics.total_beeps <= metrics.slots_elapsed * 10
+
+
+def fast_forward_line(start, count, beep_count=0):
+    return f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n"
+
+
+def naive_drive(graph, gen, slot_budget=None):
+    """Slot-by-slot reference for drive_schedule: every block is expanded
+    into single slots, with one channel call per beeping slot and the
+    budget checked before each.  A silent stretch of a block (a gap, or
+    a row in which nobody beeps) gets one trace line when it ends, as a
+    FastForward does.  Returns (slots, beeps, value, trace text)."""
+    trace = io.StringIO()
+    slots = beeps = 0
+    reply = None
+    while True:
+        try:
+            event = gen.send(reply)
+        except StopIteration as stop:
+            return slots, beeps, stop.value, trace.getvalue()
+        if isinstance(event, FastForward):
+            if event.slots:
+                trace.write(fast_forward_line(slots, event.slots, event.beep_count))
+            slots += event.slots
+            beeps += event.beep_count
+            reply = None
+            continue
+        offsets = range(len(event.beeps)) if event.offsets is None else event.offsets
+        row_at = {int(offset): r for r, offset in enumerate(offsets)}
+        length = len(event.beeps) if event.length is None else event.length
+        reply = np.zeros(event.beeps.shape, dtype=bool)
+        gap = 0
+        for t in range(length):
+            if t not in row_at:
+                gap += 1
+                slots += 1
+                continue
+            if gap:
+                trace.write(fast_forward_line(slots - gap, gap))
+                gap = 0
+            r = row_at[t]
+            mask = event.beeps[r]
+            if not mask.any():
+                trace.write(fast_forward_line(slots, 1))
+                slots += 1
+                continue
+            if slot_budget is not None and slots >= slot_budget:
+                gen.close()
+                return slots, beeps, BUDGET_EXHAUSTED, trace.getvalue()
+            reply[r] = graph.activity(mask)
+            heard = reply[r] & ~mask
+            for i in range(graph.node_count):
+                action = "beep" if mask[i] else "listen"
+                trace.write(f"slot={slots} node={i} action={action} heard={int(heard[i])}\n")
+            slots += 1
+            beeps += int(mask.sum())
+        if gap:
+            trace.write(fast_forward_line(slots - gap, gap))
+
+
+def random_graph(n, p, rng):
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
+    return graph_from_adjacency(adj | adj.T)
+
+
+def schedule_factory(kind, graph, k, seed):
+    """A function that returns (object holding `values`, slot-event
+    generator), the same run on every call."""
+    n = graph.node_count
+    values = np.random.default_rng(seed).integers(1, k + 1, size=n)
+    asg = LevelAssignment(values, k)
+    if kind == "wave":
+        def make():
+            wave = TerminationWave(graph, values.copy(), k, 1 + seed % n)
+            return wave, wave.schedule()
+        return make
+    if kind == "dvb1":
+        automaton, params = Dvb1Automaton, dvb1_params(graph, k, c1=2.0)
+    elif kind == "dvb2_random":  # Y = Delta + 1: random ids collide often
+        automaton, params = Dvb2Automaton, dvb2_params(graph, k, c2=0.01)
+    else:  # Y covers a greedy distance-2 colouring of any graph here
+        automaton, params = Dvb2Automaton, dvb2_params(
+            graph, k, c2=4.0, id_mode="preassigned_unique"
+        )
+
+    def make():
+        aut = automaton(graph, params, asg, np.random.default_rng(seed), max_phases=3)
+        return aut, aut.schedule()
+
+    return make
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["dvb1", "dvb2_random", "dvb2_preassigned", "wave"]),
+    k=st.sampled_from([2, 3]),
+    n=st.integers(1, 12),
+    p=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2**16),
+    cut=st.floats(0.0, 1.0),
+)
+def test_drive_schedule_matches_slot_by_slot_reference(kind, k, n, p, seed, cut):
+    """The engine's promise: counting a block's silent slots without the
+    channel matches a naive slot-by-slot run bit for bit, also when the
+    slot budget cuts inside a block."""
+    graph = random_graph(n, p, np.random.default_rng(seed))
+    make = schedule_factory(kind, graph, k, seed)
+    full_slots = None
+    for budget in (None, "cut"):
+        if budget == "cut":
+            budget = int(cut * full_slots)
+        owner, gen = make()
+        trace = io.StringIO()
+        slots, beeps, value = drive_schedule(graph, gen, budget, trace)
+        ref_owner, ref_gen = make()
+        ref_slots, ref_beeps, ref_value, ref_trace = naive_drive(graph, ref_gen, budget)
+        assert type(slots) is int and type(beeps) is int
+        assert (slots, beeps) == (ref_slots, ref_beeps)
+        assert trace.getvalue() == ref_trace
+        assert (value is BUDGET_EXHAUSTED) == (ref_value is BUDGET_EXHAUSTED)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(owner.values, ref_owner.values)
+        full_slots = slots

@@ -91,6 +91,8 @@ def test_graph_from_adjacency_rejects_asymmetric():
     adj[0, 1] = True
     with pytest.raises(ValueError):
         graph_from_adjacency(adj)
+    with pytest.raises(ValueError, match="node count must be >= 1"):
+        graph_from_adjacency(np.zeros((0, 0)))
 
 
 def test_path_diameter():
