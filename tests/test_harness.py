@@ -201,6 +201,10 @@ ROW = SweepRow(
 
 def test_render_csv_header_only():
     assert render([], "csv") == CSV_HEADER + "\n"
+    assert CSV_HEADER == (
+        "algo,topology,n,k,delta,trials,success_rate,mean_phases,"
+        "mean_slots,mean_beeps,ci95_lo,ci95_hi,errors"
+    )
 
 
 def test_render_csv_row():
