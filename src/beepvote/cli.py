@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis
+from .dvb1 import SURVIVAL_PROB
 from .dvb2 import ID_MODES
 from .harness import (
     ALGOS,
@@ -68,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_markov.add_argument("--nodes", type=int, default=100)
     p_markov.add_argument("--levels", type=int, choices=(2, 3), default=2)
     p_markov.add_argument("--deltas", type=float, nargs="+", required=True)
-    p_markov.add_argument("--survival", type=float, default=0.5)
 
     p_bounds = sub.add_parser("bounds", help="analytic lower-bound tables")
     p_bounds.add_argument("--nodes", type=int, default=100)
@@ -119,7 +119,7 @@ def _cmd_markov(args) -> int:
     print("delta,counts,win_majority,draw")
     for delta in args.deltas:
         counts = level_counts(args.nodes, args.levels, delta)
-        result = analysis.markov_success(counts, args.survival)
+        result = analysis.markov_success(counts, SURVIVAL_PROB)
         majority = max(range(args.levels), key=lambda i: counts[i])
         counts_text = "/".join(str(c) for c in counts)
         print(f"{delta:.6g},{counts_text},"

@@ -17,10 +17,13 @@ beeps still go through the real shared channel, so id collisions corrupt
 handshakes exactly as they would slot by slot: simultaneous same-slot
 beeps merge, and whichever node hears them acts on the merged observation.
 
-The merge rule conserves the per-level multiset over each pair: the
-smaller set becomes the union and the larger the intersection, a set
-reduced to one value writes that value into its holder's memory, and
-when both stay ambiguous a fair coin copies one old memory across.
+Value sets are one (N, K) boolean level matrix, the same rows the
+transfer blocks beep: node i's set holds level k when row i has column
+k-1 set.  The merge rule `dmvr` works on arrays of pairs and conserves
+the per-level multiset over each pair: the smaller set becomes the union
+and the larger the intersection, a set reduced to one value writes that
+value into its holder's memory, and when both stay ambiguous a fair coin
+copies one old memory across.
 Termination detection is the same relay-wave check as DVB1, run on the
 memory values.
 """
@@ -129,38 +132,37 @@ def assign_ids(
 
 
 def dmvr(set1, set2, mem1, mem2, rng: np.random.Generator):
-    """One pairwise merge: returns (set1', set2', mem1', mem2').
+    """P pairwise merges at once: set1 and set2 are (P, K) bool level
+    rows, mem1 and mem2 (P,) memories; returns (set1', set2', mem1', mem2').
 
-    Conservation: for every level, membership across the two sets is
-    preserved (union plus intersection).  A set updated to a single
-    value disseminates it into that party's memory; if both updated
-    sets keep more than one value, a fair coin copies one party's old
-    memory onto the other.
+    Conservation: for every level, membership across the two sets of a
+    pair is preserved (union plus intersection).  The smaller set (ties
+    to set1) becomes the union.  A set updated to a single value
+    disseminates it into that party's memory; in each pair whose updated
+    sets both keep more than one value, a fair coin copies one party's
+    old memory onto the other.  The coins are one rng.random draw, in
+    pair order.
     """
-    s1 = frozenset(set1)
-    s2 = frozenset(set2)
-    if len(s1) <= len(s2):
-        u1, u2 = s1 | s2, s1 & s2
-    else:
-        u1, u2 = s1 & s2, s1 | s2
-    m1, m2 = mem1, mem2
-    if len(u1) == 1:
-        (m1,) = u1
-    if len(u2) == 1:
-        (m2,) = u2
-    if len(u1) > 1 and len(u2) > 1:
-        if rng.random() < 0.5:
-            m1 = mem2
-        else:
-            m2 = mem1
+    smaller = (set1.sum(axis=1) <= set2.sum(axis=1))[:, None]
+    union, meet = set1 | set2, set1 & set2
+    u1 = np.where(smaller, union, meet)
+    u2 = np.where(smaller, meet, union)
+    n1, n2 = u1.sum(axis=1), u2.sum(axis=1)
+    m1 = np.where(n1 == 1, u1.argmax(axis=1) + 1, mem1)
+    m2 = np.where(n2 == 1, u2.argmax(axis=1) + 1, mem2)
+    tied = np.flatnonzero((n1 > 1) & (n2 > 1))
+    heads = rng.random(len(tied)) < 0.5
+    m1[tied[heads]] = mem2[tied[heads]]
+    m2[tied[~heads]] = mem1[tied[~heads]]
     return u1, u2, m1, m2
 
 
 class Dvb2Automaton(PhasedVoting):
     """All-node lockstep automaton for a full DVB2 run.
 
-    Exposes ids, per-node value sets, and memories for inspection; the
-    memories are the protocol's reported `values`.
+    Exposes ids, the (N, K) bool value-set matrix `value_sets` (row i,
+    column k-1: level k is in node i's set), and memories for
+    inspection; the memories are the protocol's reported `values`.
     """
 
     def __init__(
@@ -173,16 +175,12 @@ class Dvb2Automaton(PhasedVoting):
     ):
         super().__init__(graph, params, assignment, rng, max_phases)
         self.ids = assign_ids(graph, params.y_slots, params.id_mode, rng)
-        self.value_sets = [frozenset([int(v)]) for v in self.values]
+        self.value_sets = self.values[:, None] == np.arange(1, params.level_count + 1)
         self.neighbor_ids: list[tuple[int, ...]] = [()] * graph.node_count
 
     def level_multiset(self) -> np.ndarray:
         """Per-level membership count over all value sets."""
-        counts = np.zeros(self.params.level_count, dtype=np.int64)
-        for s in self.value_sets:
-            for k in s:
-                counts[k - 1] += 1
-        return counts
+        return self.value_sets.sum(axis=0)
 
     def _send(self, offsets, nodes, stage_len):
         """Run one block of stage_len slots in which node nodes[i] beeps in
@@ -195,26 +193,25 @@ class Dvb2Automaton(PhasedVoting):
         activity = yield SlotRequest(beeps, slots, stage_len)
         return slots, activity & ~beeps
 
-    def _exchange(self, senders, send_block, sets, vals, listeners, listen_block):
-        """One value-set transfer over Y blocks of 2K slots: sender u beeps
-        slot k of block send_block[u] for each level k in sets[u], then
-        slot K + vals[u]; listener i decodes block listen_block[i].
-        Returns the sets and the last value heard (0 where none was)."""
+    def _exchange(self, senders, blocks, sets, vals, listeners, listen_block):
+        """One value-set transfer over Y blocks of 2K slots: senders[r]
+        beeps slot k-1 of block blocks[r] for each level k in level row
+        sets[r], then slot K + vals[r] - 1; listener i decodes block
+        listen_block[i].  Returns the (N, K) level rows heard and the
+        last value heard (0 where none was)."""
         k_levels = self.params.level_count
         width = 2 * k_levels
-        offsets, nodes = [], []
-        for u in senders:
-            base = (int(send_block[u]) - 1) * width
-            offsets += [base + k - 1 for k in sets[u]] + [base + k_levels + int(vals[u]) - 1]
-            nodes += [u] * (len(sets[u]) + 1)
+        base = (blocks - 1) * width
+        rows, levels = np.nonzero(sets)
+        offsets = np.concatenate([base[rows] + levels, base + k_levels + vals - 1])
+        nodes = np.concatenate([senders[rows], senders])
         slots, heard = yield from self._send(offsets, nodes, self.params.y_slots * width)
         block, col = np.divmod(slots, width)
         got = heard & listeners & (listen_block == block[:, None] + 1)
         # (N, 2K): node i heard column c of the block it listens to
         heard_cols = got.T @ (col[:, None] == np.arange(width))
-        recv_set = [frozenset((np.flatnonzero(c) + 1).tolist()) for c in heard_cols[:, :k_levels]]
         recv_val = (heard_cols[:, k_levels:] * np.arange(1, k_levels + 1)).max(axis=1)
-        return recv_set, recv_val
+        return heard_cols[:, :k_levels], recv_val
 
     def _discovery(self):
         n = self.graph.node_count
@@ -257,28 +254,26 @@ class Dvb2Automaton(PhasedVoting):
         # accepted inviters send on their own id block, invitees listen on
         # their chosen id's block; invitees merge, and the inviter-side
         # result goes back the other way
+        inviters = np.flatnonzero(accepted)
         recv_set, recv_val = yield from self._exchange(
-            np.flatnonzero(accepted), ids, self.value_sets, self.values, invitee, chosen
+            inviters, ids[inviters], self.value_sets[inviters], self.values[inviters],
+            invitee, chosen,
         )
-        back_set: list[frozenset] = [frozenset()] * n
-        back_val = np.zeros(n, dtype=np.int64)
-        for i in invitees:
-            if recv_val[i] == 0:  # the chosen inviter always transmits
-                raise RuntimeError(f"invitee {i} received no value from its inviter")
-            s1, s2, m1, m2 = dmvr(
-                self.value_sets[i], recv_set[i], int(self.values[i]), int(recv_val[i]), rng
-            )
-            self.value_sets[i] = s1
-            self.values[i] = m1
-            back_set[i] = s2
-            back_val[i] = m2
+        unheard = invitees[recv_val[invitees] == 0]
+        if len(unheard):  # the chosen inviter always transmits
+            raise RuntimeError(f"invitee {unheard[0]} received no value from its inviter")
+        s1, s2, m1, m2 = dmvr(
+            self.value_sets[invitees], recv_set[invitees],
+            self.values[invitees], recv_val[invitees], rng,
+        )
+        self.value_sets[invitees] = s1
+        self.values[invitees] = m1
         recv_set, recv_val = yield from self._exchange(
-            invitees, chosen, back_set, back_val, accepted, ids
+            invitees, chosen[invitees], s2, m2, accepted, ids
         )
-        for u in np.flatnonzero(accepted):
-            self.value_sets[u] = recv_set[u]
-            if recv_val[u]:
-                self.values[u] = recv_val[u]
+        self.value_sets[inviters] = recv_set[inviters]
+        took = accepted & (recv_val > 0)
+        self.values[took] = recv_val[took]
 
 
 def dvb2_run(

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -37,10 +37,6 @@ from .topology import (
     default_edge_probability,
 )
 
-CSV_HEADER = (
-    "algo,topology,n,k,delta,trials,success_rate,mean_phases,"
-    "mean_slots,mean_beeps,ci95_lo,ci95_hi,errors"
-)
 TOPOLOGY_NAMES = ("complete", "mesh2d", "erdos_renyi")
 ALGOS = ("dvb1", "dvb2")
 
@@ -179,7 +175,7 @@ _CONFIG_PARSERS = {
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat `key = value` lines; # starts a comment; unknown keys fail."""
-    fields = {}
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,13 +186,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in fields:
+        if key in settings:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            fields[key] = _CONFIG_PARSERS[key](value.strip())
+            settings[key] = _CONFIG_PARSERS[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**settings)
 
 
 def mesh_shape(n: int) -> tuple[int, int]:
@@ -239,9 +235,12 @@ class SweepRow:
 
     def json_obj(self) -> dict:
         return {
-            k: float(f"{v:.6g}") if isinstance(v, float) else v
-            for k, v in zip(CSV_HEADER.split(","), astuple(self))
+            f.name: float(f"{v:.6g}") if isinstance(v, float) else v
+            for f, v in zip(fields(self), astuple(self))
         }
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def simulate(config: ExperimentConfig, point, rng: np.random.Generator, trace=None):

@@ -320,7 +320,12 @@ def test_criterion_09_merge_rule_conservation():
         s2 = {int(x) for x in rng.choice(k, size=rng.integers(1, k + 1), replace=False) + 1}
         m1 = int(rng.integers(1, k + 1))
         m2 = int(rng.integers(1, k + 1))
-        u1, u2, _, _ = dmvr(s1, s2, m1, m2, rng)
+        levels = np.arange(1, k + 1)
+        r1, r2, _, _ = dmvr(
+            np.isin(levels, list(s1))[None], np.isin(levels, list(s2))[None],
+            np.array([m1]), np.array([m2]), rng,
+        )
+        u1, u2 = set(levels[r1[0]].tolist()), set(levels[r2[0]].tolist())
         for level in range(1, k + 1):
             exact &= (level in s1) + (level in s2) == (level in u1) + (level in u2)
         exact &= len(u1) + len(u2) == len(s1) + len(s2)

@@ -107,9 +107,13 @@ def test_missing_config_exits_one(capsys):
     assert err.startswith("error:")
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_command_rejected(capsys):
+    # the simulator's survival probability is fixed, so markov takes none
+    for argv in (["frobnicate"],
+                 ["markov", "--nodes", "9", "--deltas", "0.7", "--survival", "0.3"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

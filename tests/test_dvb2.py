@@ -86,20 +86,32 @@ def test_discovery_merges_equal_ids():
     assert aut.neighbor_ids[1] == (5,)
 
 
+def merge_sets(set1, set2, mem1, mem2, rng):
+    """dmvr on one pair of level sets, passed as (1, K) rows and read back
+    as level sets and int memories."""
+    levels = np.arange(1, max(set1 | set2 | {1}) + 1)
+    u1, u2, m1, m2 = dmvr(
+        np.isin(levels, list(set1))[None], np.isin(levels, list(set2))[None],
+        np.array([mem1]), np.array([mem2]), rng,
+    )
+    return (frozenset(levels[u1[0]].tolist()), frozenset(levels[u2[0]].tolist()),
+            int(m1[0]), int(m2[0]))
+
+
 def test_dmvr_identity():
-    out = dmvr(frozenset({1}), frozenset({1}), 1, 1, np.random.default_rng(0))
+    out = merge_sets(frozenset({1}), frozenset({1}), 1, 1, np.random.default_rng(0))
     assert out == (frozenset({1}), frozenset({1}), 1, 1)
 
 
 def test_dmvr_disjoint_singletons():
-    u1, u2, m1, m2 = dmvr(frozenset({1}), frozenset({2}), 1, 2, np.random.default_rng(0))
+    u1, u2, m1, m2 = merge_sets(frozenset({1}), frozenset({2}), 1, 2, np.random.default_rng(0))
     assert u1 == frozenset({1, 2})
     assert u2 == frozenset()
     assert (m1, m2) == (1, 2)
 
 
 def test_dmvr_larger_set_intersects():
-    u1, u2, m1, m2 = dmvr(frozenset({1, 2}), frozenset({2}), 1, 2, np.random.default_rng(0))
+    u1, u2, m1, m2 = merge_sets(frozenset({1, 2}), frozenset({2}), 1, 2, np.random.default_rng(0))
     assert u1 == frozenset({2})
     assert u2 == frozenset({1, 2})
     assert m1 == 2  # singleton disseminates
@@ -112,7 +124,7 @@ def test_dmvr_speed_up_coin():
     outcomes = set()
     rng = np.random.default_rng((605,))
     for _ in range(200):
-        u1, u2, m1, m2 = dmvr(frozenset({1, 2}), frozenset({1, 2}), 1, 2, rng)
+        u1, u2, m1, m2 = merge_sets(frozenset({1, 2}), frozenset({1, 2}), 1, 2, rng)
         assert u1 == frozenset({1, 2}) and u2 == frozenset({1, 2})
         outcomes.add((m1, m2))
     assert outcomes == {(1, 1), (2, 2)}
@@ -126,9 +138,27 @@ def test_dmvr_conserves_level_membership():
         v2 = frozenset(k for k in levels if rng.random() < 0.5)
         m1 = int(rng.integers(1, 5))
         m2 = int(rng.integers(1, 5))
-        u1, u2, _, _ = dmvr(v1, v2, m1, m2, rng)
+        u1, u2, _, _ = merge_sets(v1, v2, m1, m2, rng)
         for k in levels:
             assert (k in v1) + (k in v2) == (k in u1) + (k in u2)
+
+
+def test_dmvr_batch_matches_one_pair_at_a_time():
+    # one call over P pairs draws its coins in pair order, so it equals P
+    # single-pair calls on a generator with the same seed
+    draw = np.random.default_rng(607)
+    for seed in range(240):
+        p, k = seed % 12, 1 + seed % 5  # every (P, K) in 0..11 x 1..5, four times
+        set1 = draw.random((p, k)) < 0.5
+        set2 = draw.random((p, k)) < 0.5
+        mem1 = draw.integers(1, k + 1, size=p)
+        mem2 = draw.integers(1, k + 1, size=p)
+        batch = dmvr(set1, set2, mem1, mem2, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        single = [dmvr(set1[i:i + 1], set2[i:i + 1], mem1[i:i + 1], mem2[i:i + 1], rng)
+                  for i in range(p)]
+        for part, got in enumerate(batch):
+            assert got.tolist() == [row for out in single for row in out[part].tolist()]
 
 
 def test_phase_slot_budget_exact():
