@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beepvote.dvb1 import Dvb1Automaton, dvb1_params, dvb1_run, slot_budget
-from beepvote.dvb2 import Dvb2Automaton, dvb2_params
+from beepvote.dvb2 import Dvb2Automaton, dvb2_params, dvb2_run
 from beepvote.engine import (
     BUDGET_EXHAUSTED,
     FastForward,
@@ -19,6 +19,7 @@ from beepvote.harness import make_assignment
 from beepvote.topology import (
     Complete,
     LevelAssignment,
+    Mesh2D,
     build,
     graph_from_adjacency,
     graph_from_edges,
@@ -111,6 +112,21 @@ def test_metrics_count_slots_and_beeps():
     assert status == "completed"
     assert metrics.slots_elapsed > 0
     assert 0 < metrics.total_beeps <= metrics.slots_elapsed * 10
+
+
+@pytest.mark.parametrize("protocol_run", [dvb1_run, dvb2_run])
+def test_terminated_iff_completed(protocol_run):
+    # a one-phase cap ends the mesh runs before their first check
+    statuses = set()
+    for spec in (Complete(6), Mesh2D(3, 3)):
+        g = build(spec)
+        for seed in range(3):
+            asg = make_assignment(g.node_count, 2, 0.7, np.random.default_rng(seed))
+            for max_phases in (None, 1):
+                res = protocol_run(g, asg, seed=seed, max_phases=max_phases)
+                assert res.terminated == (res.status == "completed")
+                statuses.add(res.status)
+    assert statuses == {"completed", "max_phases_exceeded"}
 
 
 def fast_forward_line(start, count, beep_count=0):
