@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dvb1 import SURVIVAL_PROB
-from .dvb2 import ID_MODES
+from .dvb1 import C1_DEFAULT, SURVIVAL_PROB
+from .dvb2 import C2_DEFAULT, ID_MODES
 from .harness import (
     ALGOS,
     TOPOLOGY_NAMES,
@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one trial and print its outcome")
     common(p_run)
     p_run.add_argument("--algo", choices=ALGOS, default="dvb1")
-    p_run.add_argument("--c1", type=float, default=20.0)
-    p_run.add_argument("--c2", type=float, default=20.0)
+    p_run.add_argument("--c1", type=float, default=C1_DEFAULT)
+    p_run.add_argument("--c2", type=float, default=C2_DEFAULT)
     p_run.add_argument("--d-mode", choices=D_MODES, default="exact")
     p_run.add_argument("--id-mode", choices=ID_MODES, default="random")
     p_run.add_argument("--max-phases", type=int, default=None)

@@ -36,15 +36,14 @@ from .engine import (
     SlotRequest,
     TerminationWave,
     TrialResult,
-    check_assignment,
     drive_schedule,
-    finish,
     run,
     slot_budget,
 )
 from .topology import Graph, LevelAssignment, hop_bound
 
 SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
+C1_DEFAULT = 20.0  # rounds per phase are ceil(c1 * log2(N))
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class Dvb1Params:
 def dvb1_params(
     graph: Graph,
     level_count: int,
-    c1: float = 20.0,
+    c1: float = C1_DEFAULT,
     d_mode: str = "exact",
 ) -> Dvb1Params:
     if c1 <= 0:
@@ -171,10 +170,11 @@ class Dvb1Automaton(PhasedVoting):
     """All-node lockstep automaton for a full DVB1 run."""
 
     def phase(self):
+        """One corrosion phase; returns its all-dead round."""
         allowed = np.ones(self.graph.node_count, dtype=bool)
-        yield from corrosion_phase_schedule(
+        return (yield from corrosion_phase_schedule(
             self.graph, self.values, allowed, self.params, self.rng
-        )
+        ))
 
 
 def dvb1_run(
@@ -191,10 +191,8 @@ def dvb1_run(
         params = dvb1_params(graph, assignment.level_count)
     if max_phases is None:
         max_phases = 50 * params.d_sched
-    rng = np.random.default_rng(seed)
-    automaton = Dvb1Automaton(graph, params, assignment, rng, max_phases)
-    metrics, status = run(graph, automaton, slot_budget(params, max_phases), trace)
-    return finish(automaton, metrics, status, assignment.plurality_level())
+    automaton = Dvb1Automaton(graph, params, assignment, np.random.default_rng(seed), max_phases)
+    return automaton.result(*run(graph, automaton, slot_budget(params, max_phases), trace))
 
 
 @dataclass(frozen=True)
@@ -221,17 +219,11 @@ def one_phase(
     """Run exactly one corrosion phase with no termination slots."""
     if params is None:
         params = dvb1_params(graph, assignment.level_count)
-    check_assignment(graph, params, assignment)
-    rng = np.random.default_rng(seed)
-    values = np.array(assignment.values, dtype=np.int64)
-    allowed = np.ones(graph.node_count, dtype=bool)
-    gen = corrosion_phase_schedule(graph, values, allowed, params, rng)
-    slots, beeps, all_dead_round = drive_schedule(graph, gen)
-    majority = assignment.plurality_level()
-    success = None if majority is None else bool((values == majority).all())
+    automaton = Dvb1Automaton(graph, params, assignment, np.random.default_rng(seed), 1)
+    slots, beeps, all_dead_round = drive_schedule(graph, automaton.phase())
     return OnePhaseResult(
-        final_values=tuple(int(v) for v in values),
-        success=success,
+        final_values=tuple(int(v) for v in automaton.values),
+        success=automaton.success(),
         all_dead_round=all_dead_round,
         slots=slots,
         beeps=beeps,

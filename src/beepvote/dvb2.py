@@ -39,7 +39,6 @@ from .engine import (
     PhasedVoting,
     SlotRequest,
     TrialResult,
-    finish,
     run,
     slot_budget,
 )
@@ -47,9 +46,10 @@ from .topology import Graph, LevelAssignment, hop_bound
 
 ID_MODES = ("random", "preassigned_unique")
 INVITE_PROB = 0.5  # chance that a node invites rather than listens, each phase
+C2_DEFAULT = 20.0  # id space scale: Y = ceil(c2 * Delta * log2(Delta))
 
 
-def id_space(max_degree: int, c2: float = 20.0) -> int:
+def id_space(max_degree: int, c2: float = C2_DEFAULT) -> int:
     """Id range Y = max(ceil(c2 * Delta * log2(Delta)), Delta + 1)."""
     if c2 <= 0:
         raise ValueError("c2 must be positive")
@@ -89,7 +89,7 @@ class Dvb2Params:
 def dvb2_params(
     graph: Graph,
     level_count: int,
-    c2: float = 20.0,
+    c2: float = C2_DEFAULT,
     id_mode: str = "random",
     d_mode: str = "exact",
 ) -> Dvb2Params:
@@ -292,7 +292,5 @@ def dvb2_run(
         # pairwise exchanges need far more phases than corrosion does, and
         # on low-diameter graphs check_interval is no guide to that scale
         max_phases = max(400, 40 * params.check_interval)
-    rng = np.random.default_rng(seed)
-    automaton = Dvb2Automaton(graph, params, assignment, rng, max_phases)
-    metrics, status = run(graph, automaton, slot_budget(params, max_phases), trace)
-    return finish(automaton, metrics, status, assignment.plurality_level())
+    automaton = Dvb2Automaton(graph, params, assignment, np.random.default_rng(seed), max_phases)
+    return automaton.result(*run(graph, automaton, slot_budget(params, max_phases), trace))

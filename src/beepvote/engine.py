@@ -26,7 +26,8 @@ execution bit for bit.
 `PhasedVoting` is the skeleton both voting protocols share: an optional
 setup block, then voting phases, with a `TerminationWave` every
 check_interval phases.  A protocol is one subclass with a `phase()`
-generator; `run` drives it under a slot budget.
+generator; `run` counts its slots and beeps, and `result` builds the
+run's TrialResult from them.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ class SlotRequest:
 class FastForward:
     slots: int
     beep_count: int = 0
-
-
-@dataclass
-class TrialMetrics:
-    slots_elapsed: int = 0
-    total_beeps: int = 0
 
 
 @dataclass(frozen=True)
@@ -201,14 +196,6 @@ class TerminationWave:
         return term
 
 
-def check_assignment(graph: Graph, params, assignment: LevelAssignment) -> None:
-    """Reject an assignment that does not fit the graph or the params."""
-    if assignment.node_count != graph.node_count:
-        raise ValueError("assignment length must match node count")
-    if assignment.level_count != params.level_count:
-        raise ValueError("assignment and params disagree on level count")
-
-
 def slot_budget(params, max_phases: int) -> int:
     """Slots a run of at most max_phases phases can take: the setup
     block, every phase, and a full termination check after every
@@ -242,16 +229,19 @@ class PhasedVoting:
         rng: np.random.Generator,
         max_phases: int,
     ):
-        check_assignment(graph, params, assignment)
+        if assignment.node_count != graph.node_count:
+            raise ValueError("assignment length must match node count")
+        if assignment.level_count != params.level_count:
+            raise ValueError("assignment and params disagree on level count")
         self.graph = graph
         self.params = params
         self.rng = rng
         self.max_phases = max_phases
         self.values = np.array(assignment.values, dtype=np.int64)
+        self.plurality = assignment.plurality_level()
         self.status = "completed"
         self._phases = 0
         self._consensus: int | None = 0 if self._unanimous() else None
-        self._terminated = False
 
     def setup(self):
         """Slot events run once before the first phase; none by default."""
@@ -267,21 +257,15 @@ class PhasedVoting:
     def schedule(self):
         params = self.params
         yield from self.setup()
-        since_check = 0
         while self._phases < self.max_phases:
             yield from self.phase()
             self._phases += 1
             if self._consensus is None and self._unanimous():
                 self._consensus = self._phases
-            since_check += 1
-            if since_check >= params.check_interval:
-                since_check = 0
-                wave = TerminationWave(
-                    self.graph, self.values, params.level_count, params.d_sched
-                )
+            if self._phases % params.check_interval == 0:
+                wave = TerminationWave(self.graph, self.values, params.level_count, params.d_sched)
                 flags = yield from wave.schedule()
                 if flags.all():
-                    self._terminated = True
                     return
                 # a detected difference floods every node within d_sched
                 # hops, so split flags mean d_sched is below the diameter
@@ -291,58 +275,36 @@ class PhasedVoting:
                     )
         self.status = "max_phases_exceeded"
 
-    def final_values(self) -> np.ndarray:
-        return self.values
-
     def phases_elapsed(self) -> int:
         return self._phases
 
-    def consensus_phase(self) -> int | None:
-        return self._consensus
+    def success(self) -> bool | None:
+        """All nodes on the initial strict plurality; None if there was none."""
+        return None if self.plurality is None else bool((self.values == self.plurality).all())
 
-    def terminated(self) -> bool:
-        return self._terminated
+    def result(self, slots: int, beeps: int, status: str) -> TrialResult:
+        """The TrialResult for what `run` returned; only a silent wave completes."""
+        return TrialResult(
+            final_values=tuple(int(v) for v in self.values),
+            success=self.success(),
+            terminated=status == "completed",
+            phases_elapsed=self._phases,
+            consensus_phase=self._consensus,
+            slots_elapsed=slots,
+            total_beeps=beeps,
+            status=status,
+        )
 
 
 def run(
-    graph: Graph,
-    automaton: PhasedVoting,
-    slot_budget: int,
-    trace: IO[str] | None = None,
-) -> tuple[TrialMetrics, str]:
+    graph: Graph, automaton: PhasedVoting, slot_budget: int, trace: IO[str] | None = None
+) -> tuple[int, int, str]:
     """Drive an automaton until its schedule ends or the budget runs out.
 
-    Returns the metrics and a status string.  The status is the
-    automaton's own (normally "completed" or "max_phases_exceeded")
-    unless the slot budget was exhausted first.
+    Returns (slots, beeps, status).  The status is the automaton's own
+    (normally "completed" or "max_phases_exceeded") unless the slot
+    budget was exhausted first.  Only `schedule()` and `status` are read.
     """
     slots, beeps, value = drive_schedule(graph, automaton.schedule(), slot_budget, trace)
     status = "slot_budget_exhausted" if value is BUDGET_EXHAUSTED else automaton.status
-    return TrialMetrics(slots, beeps), status
-
-
-def finish(
-    automaton: PhasedVoting,
-    metrics: TrialMetrics,
-    status: str,
-    majority_level: int | None,
-) -> TrialResult:
-    """Assemble a TrialResult; success compares the unanimous final value
-    against the initial strict plurality."""
-    values = automaton.final_values()
-    success: bool | None
-    if majority_level is None:
-        success = None
-    else:
-        values_arr = np.asarray(values)
-        success = bool((values_arr == majority_level).all())
-    return TrialResult(
-        final_values=tuple(int(v) for v in values),
-        success=success,
-        terminated=automaton.terminated(),
-        phases_elapsed=automaton.phases_elapsed(),
-        consensus_phase=automaton.consensus_phase(),
-        slots_elapsed=metrics.slots_elapsed,
-        total_beeps=metrics.total_beeps,
-        status=status,
-    )
+    return slots, beeps, status

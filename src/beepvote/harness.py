@@ -5,7 +5,9 @@ SeedSequence([master_seed, point_index, trial_index]), and deterministic
 topologies use SeedSequence([master_seed, point_index]).  Each trial is
 self-contained (graph resampling, level assignment, protocol run all on
 the trial stream, in that order), so the worker count never changes any
-output row, and appending sweep points never perturbs existing trials.
+output row.  point_index follows `sweep_points` (topology, size, delta
+order): appending a last topology keeps the existing rows, while a new
+size or delta renumbers the points after it and changes their rows.
 
 Every trial builds its own graph, so random graphs are resampled per
 trial.  A trial that raises is counted in the row's errors column and
@@ -25,8 +27,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dvb1 import dvb1_params, dvb1_run
-from .dvb2 import ID_MODES, dvb2_params, dvb2_run
+from .dvb1 import C1_DEFAULT, dvb1_params, dvb1_run
+from .dvb2 import C2_DEFAULT, ID_MODES, dvb2_params, dvb2_run
 from .topology import (
     D_MODES,
     Complete,
@@ -116,8 +118,8 @@ class ExperimentConfig:
     deltas: tuple[float, ...] = ()
     trials: int = 1000
     master_seed: int = 0
-    c1: float = 20.0
-    c2: float = 20.0
+    c1: float = C1_DEFAULT
+    c2: float = C2_DEFAULT
     d_mode: str = "exact"
     id_mode: str = "random"
     max_phases: int | None = None

@@ -10,6 +10,7 @@ from beepvote.dvb2 import Dvb2Automaton, dvb2_params, dvb2_run
 from beepvote.engine import (
     BUDGET_EXHAUSTED,
     FastForward,
+    SlotRequest,
     TerminationWave,
     drive_schedule,
     run,
@@ -98,9 +99,9 @@ def test_slot_budget_exhaustion_reported():
     params = dvb1_params(g, 2)
     asg = make_assignment(10, 2, 0.7, np.random.default_rng(3))
     automaton = Dvb1Automaton(g, params, asg, np.random.default_rng(3), max_phases=50)
-    metrics, status = run(g, automaton, slot_budget=5)
+    slots, _, status = run(g, automaton, slot_budget=5)
     assert status == "slot_budget_exhausted"
-    assert metrics.slots_elapsed == 5
+    assert slots == 5
 
 
 def test_metrics_count_slots_and_beeps():
@@ -108,10 +109,27 @@ def test_metrics_count_slots_and_beeps():
     params = dvb1_params(g, 2)
     asg = make_assignment(10, 2, 0.9, np.random.default_rng(5))
     automaton = Dvb1Automaton(g, params, asg, np.random.default_rng(5), max_phases=50)
-    metrics, status = run(g, automaton, slot_budget(params, 50))
+    slots, beeps, status = run(g, automaton, slot_budget(params, 50))
     assert status == "completed"
-    assert metrics.slots_elapsed > 0
-    assert 0 < metrics.total_beeps <= metrics.slots_elapsed * 10
+    assert slots > 0
+    assert 0 < beeps <= slots * 10
+
+
+def test_drive_schedule_closes_generator_when_budget_runs_out():
+    closed = False
+
+    def gen():
+        nonlocal closed
+        try:
+            yield SlotRequest(np.ones((4, 3), dtype=bool))
+        finally:
+            closed = True
+
+    events = gen()  # held here, so only drive_schedule can have closed it
+    slots, beeps, value = drive_schedule(build(Complete(3)), events, slot_budget=2)
+    assert value is BUDGET_EXHAUSTED
+    assert closed
+    assert (slots, beeps) == (2, 6)
 
 
 @pytest.mark.parametrize("protocol_run", [dvb1_run, dvb2_run])

@@ -1,6 +1,7 @@
 """Sweep plumbing: assignments, config parsing, output formats, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,15 @@ def test_sweep_rows_well_formed_and_repeatable():
 
 def test_sweep_worker_count_does_not_change_rows():
     assert run_sweep(SWEEP, workers=2) == run_sweep(SWEEP, workers=1)
+
+
+def test_sweep_appending_last_topology_keeps_rows():
+    # seeds follow the point index in sweep_points order, so points added
+    # after every existing one leave the old rows as they were
+    extended = replace(SWEEP, topology=("complete", "mesh2d"))
+    rows = run_sweep(extended)
+    assert len(rows) == 4
+    assert rows[:2] == run_sweep(SWEEP)
 
 
 def test_sweep_workers_capped_at_point_count(monkeypatch):

@@ -207,6 +207,15 @@ def test_graph_and_assignment_compare_by_identity():
         assert len({x, y}) == 2
 
 
+def test_graph_and_assignment_arrays_are_read_only():
+    g = build(Complete(3))
+    asg = LevelAssignment(np.array([1, 2, 1]), 2)
+    with pytest.raises(ValueError):
+        g.adj[0, 1] = False
+    with pytest.raises(ValueError):
+        asg.values[0] = 2
+
+
 def test_only_topology_reads_the_adjacency_matrix():
     package = Path(topology.__file__).parent
     readers = [
