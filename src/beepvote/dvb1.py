@@ -15,7 +15,7 @@ is load-bearing: with strictly deaf beepers, two same-level nodes
 beeping together would each see only the competing levels and a whole
 majority spot could defect in one round.
 
-Termination detection runs every check_interval phases and costs at most
+Termination detection runs every d_sched phases and costs at most
 (K - 1) periods of (d_sched + 1) slots.  In period k the level-k holders
 beep once; any differently valued listener that hears them starts a
 relay wave that floods the graph within d_sched hops, so all nodes agree
@@ -33,12 +33,13 @@ import numpy as np
 from .engine import (
     FastForward,
     PhasedVoting,
+    PhaseParams,
     SlotRequest,
-    TerminationWave,
     TrialResult,
     drive_schedule,
     run,
     slot_budget,
+    termination_wave,
 )
 from .topology import Graph, LevelAssignment, hop_bound
 
@@ -47,29 +48,16 @@ C1_DEFAULT = 20.0  # rounds per phase are ceil(c1 * log2(N))
 
 
 @dataclass(frozen=True)
-class Dvb1Params:
-    """Protocol constants for one graph.
+class Dvb1Params(PhaseParams):
+    """PhaseParams plus rounds_per_phase, ceil(c1 * log2(N)) clamped to
+    at least 1."""
 
-    rounds_per_phase is ceil(c1 * log2(N)) clamped to at least 1;
-    d_sched is the hop bound used by termination detection (the exact
-    diameter, or N when only the trivial upper bound is assumed) and
-    doubles as the phase count between checks.
-    """
-
-    level_count: int
     rounds_per_phase: int
-    d_sched: int
-    check_interval: int
 
     def __post_init__(self) -> None:
-        if self.level_count < 1:
-            raise ValueError("level count must be >= 1")
+        super().__post_init__()
         if self.rounds_per_phase < 1:
             raise ValueError("rounds per phase must be >= 1")
-        if self.d_sched < 1 or self.check_interval < 1:
-            raise ValueError("termination scheduling constants must be >= 1")
-
-    setup_slots = 0  # corrosion starts with no setup block
 
     @property
     def slots_per_phase(self) -> int:
@@ -86,16 +74,12 @@ def dvb1_params(
         raise ValueError("c1 must be positive")
     n = graph.node_count
     rounds = max(1, math.ceil(c1 * math.log2(n))) if n > 1 else 1
-    d_sched = hop_bound(graph, d_mode)
     return Dvb1Params(
-        level_count=level_count,
-        rounds_per_phase=rounds,
-        d_sched=d_sched,
-        check_interval=d_sched,
+        level_count=level_count, d_sched=hop_bound(graph, d_mode), rounds_per_phase=rounds
     )
 
 
-def corrosion_phase_schedule(graph, values, allowed, params, rng):
+def corrosion_phase_schedule(values, allowed, params, rng):
     """Slot-event generator for one corrosion phase, mutating values and
     allowed in place.
 
@@ -156,13 +140,10 @@ def termination_detection(
     values = np.asarray(values, dtype=np.int64)
     if values.shape != (graph.node_count,):
         raise ValueError("values length must match node count")
-    wave = TerminationWave(graph, values, level_count, max(1, d_sched))
-    slots, beeps, flags = drive_schedule(graph, wave.schedule())
+    wave = termination_wave(values, level_count, max(1, d_sched))
+    slots, beeps, (flags, heard_events) = drive_schedule(graph, wave)
     return TerminationOutcome(
-        flags=tuple(bool(f) for f in flags),
-        slots=slots,
-        beeps=beeps,
-        heard_events=wave.heard_events,
+        flags=tuple(flags.tolist()), slots=slots, beeps=beeps, heard_events=heard_events
     )
 
 
@@ -172,9 +153,7 @@ class Dvb1Automaton(PhasedVoting):
     def phase(self):
         """One corrosion phase; returns its all-dead round."""
         allowed = np.ones(self.graph.node_count, dtype=bool)
-        return (yield from corrosion_phase_schedule(
-            self.graph, self.values, allowed, self.params, self.rng
-        ))
+        return (yield from corrosion_phase_schedule(self.values, allowed, self.params, self.rng))
 
 
 def dvb1_run(
@@ -222,7 +201,7 @@ def one_phase(
     automaton = Dvb1Automaton(graph, params, assignment, np.random.default_rng(seed), 1)
     slots, beeps, all_dead_round = drive_schedule(graph, automaton.phase())
     return OnePhaseResult(
-        final_values=tuple(int(v) for v in automaton.values),
+        final_values=tuple(automaton.values.tolist()),
         success=automaton.success(),
         all_dead_round=all_dead_round,
         slots=slots,

@@ -37,6 +37,7 @@ import numpy as np
 
 from .engine import (
     PhasedVoting,
+    PhaseParams,
     SlotRequest,
     TrialResult,
     run,
@@ -59,20 +60,16 @@ def id_space(max_degree: int, c2: float = C2_DEFAULT) -> int:
 
 
 @dataclass(frozen=True)
-class Dvb2Params:
-    level_count: int
+class Dvb2Params(PhaseParams):
+    """PhaseParams plus the id space Y and how ids are drawn."""
+
     y_slots: int
-    d_sched: int
-    check_interval: int
     id_mode: str = "random"
 
     def __post_init__(self) -> None:
-        if self.level_count < 1:
-            raise ValueError("level count must be >= 1")
+        super().__post_init__()
         if self.y_slots < 1:
             raise ValueError("id space must be >= 1")
-        if self.d_sched < 1 or self.check_interval < 1:
-            raise ValueError("termination scheduling constants must be >= 1")
         if self.id_mode not in ID_MODES:
             raise ValueError(f"id_mode must be one of {ID_MODES}")
 
@@ -93,12 +90,10 @@ def dvb2_params(
     id_mode: str = "random",
     d_mode: str = "exact",
 ) -> Dvb2Params:
-    d_sched = hop_bound(graph, d_mode)
     return Dvb2Params(
         level_count=level_count,
+        d_sched=hop_bound(graph, d_mode),
         y_slots=id_space(graph.max_degree, c2),
-        d_sched=d_sched,
-        check_interval=d_sched,
         id_mode=id_mode,
     )
 

@@ -24,10 +24,11 @@ silent slots the same way, so metrics match a naive slot-by-slot
 execution bit for bit.
 
 `PhasedVoting` is the skeleton both voting protocols share: an optional
-setup block, then voting phases, with a `TerminationWave` every
-check_interval phases.  A protocol is one subclass with a `phase()`
-generator; `run` counts its slots and beeps, and `result` builds the
-run's TrialResult from them.
+setup block, then voting phases, with a `termination_wave` every D
+phases, where D = `PhaseParams.d_sched` is also the wave's relay hop
+bound.  A protocol is one subclass with a `phase()` generator and one
+`PhaseParams` subclass; `run` counts its slots and beeps, and `result`
+builds the run's TrialResult from them.
 """
 
 from __future__ import annotations
@@ -144,8 +145,34 @@ def drive_schedule(
         fast_forward(start + int(length) - slots)
 
 
-class TerminationWave:
-    """One termination check over the current values.
+@dataclass(frozen=True)
+class PhaseParams:
+    """Schedule constants both phased protocols share.
+
+    level_count is K.  d_sched is the hop bound a termination wave's
+    relay covers (the exact diameter, or N when only the trivial upper
+    bound is assumed), and also the number of phases between checks.
+    """
+
+    level_count: int
+    d_sched: int
+
+    setup_slots = 0  # no setup block unless a protocol declares one
+
+    def __post_init__(self) -> None:
+        if self.level_count < 1:
+            raise ValueError("level count must be >= 1")
+        if self.d_sched < 1:
+            raise ValueError("d_sched must be >= 1")
+
+    @property
+    def check_interval(self) -> int:
+        return self.d_sched
+
+
+def termination_wave(values: np.ndarray, level_count: int, d_sched: int):
+    """Slot events of one termination check over values; returns
+    (flags, heard_events).
 
     Period k (k = 1..K-1): level-k holders beep in slot 1; a listener
     with a different value that hears them clears its terminated flag.
@@ -155,48 +182,35 @@ class TerminationWave:
     hops, after which the remaining periods are skipped.  The level-K
     period is redundant and never scheduled.
     """
-
-    def __init__(self, graph: Graph, values: np.ndarray, level_count: int, d_sched: int):
-        self.graph = graph
-        self.values = values
-        self.level_count = level_count
-        self.d_sched = d_sched
-        self.heard_events = 0
-
-    def schedule(self):
-        n = self.graph.node_count
-        relay = self.d_sched
-        term = np.ones(n, dtype=bool)
-        for k in range(1, self.level_count):
-            beeps = self.values == k
-            if not beeps.any():
-                yield FastForward(relay + 1)
-                continue
-            (activity,) = yield SlotRequest(beeps[None])
-            hears = activity & ~beeps
-            self.heard_events += int(hears.sum())
-            term &= ~hears
-            d = 0
-            while d < relay:
-                frontier = ~term
-                cleared = int(frontier.sum())
-                if cleared == 0:
-                    yield FastForward(relay - d)
-                    break
-                if cleared == n:
-                    yield FastForward(relay - d, (relay - d) * n)
-                    break
-                (activity,) = yield SlotRequest(frontier[None])
-                hears = activity & term
-                self.heard_events += int(hears.sum())
-                term &= ~hears
-                d += 1
-            if not term.all():
+    n = len(values)
+    term = np.ones(n, dtype=bool)
+    heard_events = 0
+    for k in range(1, level_count):
+        beeps = values == k
+        if not beeps.any():
+            yield FastForward(d_sched + 1)
+            continue
+        (activity,) = yield SlotRequest(beeps[None])
+        hears = activity & ~beeps
+        heard_events += int(hears.sum())
+        term &= ~hears
+        for d in range(d_sched):
+            frontier = ~term
+            cleared = int(frontier.sum())
+            if cleared in (0, n):  # nothing left to relay or to clear
+                rest = d_sched - d
+                yield FastForward(rest, rest * n if cleared == n else 0)
                 break
-        return term
+            (activity,) = yield SlotRequest(frontier[None])
+            hears = activity & term
+            heard_events += int(hears.sum())
+            term &= ~hears
+        if not term.all():
+            break
+    return term, heard_events
 
 
-def slot_budget(params, max_phases: int) -> int:
+def slot_budget(params: PhaseParams, max_phases: int) -> int:
     """Slots a run of at most max_phases phases can take: the setup
     block, every phase, and a full termination check after every
     check_interval phases, plus one slot of slack."""
@@ -215,16 +229,15 @@ class PhasedVoting:
     `schedule()` runs `setup()` once, then voting phases, each a
     `phase()` generator that updates `values` (the per-node reported
     levels) in place.  After every params.check_interval phases a
-    TerminationWave checks `values`, and a silent wave ends the run.
+    termination wave checks `values`, and a silent wave ends the run.
     Past max_phases phases the run stops with status
-    "max_phases_exceeded".  params must provide level_count, d_sched
-    and check_interval.
+    "max_phases_exceeded".  params is a PhaseParams.
     """
 
     def __init__(
         self,
         graph: Graph,
-        params,
+        params: PhaseParams,
         assignment: LevelAssignment,
         rng: np.random.Generator,
         max_phases: int,
@@ -263,8 +276,8 @@ class PhasedVoting:
             if self._consensus is None and self._unanimous():
                 self._consensus = self._phases
             if self._phases % params.check_interval == 0:
-                wave = TerminationWave(self.graph, self.values, params.level_count, params.d_sched)
-                flags = yield from wave.schedule()
+                wave = termination_wave(self.values, params.level_count, params.d_sched)
+                flags, _ = yield from wave
                 if flags.all():
                     return
                 # a detected difference floods every node within d_sched
@@ -285,7 +298,7 @@ class PhasedVoting:
     def result(self, slots: int, beeps: int, status: str) -> TrialResult:
         """The TrialResult for what `run` returned; only a silent wave completes."""
         return TrialResult(
-            final_values=tuple(int(v) for v in self.values),
+            final_values=tuple(self.values.tolist()),
             success=self.success(),
             terminated=status == "completed",
             phases_elapsed=self._phases,

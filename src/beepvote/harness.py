@@ -1,10 +1,10 @@
 """Experiment harness: seeded sweeps over (topology, size, delta) grids.
 
 Determinism contract: every trial draws from a generator seeded with
-SeedSequence([master_seed, point_index, trial_index]), and deterministic
-topologies use SeedSequence([master_seed, point_index]).  Each trial is
-self-contained (graph resampling, level assignment, protocol run all on
-the trial stream, in that order), so the worker count never changes any
+SeedSequence([master_seed, point_index, trial_index]), and from nothing
+else.  Each trial is self-contained (graph build, deterministic
+topologies included, level assignment, protocol run all on the trial
+stream, in that order), so the worker count never changes any
 output row.  point_index follows `sweep_points` (topology, size, delta
 order): appending a last topology keeps the existing rows, while a new
 size or delta renumbers the points after it and changes their rows.
@@ -106,7 +106,7 @@ def make_assignment(
     if len(top) > 1 and top[0] == top[1]:
         raise ValueError("no strict plurality after rounding")
     values = np.repeat(np.arange(1, level_count + 1), counts)
-    return LevelAssignment(tuple(int(v) for v in rng.permutation(values)), level_count)
+    return LevelAssignment(rng.permutation(values), level_count)
 
 
 @dataclass(frozen=True)

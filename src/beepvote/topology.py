@@ -52,7 +52,9 @@ class Graph:
 
     Nothing outside this module reads `adj`: the engine and protocols see
     edges only through the channel rule (`activity`) and the two-hop
-    relation (`two_hop`).
+    relation (`two_hop`).  The constructor takes ownership of `adj`
+    without a copy and makes it read-only; `graph_from_adjacency` is the
+    entry point that copies and validates a caller's matrix.
 
     Attributes:
         adj: (N, N) boolean adjacency matrix, symmetric, zero diagonal.
@@ -208,7 +210,7 @@ class LevelAssignment:
     level_count: int
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int64)
+        values = np.array(self.values, dtype=np.int64)  # never the caller's array
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.level_count < 1:

@@ -336,8 +336,7 @@ def test_criterion_09_merge_rule_conservation():
     params = type(params)(
         level_count=3,
         y_slots=params.y_slots,
-        d_sched=params.d_sched,
-        check_interval=10**9,
+        d_sched=10**9,
         id_mode="preassigned_unique",
     )
     automaton = Dvb2Automaton(graph, params, assignment, rng_for(9, 3), max_phases=1000)
@@ -421,8 +420,7 @@ def test_criterion_11_slot_accounting():
     p2 = type(p2)(
         level_count=2,
         y_slots=p2.y_slots,
-        d_sched=p2.d_sched,
-        check_interval=10**9,
+        d_sched=10**9,
         id_mode="preassigned_unique",
     )
     assignment2 = make_assignment(9, 2, 0.6, rng_for(11, 3))

@@ -62,7 +62,7 @@ def test_two_node_round_swaps_values():
     params = dvb1_params(g, 2)
     values = np.array([1, 2])
     allowed = np.ones(2, dtype=bool)
-    gen = corrosion_phase_schedule(g, values, allowed, params, np.random.default_rng(0))
+    gen = corrosion_phase_schedule(values, allowed, params, np.random.default_rng(0))
     pump_rounds(g, gen, params.level_count)
     assert values.tolist() == [2, 1]
 
@@ -72,7 +72,7 @@ def test_minority_node_adopts_majority_level():
     params = dvb1_params(g, 2)
     values = np.array([1, 1, 2])
     allowed = np.ones(3, dtype=bool)
-    gen = corrosion_phase_schedule(g, values, allowed, params, np.random.default_rng(0))
+    gen = corrosion_phase_schedule(values, allowed, params, np.random.default_rng(0))
     pump_rounds(g, gen, params.level_count)
     assert values.tolist() == [1, 1, 1]
 
@@ -101,7 +101,7 @@ def test_dead_nodes_stay_silent():
     for _ in range(10):
         values = rng.integers(1, 3, size=8)
         allowed = np.ones(8, dtype=bool)
-        gen = corrosion_phase_schedule(g, values, allowed, params, rng)
+        gen = corrosion_phase_schedule(values, allowed, params, rng)
         dead = np.zeros(8, dtype=bool)
         reply = None
         while True:
@@ -130,7 +130,7 @@ def test_value_changes_obey_flags():
     for _ in range(5):
         values = rng.integers(1, 3, size=8)
         allowed = np.ones(8, dtype=bool)
-        gen = corrosion_phase_schedule(g, values, allowed, params, rng)
+        gen = corrosion_phase_schedule(values, allowed, params, rng)
         prev = values.copy()
         flags = np.zeros((8, 2), dtype=bool)
         pending = None
@@ -280,6 +280,6 @@ def test_split_termination_flags_raise():
     # never a silent run on to the phase cap
     g = graph_from_edges(12, [(i, i + 1) for i in range(11)])
     asg = LevelAssignment([1] * 6 + [2] * 6, 2)
-    params = Dvb1Params(level_count=2, rounds_per_phase=1, d_sched=1, check_interval=1)
+    params = Dvb1Params(level_count=2, rounds_per_phase=1, d_sched=1)
     with pytest.raises(RuntimeError, match="flags disagree"):
         dvb1_run(g, asg, params, seed=0)

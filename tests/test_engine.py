@@ -5,25 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beepvote.dvb1 import Dvb1Automaton, dvb1_params, dvb1_run, slot_budget
-from beepvote.dvb2 import Dvb2Automaton, dvb2_params, dvb2_run
+from beepvote.dvb1 import Dvb1Automaton, Dvb1Params, dvb1_params, dvb1_run, slot_budget
+from beepvote.dvb2 import Dvb2Automaton, Dvb2Params, dvb2_params, dvb2_run
 from beepvote.engine import (
     BUDGET_EXHAUSTED,
     FastForward,
     SlotRequest,
-    TerminationWave,
     drive_schedule,
     run,
     step,
+    termination_wave,
 )
 from beepvote.harness import make_assignment
 from beepvote.topology import (
+    D_MODES,
     Complete,
     LevelAssignment,
     Mesh2D,
     build,
     graph_from_adjacency,
     graph_from_edges,
+    hop_bound,
 )
 
 
@@ -147,6 +149,33 @@ def test_terminated_iff_completed(protocol_run):
     assert statuses == {"completed", "max_phases_exceeded"}
 
 
+PARAMS_KWARGS = {
+    Dvb1Params: dict(level_count=2, d_sched=3, rounds_per_phase=4),
+    Dvb2Params: dict(level_count=2, d_sched=3, y_slots=5),
+}
+
+
+@pytest.mark.parametrize("field", ["level_count", "d_sched"])
+@pytest.mark.parametrize("params_cls", [Dvb1Params, Dvb2Params])
+def test_phase_params_reject_zero_schedule_constants(params_cls, field):
+    with pytest.raises(ValueError):
+        params_cls(**{**PARAMS_KWARGS[params_cls], field: 0})
+
+
+@pytest.mark.parametrize("params_cls", [Dvb1Params, Dvb2Params])
+def test_check_interval_is_not_a_params_field(params_cls):
+    with pytest.raises(TypeError):
+        params_cls(**PARAMS_KWARGS[params_cls], check_interval=1)
+
+
+@pytest.mark.parametrize("d_mode", D_MODES)
+@pytest.mark.parametrize("factory", [dvb1_params, dvb2_params])
+def test_check_interval_is_d_sched(factory, d_mode):
+    g = build(Mesh2D(2, 3))
+    params = factory(g, 2, d_mode=d_mode)
+    assert params.check_interval == params.d_sched == hop_bound(g, d_mode)
+
+
 def fast_forward_line(start, count, beep_count=0):
     return f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n"
 
@@ -218,10 +247,11 @@ def schedule_factory(kind, graph, k, seed):
     values = np.random.default_rng(seed).integers(1, k + 1, size=n)
     asg = LevelAssignment(values, k)
     if kind == "wave":
-        def make():
-            wave = TerminationWave(graph, values.copy(), k, 1 + seed % n)
-            return wave, wave.schedule()
-        return make
+        def wave():
+            flags, _ = yield from termination_wave(asg.values, k, 1 + seed % n)
+            return flags
+
+        return lambda: (asg, wave())
     if kind == "dvb1":
         automaton, params = Dvb1Automaton, dvb1_params(graph, k, c1=2.0)
     elif kind == "dvb2_random":  # Y = Delta + 1: random ids collide often

@@ -216,6 +216,17 @@ def test_graph_and_assignment_arrays_are_read_only():
         asg.values[0] = 2
 
 
+def test_assignment_copies_its_values():
+    big = np.array([1, 1, 2, 2, 2], dtype=np.int64)
+    asg = LevelAssignment(big[:3], 2)
+    big[:3] = 2  # writing through the caller's base leaves the assignment alone
+    assert asg.plurality_level() == 1
+    own = np.array([1, 2, 1], dtype=np.int64)
+    LevelAssignment(own, 2)
+    own[0] = 2  # and the caller's own array stays writable
+    assert own.tolist() == [2, 2, 1]
+
+
 def test_only_topology_reads_the_adjacency_matrix():
     package = Path(topology.__file__).parent
     readers = [
