@@ -56,6 +56,56 @@ def test_unique_ids_distinct_within_two_hops():
             seen.add(int(ids[j]))
 
 
+def _dense_greedy_ids(adj, y_slots):
+    """Reference: the greedy distance-2 colouring over the dense bool
+    two-hop matrix, as assign_ids was first written."""
+    two_hop = adj | (adj @ adj)
+    ids = np.zeros(len(adj), dtype=np.int64)
+    for i in range(len(adj)):
+        taken = set(ids[np.flatnonzero(two_hop[i][:i])]) | {int(ids[i])}
+        candidate = 1
+        while candidate in taken:
+            candidate += 1
+        if candidate > y_slots:
+            raise ValueError("id space too small for locally unique ids")
+        ids[i] = candidate
+    return ids
+
+
+def test_unique_ids_match_dense_greedy_reference():
+    from beepvote.topology import graph_from_adjacency
+
+    rng = np.random.default_rng(77)
+    cases = []
+    for _ in range(12):
+        n = int(rng.integers(1, 40))
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1)
+        adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
+        adj = adj | adj.T
+        cases.append((graph_from_adjacency(adj), adj))
+    for r, c in ((1, 1), (1, 7), (4, 5), (9, 9)):
+        n = r * c
+        adj = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            if (i + 1) % c:
+                adj[i, i + 1] = adj[i + 1, i] = True
+            if i + c < n:
+                adj[i, i + c] = adj[i + c, i] = True
+        cases.append((build(Mesh2D(r, c)), adj))
+    for n in (1, 2, 9, 30):
+        cases.append((build(Complete(n)), ~np.eye(n, dtype=bool)))
+    for g, adj in cases:
+        y = id_space(g.max_degree)
+        ids = assign_ids(g, y, "preassigned_unique", np.random.default_rng(0))
+        assert ids.tolist() == _dense_greedy_ids(adj, y).tolist()
+    # complete(30) needs 30 ids: one fewer fails the same way in both
+    g, adj = cases[-1]
+    with pytest.raises(ValueError, match="id space too small"):
+        assign_ids(g, 29, "preassigned_unique", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="id space too small"):
+        _dense_greedy_ids(adj, 29)
+
+
 def test_unique_ids_need_enough_space():
     g = build(Complete(5))
     with pytest.raises(ValueError):
