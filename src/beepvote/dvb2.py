@@ -116,7 +116,8 @@ def assign_ids(
     two_hop = graph.two_hop()
     ids = np.zeros(n, dtype=np.int64)
     for i in range(n):
-        taken = set(ids[np.flatnonzero(two_hop[i][:i])]) | {int(ids[i])}
+        near = two_hop.indices[two_hop.indptr[i] : two_hop.indptr[i + 1]]
+        taken = set(ids[near[near < i]].tolist())
         candidate = 1
         while candidate in taken:
             candidate += 1

@@ -121,7 +121,7 @@ def drive_schedule(
             continue
         rows = event.beeps
         counts = rows.sum(axis=1).tolist()
-        live = rows.any(axis=1)  # a row in which nobody beeps skips the O(N^2) channel
+        live = rows.any(axis=1)  # a row in which nobody beeps skips the channel
         reply = np.zeros(rows.shape, dtype=bool)
         reply[live] = graph.activity(rows[live])
         start = slots

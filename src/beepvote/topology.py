@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 ER_RETRY_LIMIT = 1000
@@ -53,21 +53,20 @@ class Graph:
     Nothing outside this module reads `adj`: the engine and protocols see
     edges only through the channel rule (`activity`) and the two-hop
     relation (`two_hop`).  The constructor takes ownership of `adj`
-    without a copy and makes it read-only; `graph_from_adjacency` is the
-    entry point that copies and validates a caller's matrix.
+    without a copy, puts it in canonical form and makes its arrays
+    read-only; `graph_from_adjacency` and `graph_from_edges` are the entry
+    points that validate a caller's matrix or edge list.
 
     Attributes:
-        adj: (N, N) boolean adjacency matrix, symmetric, zero diagonal.
+        adj: (N, N) boolean CSR adjacency, symmetric, zero diagonal.
         diameter: exact hop diameter (0 for a single node).
     """
 
-    adj: np.ndarray
+    adj: csr_array
     diameter: int
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adj, dtype=bool)
-        adj.setflags(write=False)
-        object.__setattr__(self, "adj", adj)
+        _freeze(self.adj)
 
     @property
     def node_count(self) -> int:
@@ -75,22 +74,89 @@ class Graph:
 
     @cached_property
     def max_degree(self) -> int:
-        return int(self.adj.sum(axis=1).max(initial=0))
+        return int(np.diff(self.adj.indptr).max(initial=0))
 
     @property
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return self.adj.nnz // 2
 
     def degree(self, i: int) -> int:
-        return int(self.adj[i].sum())
+        return int(np.diff(self.adj.indptr)[i])
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
-        """The channel rule, row by row: activity[i] iff some neighbor of i beeped."""
+        """The channel rule, row by row: activity[i] iff some neighbor of i
+        beeped.  The bool CSR product sums with logical OR."""
         return (self.adj @ beeps.T).T
 
-    def two_hop(self) -> np.ndarray:
-        """(N, N) boolean: j is a neighbor of i or a neighbor of one."""
-        return self.adj | (self.adj @ self.adj)
+    def two_hop(self) -> csr_array:
+        """(N, N) boolean CSR: j is a neighbor of i or a neighbor of one."""
+        return self.adj + self.adj @ self.adj
+
+
+class CompleteGraph(Graph):
+    """The complete graph on n nodes, stored as n alone.
+
+    The channel rule, the degrees and the two-hop relation are closed
+    forms; the CSR `adj` is built on first use, by `spots` or a caller
+    that reads it.
+    """
+
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diameter", min(n - 1, 1))
+
+    def __repr__(self) -> str:
+        return f"CompleteGraph(n={self.n})"
+
+    @cached_property
+    def adj(self) -> csr_array:
+        n = self.n
+        others = np.arange(n - 1)
+        indices = (others + (others >= np.arange(n)[:, None])).ravel()  # row i skips i
+        indptr = np.arange(n + 1) * (n - 1)
+        return _freeze(csr_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n)))
+
+    @property
+    def node_count(self) -> int:
+        return self.n
+
+    @property
+    def max_degree(self) -> int:
+        return self.n - 1
+
+    @property
+    def edge_count(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    def degree(self, i: int) -> int:
+        return self.n - 1
+
+    def activity(self, beeps: np.ndarray) -> np.ndarray:
+        """Some other node beeped: the row's beep count exceeds one's own."""
+        return (beeps.sum(axis=-1, keepdims=True) - beeps) > 0
+
+    def two_hop(self) -> csr_array:
+        """Every pair, each node with itself, once there are two nodes;
+        a CSR product would cost N^3."""
+        n = self.n
+        if n == 1:
+            return self.adj
+        every = np.arange(n * n) % n
+        return csr_array((np.ones(n * n, dtype=bool), every, np.arange(n + 1) * n), shape=(n, n))
+
+
+def _freeze(adj: csr_array) -> csr_array:
+    """Canonical form (sorted, no duplicates), then read-only arrays."""
+    adj.sum_duplicates()
+    for part in (adj.data, adj.indices, adj.indptr):
+        part.setflags(write=False)
+    return adj
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> csr_array:
+    """Bool CSR holding the undirected edges (u[k], v[k])."""
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
 
 
 def hop_bound(graph: Graph, d_mode: str) -> int:
@@ -102,50 +168,47 @@ def hop_bound(graph: Graph, d_mode: str) -> int:
     return max(1, graph.diameter if d_mode == "exact" else graph.node_count)
 
 
-def _check_square_symmetric(adj: np.ndarray) -> None:
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    if adj.diagonal().any():
-        raise ValueError("self-loops are not allowed")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-
-
-def is_connected(adj: np.ndarray) -> bool:
+def is_connected(adj: csr_array) -> bool:
     if adj.shape[0] <= 1:
         return True
-    n_comp, _ = connected_components(csr_matrix(adj), directed=False)
+    n_comp, _ = connected_components(adj, directed=False)
     return n_comp == 1
 
 
-def exact_diameter(adj: np.ndarray) -> int:
+def exact_diameter(adj: csr_array) -> int:
     """Hop diameter via all-pairs BFS.  Raises on a disconnected graph."""
     n = adj.shape[0]
     if n <= 1:
         return 0
-    dist = shortest_path(csr_matrix(adj), method="D", unweighted=True, directed=False)
+    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
     if np.isinf(dist).any():
         raise ValueError("graph not connected")
     return int(dist.max())
 
 
-def graph_from_adjacency(adj: np.ndarray) -> Graph:
-    adj = np.asarray(adj, dtype=bool).copy()
-    _check_square_symmetric(adj)
-    if len(adj) < 1:
+def _graph_from_csr(adj: csr_array) -> Graph:
+    """Validate a caller's CSR matrix and measure its diameter."""
+    if adj.diagonal().any():
+        raise ValueError("self-loops are not allowed")
+    if (adj != adj.T).nnz:
+        raise ValueError("adjacency must be symmetric")
+    if adj.shape[0] < 1:
         raise ValueError("node count must be >= 1")
     return Graph(adj, exact_diameter(adj))
+
+
+def graph_from_adjacency(adj: np.ndarray) -> Graph:
+    adj = np.asarray(adj, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    return _graph_from_csr(csr_array(adj))
 
 
 def graph_from_edges(n: int, edges) -> Graph:
     if n < 1:
         raise ValueError("node count must be >= 1")
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        adj[u, v] = adj[v, u] = True
-    return graph_from_adjacency(adj)
+    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    return _graph_from_csr(_symmetric_csr(n, u, v))
 
 
 def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
@@ -157,22 +220,18 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ValueError("node count must be >= 1")
-        adj = np.ones((spec.n, spec.n), dtype=bool)
-        np.fill_diagonal(adj, False)
-        return Graph(adj, min(spec.n - 1, 1))
+        return CompleteGraph(spec.n)
 
     if isinstance(spec, Mesh2D):
         r, c = spec.rows, spec.cols
         if r < 1 or c < 1:
             raise ValueError("mesh dimensions must be >= 1")
         n = r * c
-        adj = np.zeros((n, n), dtype=bool)
         nodes = np.arange(n)
         right = nodes[(nodes + 1) % c != 0]  # every node but the last column
         down = nodes[: n - c]  # every node but the last row
-        adj[right, right + 1] = adj[right + 1, right] = True
-        adj[down, down + c] = adj[down + c, down] = True
-        return Graph(adj, (r - 1) + (c - 1))
+        u, v = np.concatenate([right, down]), np.concatenate([right + 1, down + c])
+        return Graph(_symmetric_csr(n, u, v), (r - 1) + (c - 1))
 
     if isinstance(spec, ErdosRenyi):
         n = spec.n
@@ -187,10 +246,8 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
             rng = np.random.default_rng()
         iu = np.triu_indices(n, k=1)
         for _ in range(ER_RETRY_LIMIT):
-            adj = np.zeros((n, n), dtype=bool)
             mask = rng.random(len(iu[0])) < p
-            adj[iu[0][mask], iu[1][mask]] = True
-            adj |= adj.T
+            adj = _symmetric_csr(n, iu[0][mask], iu[1][mask])
             if is_connected(adj):
                 return Graph(adj, exact_diameter(adj))
         raise ValueError("connectivity retry limit exceeded")
@@ -247,8 +304,10 @@ def spots(graph: Graph, values: np.ndarray) -> list[list[int]]:
     values = np.asarray(values)
     if len(values) != graph.node_count:
         raise ValueError("values length must match node count")
-    same = graph.adj & (values[:, None] == values)
-    _, labels = connected_components(csr_matrix(same), directed=False)
+    edges = graph.adj.tocoo()
+    keep = values[edges.row] == values[edges.col]
+    same = coo_array((edges.data[keep], (edges.row[keep], edges.col[keep])), shape=edges.shape)
+    _, labels = connected_components(same, directed=False)
     parts: dict[int, list[int]] = {}
     for node, label in enumerate(labels.tolist()):
         parts.setdefault(label, []).append(node)

@@ -51,7 +51,7 @@ def test_unique_ids_distinct_within_two_hops():
     ids = assign_ids(g, id_space(g.max_degree), "preassigned_unique", rng)
     for i in range(30):
         seen = {int(ids[i])}
-        for j in np.flatnonzero(g.adj[i]):
+        for j in np.flatnonzero(g.adj.toarray()[i]):
             assert int(ids[j]) not in seen
             seen.add(int(ids[j]))
 

@@ -20,6 +20,7 @@ from beepvote.harness import make_assignment
 from beepvote.topology import (
     D_MODES,
     Complete,
+    ErdosRenyi,
     LevelAssignment,
     Mesh2D,
     build,
@@ -74,6 +75,42 @@ def test_channel_property_random_graphs():
         assert rows.shape == block.shape
         for r in range(len(block)):
             assert np.array_equal(rows[r], g.activity(block[r]))
+
+
+def _heard_by_rule(neighbors, beeps):
+    """activity by the per-node rule: some neighbor of i beeped."""
+    rows = [[any(row[j] for j in near) for near in neighbors] for row in beeps.reshape(-1, len(neighbors))]
+    return np.array(rows, dtype=bool).reshape(beeps.shape)
+
+
+def test_channel_rule_on_both_storage_forms():
+    # CSR graphs from every builder, and the implicit complete graph
+    rng = np.random.default_rng(13)
+    cases = []
+    for n in (1, 2, 7, 40):
+        everyone = [[j for j in range(n) if j != i] for i in range(n)]
+        cases.append((build(Complete(n)), everyone))
+        cases.append((graph_from_adjacency(~np.eye(n, dtype=bool)), everyone))
+    for r, c in ((1, 1), (1, 5), (3, 4)):
+        grid = [(i // c, i % c) for i in range(r * c)]
+        near = [[j for j, (y, x) in enumerate(grid) if abs(y - gy) + abs(x - gx) == 1] for gy, gx in grid]
+        cases.append((build(Mesh2D(r, c)), near))
+    star = [[1, 2, 3], [0], [0], [0]]
+    cases.append((graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]), star))
+    for n in (1, 9, 30):
+        g = build(ErdosRenyi(n, 0.3), rng)
+        cases.append((g, [np.flatnonzero(row).tolist() for row in g.adj.toarray()]))
+    for g, neighbors in cases:
+        n = g.node_count
+        assert n == len(neighbors)
+        vectors = [rng.random(n) < 0.3, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        blocks = [np.zeros((0, n), dtype=bool), np.zeros((3, n), dtype=bool)]
+        blocks += [rng.random((s, n)) < p for s in (1, 5) for p in (0.1, 0.5)]
+        blocks[-1][2] = False  # an all-silent row inside a block
+        for beeps in vectors + blocks:
+            activity = g.activity(beeps)
+            assert activity.dtype == bool and activity.shape == beeps.shape
+            assert np.array_equal(activity, _heard_by_rule(neighbors, beeps))
 
 
 def test_identical_seeds_identical_results():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,21 @@ def test_single_node():
         assert g.max_degree == 0
 
 
+def test_complete_graph_closed_forms_match_its_csr_form():
+    for n in (1, 2, 3, 8):
+        g, ref = build(Complete(n)), graph_from_adjacency(~np.eye(n, dtype=bool))
+        assert type(g) is not type(ref)
+        assert (g.node_count, g.edge_count, g.max_degree, g.diameter) == (
+            ref.node_count,
+            ref.edge_count,
+            ref.max_degree,
+            ref.diameter,
+        )
+        assert [g.degree(i) for i in range(n)] == [ref.degree(i) for i in range(n)]
+        assert np.array_equal(g.two_hop().toarray(), ref.two_hop().toarray())
+        assert np.array_equal(g.adj.toarray(), ref.adj.toarray())
+
+
 def test_mesh_diameter_and_degrees():
     g = build(Mesh2D(3, 4))
     assert g.node_count == 12
@@ -53,7 +69,7 @@ def test_mesh_matches_row_major_edge_list():
             edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
             edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
             g, ref = build(Mesh2D(r, c)), graph_from_edges(r * c, edges)
-            assert np.array_equal(g.adj, ref.adj)
+            assert np.array_equal(g.adj.toarray(), ref.adj.toarray())
             assert (g.node_count, g.diameter, g.max_degree) == (
                 ref.node_count,
                 ref.diameter,
@@ -132,7 +148,7 @@ def test_spots_partition_and_maximality():
         for i in part:
             spot_of[i] = idx
     for i in range(25):
-        for j in np.flatnonzero(g.adj[i]):
+        for j in np.flatnonzero(g.adj.toarray()[i]):
             if values[i] == values[j]:
                 assert spot_of[i] == spot_of[int(j)]
 
@@ -149,7 +165,7 @@ def _bfs_spots(graph, values):
         frontier = [start]
         while frontier:
             u = frontier.pop()
-            for v in np.flatnonzero(graph.adj[u]):
+            for v in np.flatnonzero(graph.adj.toarray()[u]):
                 v = int(v)
                 if not seen[v] and values[v] == values[start]:
                     seen[v] = True
@@ -235,3 +251,19 @@ def test_only_topology_reads_the_adjacency_matrix():
         if path.name != "topology.py" and re.search(r"\.adj\b", path.read_text())
     ]
     assert readers == []
+
+
+def test_large_graphs_hold_no_dense_matrix():
+    # a dense bool matrix would need 8.1 GB for the mesh and 1 TB for the complete graph
+    tracemalloc.start()
+    try:
+        for spec, heard in ((Mesh2D(300, 300), 4), (Complete(10**6), 10**6)):
+            g = build(spec)
+            beeps = np.zeros(g.node_count, dtype=bool)
+            beeps[[0, -1]] = True  # two opposite corners of the mesh
+            assert int(g.activity(beeps).sum()) == heard
+            del g
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
