@@ -105,7 +105,7 @@ class CompleteGraph(Graph):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diameter", min(n - 1, 1))
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # the dataclass repr would build adj
         return f"CompleteGraph(n={self.n})"
 
     @cached_property
@@ -114,7 +114,8 @@ class CompleteGraph(Graph):
         others = np.arange(n - 1)
         indices = (others + (others >= np.arange(n)[:, None])).ravel()  # row i skips i
         indptr = np.arange(n + 1) * (n - 1)
-        return _freeze(csr_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n)))
+        data = np.ones(len(indices), dtype=bool)
+        return _freeze(csr_array((data, indices, indptr), shape=(n, n)))
 
     @property
     def node_count(self) -> int:

@@ -79,7 +79,8 @@ def test_channel_property_random_graphs():
 
 def _heard_by_rule(neighbors, beeps):
     """activity by the per-node rule: some neighbor of i beeped."""
-    rows = [[any(row[j] for j in near) for near in neighbors] for row in beeps.reshape(-1, len(neighbors))]
+    rows = beeps.reshape(-1, len(neighbors))
+    rows = [[any(row[j] for j in near) for near in neighbors] for row in rows]
     return np.array(rows, dtype=bool).reshape(beeps.shape)
 
 
@@ -93,7 +94,10 @@ def test_channel_rule_on_both_storage_forms():
         cases.append((graph_from_adjacency(~np.eye(n, dtype=bool)), everyone))
     for r, c in ((1, 1), (1, 5), (3, 4)):
         grid = [(i // c, i % c) for i in range(r * c)]
-        near = [[j for j, (y, x) in enumerate(grid) if abs(y - gy) + abs(x - gx) == 1] for gy, gx in grid]
+        near = [
+            [j for j, (y, x) in enumerate(grid) if abs(y - gy) + abs(x - gx) == 1]
+            for gy, gx in grid
+        ]
         cases.append((build(Mesh2D(r, c)), near))
     star = [[1, 2, 3], [0], [0], [0]]
     cases.append((graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]), star))
