@@ -124,10 +124,6 @@ class TerminationOutcome:
     heard_events: int
 
     @property
-    def unanimous(self) -> bool:
-        return len(set(self.flags)) == 1
-
-    @property
     def terminated(self) -> bool:
         return all(self.flags)
 

@@ -26,6 +26,13 @@ value into its holder's memory, and when both stay ambiguous a fair coin
 copies one old memory across.
 Termination detection is the same relay-wave check as DVB1, run on the
 memory values.
+
+Discovery stores the ids each node heard as one CSR table (`known`,
+`known_ptr`).  The per-node random choices of a phase are one draw per
+stage: a single `rng.integers(0, highs)` call picks every inviter's
+target, and another every invitee's inviter, in ascending node order.
+That consumes the generator exactly as one scalar call per node would,
+so runs stay on the same random stream (a bound of 1 draws nothing).
 """
 
 from __future__ import annotations
@@ -156,9 +163,11 @@ def dmvr(set1, set2, mem1, mem2, rng: np.random.Generator):
 class Dvb2Automaton(PhasedVoting):
     """All-node lockstep automaton for a full DVB2 run.
 
-    Exposes ids, the (N, K) bool value-set matrix `value_sets` (row i,
-    column k-1: level k is in node i's set), and memories for
-    inspection; the memories are the protocol's reported `values`.
+    Exposes ids, the CSR table of ids heard in discovery (`known`,
+    `known_ptr`, read per node as `neighbor_ids`), the (N, K) bool
+    value-set matrix `value_sets` (row i, column k-1: level k is in node
+    i's set), and memories for inspection; the memories are the
+    protocol's reported `values`.
     """
 
     def __init__(
@@ -172,7 +181,16 @@ class Dvb2Automaton(PhasedVoting):
         super().__init__(graph, params, assignment, rng, max_phases)
         self.ids = assign_ids(graph, params.y_slots, params.id_mode, rng)
         self.value_sets = self.values[:, None] == np.arange(1, params.level_count + 1)
-        self.neighbor_ids: list[tuple[int, ...]] = [()] * graph.node_count
+        # CSR table of the ids each node heard in discovery, ascending:
+        # node i's are known[known_ptr[i]:known_ptr[i + 1]]
+        self.known = np.zeros(0, dtype=np.int64)
+        self.known_ptr = np.zeros(graph.node_count + 1, dtype=np.int64)
+
+    @property
+    def neighbor_ids(self) -> list[tuple[int, ...]]:
+        """Per node, the ids it heard in discovery, ascending."""
+        ptr = self.known_ptr.tolist()
+        return [tuple(self.known[a:b].tolist()) for a, b in zip(ptr[:-1], ptr[1:])]
 
     def level_multiset(self) -> np.ndarray:
         """Per-level membership count over all value sets."""
@@ -212,7 +230,9 @@ class Dvb2Automaton(PhasedVoting):
     def _discovery(self):
         n = self.graph.node_count
         slots, heard = yield from self._send(self.ids - 1, np.arange(n), self.params.y_slots)
-        self.neighbor_ids = [tuple((slots[h] + 1).tolist()) for h in heard.T]
+        _, slot = np.nonzero(heard.T)  # node order, then ascending slot
+        self.known = slots[slot] + 1
+        self.known_ptr = np.concatenate([[0], np.cumsum(heard.sum(axis=0))])
 
     setup = _discovery
 
@@ -225,10 +245,10 @@ class Dvb2Automaton(PhasedVoting):
 
         # each inviter aims at one known neighbor id; no known ids, no invite
         target = np.zeros(n, dtype=np.int64)
-        for i in np.flatnonzero(inviter):
-            known = self.neighbor_ids[i]
-            if known:
-                target[i] = known[rng.integers(len(known))]
+        ptr = self.known_ptr
+        known_count = np.diff(ptr)
+        aim = np.flatnonzero(inviter & (known_count > 0))
+        target[aim] = self.known[ptr[aim] + rng.integers(0, known_count[aim])]
 
         # invitation grid: inviter with id j1 aiming at j2 beeps in slot (j1, j2)
         senders = np.flatnonzero(target)
@@ -238,12 +258,13 @@ class Dvb2Automaton(PhasedVoting):
         invited = heard & ~inviter & (ids == j2[:, None] + 1)
 
         # invitees pick one heard inviter id and beep in that id's slot
+        _, slot = np.nonzero(invited.T)  # node order, then ascending slot
+        heard_count = invited.sum(axis=0)
+        invitees = np.flatnonzero(heard_count)
+        first = np.cumsum(heard_count[invitees]) - heard_count[invitees]
         chosen = np.zeros(n, dtype=np.int64)
-        for i in np.flatnonzero(invited.any(axis=0)):
-            ids_heard = j1[invited[:, i]] + 1
-            chosen[i] = ids_heard[rng.integers(len(ids_heard))]
+        chosen[invitees] = j1[slot[first + rng.integers(0, heard_count[invitees])]] + 1
         invitee = chosen > 0
-        invitees = np.flatnonzero(invitee)
         slots, heard = yield from self._send(chosen[invitees] - 1, invitees, y)
         accepted = (heard & inviter & (ids == slots[:, None] + 1)).any(axis=0)
 

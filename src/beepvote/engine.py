@@ -21,7 +21,10 @@ account for exactly without touching the channel: either no node beeps,
 or the beepers and the absence of state changes are provably known.  The
 engine only adds the declared slot and beep counts, and counts a block's
 silent slots the same way, so metrics match a naive slot-by-slot
-execution bit for bit.
+execution bit for bit.  A block's rows are walked one by one only where
+single rows are observed: when a trace is written, or for the one block
+that crosses the slot budget.  Any other block adds its length and its
+beep total in one step.
 
 `PhasedVoting` is the skeleton both voting protocols share: an optional
 setup block, then voting phases, with a `termination_wave` every D
@@ -98,6 +101,11 @@ def drive_schedule(
     elapsed (the generator is then closed).  trace, if given, gets one
     line per fast-forwarded stretch (a FastForward, a block's silent gap
     or silent row) and one per node per channel slot.
+
+    Every block makes one channel call for its beeping rows.  Its rows
+    are then walked one by one only when a trace is written or when the
+    block ends past slot_budget, where the cut can fall inside it;
+    otherwise the block adds its length and its beep total at once.
     """
     slots = 0
     beeps = 0
@@ -120,11 +128,18 @@ def drive_schedule(
             reply = None
             continue
         rows = event.beeps
-        counts = rows.sum(axis=1).tolist()
-        live = rows.any(axis=1)  # a row in which nobody beeps skips the channel
+        counts = rows.sum(axis=1)
+        live = counts > 0  # a row in which nobody beeps skips the channel
         reply = np.zeros(rows.shape, dtype=bool)
         reply[live] = graph.activity(rows[live])
         start = slots
+        length = len(rows) if event.length is None else int(event.length)
+        if trace is None and (slot_budget is None or start + length <= slot_budget):
+            # no row is observed: the whole block in one step
+            slots += length
+            beeps += int(counts.sum())
+            continue
+        counts = counts.tolist()
         offsets = range(len(rows)) if event.offsets is None else event.offsets
         for r, offset in enumerate(offsets):
             fast_forward(start + int(offset) - slots)
@@ -141,8 +156,7 @@ def drive_schedule(
                     trace.write(f"slot={slots} node={i} action={action} heard={int(heard[i])}\n")
             slots += 1
             beeps += counts[r]
-        length = len(rows) if event.length is None else event.length
-        fast_forward(start + int(length) - slots)
+        fast_forward(start + length - slots)
 
 
 @dataclass(frozen=True)

@@ -76,13 +76,6 @@ class Graph:
     def max_degree(self) -> int:
         return int(np.diff(self.adj.indptr).max(initial=0))
 
-    @property
-    def edge_count(self) -> int:
-        return self.adj.nnz // 2
-
-    def degree(self, i: int) -> int:
-        return int(np.diff(self.adj.indptr)[i])
-
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """The channel rule, row by row: activity[i] iff some neighbor of i
         beeped.  The bool CSR product sums with logical OR."""
@@ -96,9 +89,9 @@ class Graph:
 class CompleteGraph(Graph):
     """The complete graph on n nodes, stored as n alone.
 
-    The channel rule, the degrees and the two-hop relation are closed
-    forms; the CSR `adj` is built on first use, by `spots` or a caller
-    that reads it.
+    The channel rule, the maximum degree and the two-hop relation are
+    closed forms; the CSR `adj` is built on first use, by `spots` or a
+    caller that reads it.
     """
 
     def __init__(self, n: int) -> None:
@@ -123,13 +116,6 @@ class CompleteGraph(Graph):
 
     @property
     def max_degree(self) -> int:
-        return self.n - 1
-
-    @property
-    def edge_count(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def degree(self, i: int) -> int:
         return self.n - 1
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:

@@ -270,7 +270,7 @@ def test_termination_dissent_detected_in_first_period():
 def test_termination_flag_unanimous_on_star():
     g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     out = termination_detection(g, np.array([1, 2, 2, 2]), 2, g.diameter)
-    assert out.unanimous
+    assert out.flags == (False,) * 4  # every node agrees that it must go on
     assert not out.terminated
 
 

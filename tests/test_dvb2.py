@@ -1,9 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beepvote.dvb2 import Dvb2Automaton, assign_ids, dmvr, dvb2_params, dvb2_run, id_space
+from beepvote.dvb2 import (
+    INVITE_PROB,
+    Dvb2Automaton,
+    Dvb2Params,
+    assign_ids,
+    dmvr,
+    dvb2_params,
+    dvb2_run,
+    id_space,
+)
 from beepvote.engine import FastForward, drive_schedule
-from beepvote.topology import Complete, Mesh2D, build, graph_from_edges, LevelAssignment
+from beepvote.topology import (
+    Complete,
+    LevelAssignment,
+    Mesh2D,
+    build,
+    graph_from_adjacency,
+    graph_from_edges,
+    hop_bound,
+)
 
 
 def test_id_space_values():
@@ -119,8 +138,9 @@ def test_discovery_star():
                         np.random.default_rng((601,)), max_phases=1)
     slots, _, _ = drive_schedule(star, aut._discovery())
     assert slots == params.y_slots
-    assert len(aut.neighbor_ids[0]) == 3
-    assert set(aut.neighbor_ids[0]) == {int(i) for i in aut.ids[1:]}
+    # the hub's heard ids, ascending: the order a phase's draw indexes
+    assert aut.neighbor_ids[0] == tuple(sorted(int(i) for i in aut.ids[1:]))
+    assert len(set(aut.neighbor_ids[0])) == 3
     for leaf in (1, 2, 3):
         assert aut.neighbor_ids[leaf] == (int(aut.ids[0]),)
 
@@ -134,6 +154,134 @@ def test_discovery_merges_equal_ids():
     drive_schedule(path3, aut._discovery())
     assert aut.neighbor_ids[0] == (7,)
     assert aut.neighbor_ids[1] == (5,)
+    # the CSR table behind neighbor_ids: node i's ids are known[ptr[i]:ptr[i + 1]]
+    assert aut.known.tolist() == [7, 5, 5]
+    assert aut.known_ptr.tolist() == [0, 1, 2, 3]
+
+
+class PerNodeDvb2(Dvb2Automaton):
+    """Reference phase: each inviter's target and each invitee's chosen
+    inviter are one scalar rng.integers call per node, in ascending node
+    order, over the per-node tuples of heard ids."""
+
+    def phase(self):
+        n = self.graph.node_count
+        y = self.params.y_slots
+        ids = self.ids
+        rng = self.rng
+        neighbor_ids = self.neighbor_ids
+        inviter = rng.random(n) < INVITE_PROB
+
+        target = np.zeros(n, dtype=np.int64)
+        for i in np.flatnonzero(inviter):
+            known = neighbor_ids[i]
+            if known:
+                target[i] = known[rng.integers(len(known))]
+
+        senders = np.flatnonzero(target)
+        grid = (ids[senders] - 1) * y + target[senders] - 1
+        slots, heard = yield from self._send(grid, senders, y * y)
+        j1, j2 = np.divmod(slots, y)
+        invited = heard & ~inviter & (ids == j2[:, None] + 1)
+
+        chosen = np.zeros(n, dtype=np.int64)
+        for i in np.flatnonzero(invited.any(axis=0)):
+            ids_heard = j1[invited[:, i]] + 1
+            chosen[i] = ids_heard[rng.integers(len(ids_heard))]
+        invitee = chosen > 0
+        invitees = np.flatnonzero(invitee)
+        slots, heard = yield from self._send(chosen[invitees] - 1, invitees, y)
+        accepted = (heard & inviter & (ids == slots[:, None] + 1)).any(axis=0)
+
+        inviters = np.flatnonzero(accepted)
+        recv_set, recv_val = yield from self._exchange(
+            inviters, ids[inviters], self.value_sets[inviters], self.values[inviters],
+            invitee, chosen,
+        )
+        s1, s2, m1, m2 = dmvr(
+            self.value_sets[invitees], recv_set[invitees],
+            self.values[invitees], recv_val[invitees], rng,
+        )
+        self.value_sets[invitees] = s1
+        self.values[invitees] = m1
+        recv_set, recv_val = yield from self._exchange(
+            invitees, chosen[invitees], s2, m2, accepted, ids
+        )
+        self.value_sets[inviters] = recv_set[inviters]
+        took = accepted & (recv_val > 0)
+        self.values[took] = recv_val[took]
+
+
+def run_both_phases(graph, params, values, ids, seed, max_phases):
+    """The vectorised and the per-node automaton on the same input,
+    seed and ids, each driven to the end; returns both automata and
+    both drive_schedule results."""
+    out = []
+    for cls in (Dvb2Automaton, PerNodeDvb2):
+        aut = cls(graph, params, LevelAssignment(values, params.level_count),
+                  np.random.default_rng(seed), max_phases)
+        aut.ids = np.array(ids, dtype=np.int64)
+        out.append((aut, drive_schedule(graph, aut.schedule())))
+    return out
+
+
+def assert_same_runs(runs):
+    (aut, got), (ref, want) = runs
+    assert got == want
+    assert np.array_equal(aut.values, ref.values)
+    assert np.array_equal(aut.value_sets, ref.value_sets)
+    assert aut.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.floats(0.0, 0.7),
+    k=st.sampled_from([2, 3]),
+    y=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_vectorised_phase_matches_per_node_reference(n, p, k, y, seed):
+    """One rng.integers call over all inviters, and one over all
+    invitees, leave the run where the per-node calls do: same memories,
+    value sets and generator state.  Ids drawn from 1..y with y <= 6
+    collide often, so nodes hear several inviters, merged ids, or none."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
+    graph = graph_from_adjacency(adj | adj.T)
+    params = Dvb2Params(level_count=k, d_sched=hop_bound(graph, "exact"), y_slots=y)
+    values = rng.integers(1, k + 1, size=n)
+    ids = rng.integers(1, y + 1, size=n)
+    assert_same_runs(run_both_phases(graph, params, values, ids, seed, max_phases=6))
+
+
+def test_vectorised_phase_matches_reference_when_no_id_is_heard():
+    # on a path with ids [5, 5, 5] every node beeps in slot 5 of discovery,
+    # so none hears an id and no node can invite
+    path = graph_from_edges(3, [(0, 1), (1, 2)])
+    params = Dvb2Params(level_count=2, d_sched=2, y_slots=6)
+    runs = run_both_phases(path, params, [1, 2, 1], [5, 5, 5], seed=610, max_phases=4)
+    assert runs[0][0].neighbor_ids == [(), (), ()]
+    assert runs[0][0].phases_elapsed() == 4
+    assert_same_runs(runs)
+
+
+def test_array_bounds_draw_as_scalar_calls():
+    # Dvb2Automaton.phase relies on this numpy behaviour: rng.integers(0, highs)
+    # draws what one rng.integers(h) call per element, in order, would, and
+    # leaves the generator in the same state; a bound of 1 draws nothing
+    source = np.random.default_rng(611)
+    for seed in range(300):
+        highs = source.integers(1, 40, size=seed % 14)
+        highs[::3] = 1
+        vec, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert vec.integers(0, highs).tolist() == [ref.integers(int(h)) for h in highs]
+        assert vec.bit_generator.state == ref.bit_generator.state
+    rng = np.random.default_rng(612)
+    before = rng.bit_generator.state
+    assert rng.integers(0, np.ones(7, dtype=np.int64)).tolist() == [0] * 7
+    assert rng.bit_generator.state == before
 
 
 def merge_sets(set1, set2, mem1, mem2, rng):
