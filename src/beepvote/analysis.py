@@ -28,6 +28,8 @@ from scipy import stats
 # state and visits every state in a Python loop; past this many states it
 # would take gigabytes and minutes, so it refuses
 MAX_MARKOV_STATES = 10**6
+# sample_success raises if some sample has not halted after this many rounds
+MAX_SAMPLE_ROUNDS = 10_000
 
 
 def prop1_rounds(n: int, epsilon: float) -> int:
@@ -38,12 +40,6 @@ def prop1_rounds(n: int, epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     return math.ceil(math.log2(n / epsilon))
-
-
-@dataclass(frozen=True)
-class StateClass:
-    kind: str  # "transient" | "win" | "draw"
-    level: int | None = None  # 1-based winning level for kind == "win"
 
 
 def _count_vector(counts) -> np.ndarray:
@@ -67,31 +63,6 @@ def halting(alive) -> np.ndarray:
     c3 = order[..., 2] if k > 2 else none
     win = (c1 > 0) & ((c2 == 0) | ((c1 >= 2) & (c2 == 1) & (c3 == 0)))
     return np.where(c1 == 0, k, np.where(win, alive.argmax(axis=-1), -1))
-
-
-def classify(counts) -> StateClass:
-    """Halting classification of an alive-count vector."""
-    counts = _count_vector(counts)
-    h = int(halting(counts))
-    if h == len(counts):
-        return StateClass("draw")
-    if h >= 0:
-        return StateClass("win", h + 1)
-    return StateClass("transient")
-
-
-def transition_prob(counts_from, counts_to, p: float = 0.5) -> float:
-    """One-round probability that the alive counts thin from counts_from
-    to counts_to (independent survival with probability p per node)."""
-    a = np.asarray(counts_from, dtype=np.int64)
-    b = np.asarray(counts_to, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValueError("count vectors must have equal length")
-    if classify(a).kind != "transient":
-        raise ValueError("transitions are only defined from transient states")
-    if (b < 0).any() or (b > a).any():
-        return 0.0
-    return float(np.prod(stats.binom.pmf(b, a, p)))
 
 
 @dataclass(frozen=True)
@@ -145,9 +116,7 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
 
 
-def sample_success(
-    counts, p: float = 0.5, samples: int = 10**6, seed=0, max_rounds: int = 10_000
-) -> MarkovResult:
+def sample_success(counts, p: float = 0.5, samples: int = 10**6, seed=0) -> MarkovResult:
     """Monte-Carlo estimate of the same absorption probabilities by
     simulating the thinning process directly.  It shares only the
     `halting` rule with markov_success; used to cross-check it."""
@@ -158,7 +127,7 @@ def sample_success(
     win = np.zeros(k, dtype=np.int64)
     draw = 0
     active = np.arange(samples)
-    for _ in range(max_rounds):
+    for _ in range(MAX_SAMPLE_ROUNDS):
         h = halting(alive[active])
         win += np.bincount(h[(h >= 0) & (h < k)], minlength=k)
         draw += int((h == k).sum())
@@ -167,18 +136,18 @@ def sample_success(
             break
         alive[active] = rng.binomial(alive[active], p)
     if len(active):
-        raise RuntimeError("absorption not reached within max_rounds")
+        raise RuntimeError(f"absorption not reached within {MAX_SAMPLE_ROUNDS} rounds")
     return MarkovResult(win_prob=win / samples, draw_prob=draw / samples)
 
 
-def lower_bound_two_event(counts, p: float = 0.5, r_max: int | None = None) -> float:
+def lower_bound_two_event(counts, p: float = 0.5) -> float:
     """Lower bound on one-phase success for the strict plurality level.
 
     For each round horizon r it combines the chance that at least two
     plurality nodes outlive round r with the chance that every other
     level is down to at most one straggler by then (plus the boundary
     term where the plurality itself is the single survivor), and takes
-    the best horizon r in 0..r_max.
+    the best horizon r in 0..prop1_rounds(N, 1e-6).
     """
     counts = _count_vector(counts)
     if counts.sum() < 1:
@@ -190,8 +159,7 @@ def lower_bound_two_event(counts, p: float = 0.5, r_max: int | None = None) -> f
     if len(winners) != 1:
         raise ValueError("counts must have a strict plurality level")
     m = int(winners[0])
-    if r_max is None:
-        r_max = prop1_rounds(int(counts.sum()), 1e-6)
+    r_max = prop1_rounds(int(counts.sum()), 1e-6)
     n_m = int(counts[m])
     others = np.delete(counts, m).astype(np.float64)
     best = 0.0

@@ -20,6 +20,7 @@ from .dvb1 import C1_DEFAULT, SURVIVAL_PROB
 from .dvb2 import C2_DEFAULT, ID_MODES
 from .harness import (
     ALGOS,
+    LEVELS,
     TOPOLOGY_NAMES,
     ExperimentConfig,
     emit,
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--topology", default="complete", choices=TOPOLOGY_NAMES)
         p.add_argument("--nodes", type=int, default=100)
-        p.add_argument("--levels", type=int, default=2)
+        p.add_argument("--levels", type=int, choices=LEVELS, default=2)
         p.add_argument("--delta", type=float, default=0.7)
         p.add_argument("--seed", type=int, default=0)
 
@@ -67,12 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "markov", help="exact one-phase success on the fully connected graph"
     )
     p_markov.add_argument("--nodes", type=int, default=100)
-    p_markov.add_argument("--levels", type=int, choices=(2, 3), default=2)
+    p_markov.add_argument("--levels", type=int, choices=LEVELS, default=2)
     p_markov.add_argument("--deltas", type=float, nargs="+", required=True)
 
     p_bounds = sub.add_parser("bounds", help="analytic lower-bound tables")
     p_bounds.add_argument("--nodes", type=int, default=100)
-    p_bounds.add_argument("--levels", type=int, choices=(2, 3), default=2)
+    p_bounds.add_argument("--levels", type=int, choices=LEVELS, default=2)
     p_bounds.add_argument("--deltas", type=float, nargs="+", required=True)
     p_bounds.add_argument("--epsilon", type=float, default=0.1)
 

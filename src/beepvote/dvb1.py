@@ -79,43 +79,6 @@ def dvb1_params(
     )
 
 
-def corrosion_phase_schedule(values, allowed, params, rng):
-    """Slot-event generator for one corrosion phase, mutating values and
-    allowed in place.
-
-    Each round is one block of K slots, known when the round starts: a
-    survival coin only silences its own node, so it cannot change who
-    beeps in a later slot of the same round.  Coins are drawn for the
-    beepers in level order, and in node order within a level, as a
-    slot-by-slot run draws them.  The reply rows are the per-level hear
-    flags.  Once every node is dead the rest of the phase provably
-    changes nothing (no beeps, hence no flags, hence no adoptions) and
-    is fast-forwarded.
-
-    Returns the 1-based round index at whose end all nodes were dead,
-    or None if some node could still beep when the phase ended.
-    """
-    level_count = params.level_count
-    rounds = params.rounds_per_phase
-    death = 1.0 - SURVIVAL_PROB
-    levels = np.arange(1, level_count + 1)[:, None]
-    allowed[:] = True
-    for j in range(rounds):
-        beeps = (values == levels) & allowed
-        _, beepers = np.nonzero(beeps)  # level order, then node order
-        allowed[beepers[rng.random(len(beepers)) < death]] = False
-        flags = (yield SlotRequest(beeps)).T
-        adopters = flags.sum(axis=1) == 1
-        if adopters.any():
-            values[adopters] = flags[adopters].argmax(axis=1) + 1
-        if not allowed.any():
-            remaining = (rounds - j - 1) * level_count
-            if remaining:
-                yield FastForward(remaining)
-            return j + 1
-    return None
-
-
 @dataclass(frozen=True)
 class TerminationOutcome:
     flags: tuple
@@ -144,12 +107,45 @@ def termination_detection(
 
 
 class Dvb1Automaton(PhasedVoting):
-    """All-node lockstep automaton for a full DVB1 run."""
+    """All-node lockstep automaton for a full DVB1 run.
+
+    `allowed` marks the nodes that may still beep in the current phase."""
 
     def phase(self):
-        """One corrosion phase; returns its all-dead round."""
-        allowed = np.ones(self.graph.node_count, dtype=bool)
-        return (yield from corrosion_phase_schedule(self.values, allowed, self.params, self.rng))
+        """Slot events of one corrosion phase, updating values and allowed.
+
+        Each round is one block of K slots, known when the round starts: a
+        survival coin only silences its own node, so it cannot change who
+        beeps in a later slot of the same round.  Coins are drawn for the
+        beepers in level order, and in node order within a level, as a
+        slot-by-slot run draws them.  The reply rows are the per-level hear
+        flags.  Once every node is dead the rest of the phase provably
+        changes nothing (no beeps, hence no flags, hence no adoptions) and
+        is fast-forwarded.
+
+        Returns the 1-based round index at whose end all nodes were dead,
+        or None if some node could still beep when the phase ended.
+        """
+        values = self.values
+        level_count = self.params.level_count
+        rounds = self.params.rounds_per_phase
+        death = 1.0 - SURVIVAL_PROB
+        levels = np.arange(1, level_count + 1)[:, None]
+        self.allowed = allowed = np.ones(self.graph.node_count, dtype=bool)
+        for j in range(rounds):
+            beeps = (values == levels) & allowed
+            _, beepers = np.nonzero(beeps)  # level order, then node order
+            allowed[beepers[self.rng.random(len(beepers)) < death]] = False
+            flags = (yield SlotRequest(beeps)).T
+            adopters = flags.sum(axis=1) == 1
+            if adopters.any():
+                values[adopters] = flags[adopters].argmax(axis=1) + 1
+            if not allowed.any():
+                remaining = (rounds - j - 1) * level_count
+                if remaining:
+                    yield FastForward(remaining)
+                return j + 1
+        return None
 
 
 def dvb1_run(

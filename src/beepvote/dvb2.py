@@ -128,9 +128,13 @@ def assign_ids(
         candidate = 1
         while candidate in taken:
             candidate += 1
-        if candidate > y_slots:
-            raise ValueError("id space too small for locally unique ids")
         ids[i] = candidate
+    # a node's greedy colour does not depend on y_slots, so one check suffices
+    if ids.max() > y_slots:
+        raise ValueError(
+            f"id space too small for locally unique ids: Y = {y_slots}, "
+            f"the distance-2 colouring needs Y = {ids.max()}"
+        )
     return ids
 
 
@@ -164,10 +168,9 @@ class Dvb2Automaton(PhasedVoting):
     """All-node lockstep automaton for a full DVB2 run.
 
     Exposes ids, the CSR table of ids heard in discovery (`known`,
-    `known_ptr`, read per node as `neighbor_ids`), the (N, K) bool
-    value-set matrix `value_sets` (row i, column k-1: level k is in node
-    i's set), and memories for inspection; the memories are the
-    protocol's reported `values`.
+    `known_ptr`), the (N, K) bool value-set matrix `value_sets` (row i,
+    column k-1: level k is in node i's set), and memories for
+    inspection; the memories are the protocol's reported `values`.
     """
 
     def __init__(
@@ -185,16 +188,6 @@ class Dvb2Automaton(PhasedVoting):
         # node i's are known[known_ptr[i]:known_ptr[i + 1]]
         self.known = np.zeros(0, dtype=np.int64)
         self.known_ptr = np.zeros(graph.node_count + 1, dtype=np.int64)
-
-    @property
-    def neighbor_ids(self) -> list[tuple[int, ...]]:
-        """Per node, the ids it heard in discovery, ascending."""
-        ptr = self.known_ptr.tolist()
-        return [tuple(self.known[a:b].tolist()) for a, b in zip(ptr[:-1], ptr[1:])]
-
-    def level_multiset(self) -> np.ndarray:
-        """Per-level membership count over all value sets."""
-        return self.value_sets.sum(axis=0)
 
     def _send(self, offsets, nodes, stage_len):
         """Run one block of stage_len slots in which node nodes[i] beeps in
@@ -227,14 +220,13 @@ class Dvb2Automaton(PhasedVoting):
         recv_val = (heard_cols[:, k_levels:] * np.arange(1, k_levels + 1)).max(axis=1)
         return heard_cols[:, :k_levels], recv_val
 
-    def _discovery(self):
+    def setup(self):
+        """Discovery: each node beeps in its id's slot of one Y-slot block."""
         n = self.graph.node_count
         slots, heard = yield from self._send(self.ids - 1, np.arange(n), self.params.y_slots)
         _, slot = np.nonzero(heard.T)  # node order, then ascending slot
         self.known = slots[slot] + 1
         self.known_ptr = np.concatenate([[0], np.cumsum(heard.sum(axis=0))])
-
-    setup = _discovery
 
     def phase(self):
         n = self.graph.node_count

@@ -68,12 +68,16 @@ class TrialResult:
 
     final_values: tuple
     success: bool | None
-    terminated: bool
     phases_elapsed: int
     consensus_phase: int | None
     slots_elapsed: int
     total_beeps: int
     status: str
+
+    @property
+    def terminated(self) -> bool:
+        """Only a silent termination wave completes a run."""
+        return self.status == "completed"
 
 
 def step(graph: Graph, beeps: np.ndarray) -> np.ndarray:
@@ -310,11 +314,10 @@ class PhasedVoting:
         return None if self.plurality is None else bool((self.values == self.plurality).all())
 
     def result(self, slots: int, beeps: int, status: str) -> TrialResult:
-        """The TrialResult for what `run` returned; only a silent wave completes."""
+        """The TrialResult for what `run` returned."""
         return TrialResult(
             final_values=tuple(self.values.tolist()),
             success=self.success(),
-            terminated=status == "completed",
             phases_elapsed=self._phases,
             consensus_phase=self._consensus,
             slots_elapsed=slots,

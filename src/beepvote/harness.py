@@ -41,17 +41,18 @@ from .topology import (
 
 TOPOLOGY_NAMES = ("complete", "mesh2d", "erdos_renyi")
 ALGOS = ("dvb1", "dvb2")
+LEVELS = (2, 3)  # the level counts delta_fractions parameterizes
 
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    p = successes / trials
+    p, z = successes / trials, Z95
     denom = 1.0 + z * z / trials
     center = p + z * z / (2 * trials)
     spread = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials))
@@ -72,21 +73,13 @@ def delta_fractions(level_count: int, delta: float) -> tuple[float, ...]:
         if not 0.0 <= delta < 1.0 / 3.0:
             raise ValueError("ternary delta must lie in [0, 1/3)")
         return (2.0 / 3.0 - delta, 1.0 / 3.0, delta)
-    raise ValueError("delta parameterization covers 2 or 3 levels; pass fractions")
+    raise ValueError("delta parameterization covers 2 or 3 levels")
 
 
-def level_counts(
-    n: int, level_count: int, delta: float | None, fractions=None
-) -> tuple[int, ...]:
-    """Per-level node counts from level fractions (given, or from delta):
-    each level gets the floor of its share, the majority level the
-    remainder."""
-    if fractions is None:
-        fractions = delta_fractions(level_count, delta)
-    if len(fractions) != level_count:
-        raise ValueError("need one fraction per level")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+def level_counts(n: int, level_count: int, delta: float) -> tuple[int, ...]:
+    """Per-level node counts from the delta fractions: each level gets
+    the floor of its share, the majority level the remainder."""
+    fractions = delta_fractions(level_count, delta)
     counts = [int(math.floor(f * n + 1e-9)) for f in fractions]
     majority = max(range(level_count), key=lambda i: fractions[i])
     counts[majority] += n - sum(counts)
@@ -94,14 +87,10 @@ def level_counts(
 
 
 def make_assignment(
-    n: int,
-    level_count: int,
-    delta: float | None,
-    rng: np.random.Generator,
-    fractions=None,
+    n: int, level_count: int, delta: float, rng: np.random.Generator
 ) -> LevelAssignment:
     """`level_counts`, shuffled uniformly over node indices."""
-    counts = level_counts(n, level_count, delta, fractions)
+    counts = level_counts(n, level_count, delta)
     top = sorted(counts, reverse=True)
     if len(top) > 1 and top[0] == top[1]:
         raise ValueError("no strict plurality after rounding")
@@ -146,6 +135,8 @@ class ExperimentConfig:
             raise ValueError("format must be csv or json")
         if self.max_phases is not None and self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
+        if self.levels not in LEVELS:
+            raise ValueError(f"levels must be one of {LEVELS}")
         if not self.deltas:
             grid = (
                 [0.55 + 0.05 * i for i in range(9)]

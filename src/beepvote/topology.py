@@ -155,13 +155,6 @@ def hop_bound(graph: Graph, d_mode: str) -> int:
     return max(1, graph.diameter if d_mode == "exact" else graph.node_count)
 
 
-def is_connected(adj: csr_array) -> bool:
-    if adj.shape[0] <= 1:
-        return True
-    n_comp, _ = connected_components(adj, directed=False)
-    return n_comp == 1
-
-
 def exact_diameter(adj: csr_array) -> int:
     """Hop diameter via all-pairs BFS.  Raises on a disconnected graph."""
     n = adj.shape[0]
@@ -235,7 +228,7 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
         for _ in range(ER_RETRY_LIMIT):
             mask = rng.random(len(iu[0])) < p
             adj = _symmetric_csr(n, iu[0][mask], iu[1][mask])
-            if is_connected(adj):
+            if connected_components(adj, directed=False)[0] == 1:
                 return Graph(adj, exact_diameter(adj))
         raise ValueError("connectivity retry limit exceeded")
 

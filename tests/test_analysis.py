@@ -9,7 +9,6 @@ import pytest
 from scipy import stats
 
 from beepvote.analysis import (
-    classify,
     corollary_ratio,
     halting,
     lower_bound_closed,
@@ -17,7 +16,6 @@ from beepvote.analysis import (
     markov_success,
     prop1_rounds,
     sample_success,
-    transition_prob,
 )
 
 
@@ -89,36 +87,36 @@ def test_corollary_ratio_finite_near_one():
     assert 0.0 < value < 0.01
 
 
-def test_classify():
-    assert classify((3, 0)).kind == "win"
-    assert classify((3, 0)).level == 1
-    assert classify((0, 0)).kind == "draw"
-    assert classify((1, 1)).kind == "transient"
-    assert classify((5, 1)).kind == "win"
-    assert classify((5, 1)).level == 1
-    assert classify((1, 5)).level == 2
-    assert classify((2, 1, 1)).kind == "transient"
+def test_halting_examples():
+    # the 0-based winning level, K for a draw, -1 for a transient state
+    assert halting((3, 0)) == 0
+    assert halting((0, 0)) == 2
+    assert halting((1, 1)) == -1
+    assert halting((5, 1)) == 0
+    assert halting((1, 5)) == 1
+    assert halting((2, 1, 1)) == -1
 
 
-def test_halting_is_classify_along_the_last_axis():
+def _halting_by_rule(alive):
+    """The halting rule written out for one alive-count vector."""
+    survivors = [i for i, c in enumerate(alive) if c]
+    if not survivors:
+        return len(alive)
+    if len(survivors) == 1:
+        return survivors[0]
+    big = [i for i in survivors if alive[i] >= 2]
+    if len(survivors) == 2 and len(big) == 1:  # the other level has one survivor
+        return big[0]
+    return -1
+
+
+def test_halting_vectorises_along_the_last_axis():
     grid = np.moveaxis(np.indices((4, 3, 3)), 0, -1)
     kind = halting(grid)
     assert kind.shape == (4, 3, 3)
     for state in np.ndindex(4, 3, 3):
-        cls = classify(state)
-        if cls.kind == "win":
-            assert kind[state] == cls.level - 1
-        else:
-            assert kind[state] == {"draw": 3, "transient": -1}[cls.kind]
+        assert kind[state] == halting(state) == _halting_by_rule(state)
     assert halting((0,)) == 1 and halting((4,)) == 0
-
-
-def test_transition_examples():
-    assert transition_prob((2, 2), (1, 1), 0.5) == pytest.approx(0.25)
-    assert transition_prob((2, 2), (2, 2), 0.5) == pytest.approx(0.5**4)
-    assert transition_prob((1, 1), (2, 1), 0.5) == 0.0
-    with pytest.raises(ValueError):
-        transition_prob((3, 1), (2, 1), 0.5)  # source is already a win state
 
 
 def test_markov_tie_splits_in_thirds():

@@ -125,3 +125,13 @@ def test_spots_rejects_protocol_flags(flag, capsys):
     with pytest.raises(SystemExit):
         main(["spots", "--nodes", "9"] + flag)
     capsys.readouterr()
+
+
+def test_levels_outside_the_delta_grid_rejected(capsys):
+    # the delta parameterization covers 2 or 3 levels, so argparse refuses
+    # any other count before a graph is built
+    for argv in (["run", "--levels", "4"], ["spots", "--levels", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -9,8 +9,8 @@ import pytest
 
 from beepvote.analysis import lower_bound_two_event
 from beepvote.dvb1 import (
+    Dvb1Automaton,
     Dvb1Params,
-    corrosion_phase_schedule,
     dvb1_params,
     dvb1_run,
     one_phase,
@@ -31,6 +31,13 @@ def slot_rows(event):
     for r, offset in enumerate(offsets):
         rows[offset] = r
     return rows
+
+
+def binary_phase(graph, values, rng):
+    """A DVB1 automaton over values at K = 2 and its first phase's
+    slot-event generator."""
+    aut = Dvb1Automaton(graph, dvb1_params(graph, 2), LevelAssignment(values, 2), rng, 1)
+    return aut, aut.phase()
 
 
 def pump_rounds(graph, gen, slots):
@@ -59,22 +66,16 @@ def test_two_node_round_swaps_values():
     # both nodes are alive in round 1, so each hears exactly the other's
     # level and adopts it, whatever the survival coins say
     g = build(Complete(2))
-    params = dvb1_params(g, 2)
-    values = np.array([1, 2])
-    allowed = np.ones(2, dtype=bool)
-    gen = corrosion_phase_schedule(values, allowed, params, np.random.default_rng(0))
-    pump_rounds(g, gen, params.level_count)
-    assert values.tolist() == [2, 1]
+    aut, gen = binary_phase(g, [1, 2], np.random.default_rng(0))
+    pump_rounds(g, gen, 2)
+    assert aut.values.tolist() == [2, 1]
 
 
 def test_minority_node_adopts_majority_level():
     g = build(Complete(3))
-    params = dvb1_params(g, 2)
-    values = np.array([1, 1, 2])
-    allowed = np.ones(3, dtype=bool)
-    gen = corrosion_phase_schedule(values, allowed, params, np.random.default_rng(0))
-    pump_rounds(g, gen, params.level_count)
-    assert values.tolist() == [1, 1, 1]
+    aut, gen = binary_phase(g, [1, 1, 2], np.random.default_rng(0))
+    pump_rounds(g, gen, 2)
+    assert aut.values.tolist() == [1, 1, 1]
 
 
 def test_single_node_phase_changes_nothing():
@@ -96,12 +97,9 @@ RING = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 4)]
 
 def test_dead_nodes_stay_silent():
     g = graph_from_edges(8, RING)
-    params = dvb1_params(g, 2)
     rng = np.random.default_rng(21)
     for _ in range(10):
-        values = rng.integers(1, 3, size=8)
-        allowed = np.ones(8, dtype=bool)
-        gen = corrosion_phase_schedule(values, allowed, params, rng)
+        aut, gen = binary_phase(g, rng.integers(1, 3, size=8), rng)
         dead = np.zeros(8, dtype=bool)
         reply = None
         while True:
@@ -115,7 +113,7 @@ def test_dead_nodes_stay_silent():
             for beeps in event.beeps:
                 assert not (beeps & dead).any()
                 # allowed already reflects this round's survival coins
-                dead |= beeps & ~allowed
+                dead |= beeps & ~aut.allowed
             reply = g.activity(event.beeps)
 
 
@@ -125,12 +123,10 @@ def test_value_changes_obey_flags():
     # The adoption runs when the generator resumes, so each completed
     # round is checked right before the next event (or at exhaustion).
     g = graph_from_edges(8, RING)
-    params = dvb1_params(g, 2)
     rng = np.random.default_rng(22)
     for _ in range(5):
-        values = rng.integers(1, 3, size=8)
-        allowed = np.ones(8, dtype=bool)
-        gen = corrosion_phase_schedule(values, allowed, params, rng)
+        aut, gen = binary_phase(g, rng.integers(1, 3, size=8), rng)
+        values = aut.values  # the phase updates it in place
         prev = values.copy()
         flags = np.zeros((8, 2), dtype=bool)
         pending = None

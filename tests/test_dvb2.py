@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beepvote.dvb2 import (
@@ -13,7 +13,7 @@ from beepvote.dvb2 import (
     dvb2_run,
     id_space,
 )
-from beepvote.engine import FastForward, drive_schedule
+from beepvote.engine import FastForward, drive_schedule, run, slot_budget
 from beepvote.topology import (
     Complete,
     LevelAssignment,
@@ -131,18 +131,42 @@ def test_unique_ids_need_enough_space():
         assign_ids(g, 3, "preassigned_unique", np.random.default_rng(0))
 
 
+def test_too_small_id_space_names_the_y_it_needs():
+    # the greedy distance-2 colouring of a 5x5 mesh takes 7 ids, but
+    # c2 = 0.01 sizes Y at Delta + 1 = 5; a node's colour does not depend
+    # on Y, so every Y below 7 fails the same way
+    g = build(Mesh2D(5, 5))
+    params = dvb2_params(g, 2, c2=0.01, id_mode="preassigned_unique")
+    assert params.y_slots == 5
+    asg = LevelAssignment([1] * 13 + [2] * 12, 2)
+    with pytest.raises(ValueError, match="Y = 5, the distance-2 colouring needs Y = 7"):
+        dvb2_run(g, asg, params, seed=0)
+    for y in (1, 6):
+        with pytest.raises(ValueError, match=f"Y = {y}, .* needs Y = 7$"):
+            assign_ids(g, y, "preassigned_unique", np.random.default_rng(0))
+    assert assign_ids(g, 7, "preassigned_unique", np.random.default_rng(0)).max() == 7
+
+
+def heard_ids(aut):
+    """Per node, the ids it heard in discovery, ascending: the CSR table
+    rows known[known_ptr[i]:known_ptr[i + 1]] as tuples."""
+    ptr = aut.known_ptr.tolist()
+    return [tuple(aut.known[a:b].tolist()) for a, b in zip(ptr[:-1], ptr[1:])]
+
+
 def test_discovery_star():
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     params = dvb2_params(star, 2, id_mode="preassigned_unique")
     aut = Dvb2Automaton(star, params, LevelAssignment([1, 1, 2, 2], 2),
                         np.random.default_rng((601,)), max_phases=1)
-    slots, _, _ = drive_schedule(star, aut._discovery())
+    slots, _, _ = drive_schedule(star, aut.setup())
     assert slots == params.y_slots
+    heard = heard_ids(aut)
     # the hub's heard ids, ascending: the order a phase's draw indexes
-    assert aut.neighbor_ids[0] == tuple(sorted(int(i) for i in aut.ids[1:]))
-    assert len(set(aut.neighbor_ids[0])) == 3
+    assert heard[0] == tuple(sorted(int(i) for i in aut.ids[1:]))
+    assert len(set(heard[0])) == 3
     for leaf in (1, 2, 3):
-        assert aut.neighbor_ids[leaf] == (int(aut.ids[0]),)
+        assert heard[leaf] == (int(aut.ids[0]),)
 
 
 def test_discovery_merges_equal_ids():
@@ -151,10 +175,7 @@ def test_discovery_merges_equal_ids():
     aut = Dvb2Automaton(path3, params, LevelAssignment([1, 1, 2], 2),
                         np.random.default_rng((602,)), max_phases=1)
     aut.ids = np.array([5, 7, 7])
-    drive_schedule(path3, aut._discovery())
-    assert aut.neighbor_ids[0] == (7,)
-    assert aut.neighbor_ids[1] == (5,)
-    # the CSR table behind neighbor_ids: node i's ids are known[ptr[i]:ptr[i + 1]]
+    drive_schedule(path3, aut.setup())
     assert aut.known.tolist() == [7, 5, 5]
     assert aut.known_ptr.tolist() == [0, 1, 2, 3]
 
@@ -169,7 +190,7 @@ class PerNodeDvb2(Dvb2Automaton):
         y = self.params.y_slots
         ids = self.ids
         rng = self.rng
-        neighbor_ids = self.neighbor_ids
+        neighbor_ids = heard_ids(self)
         inviter = rng.random(n) < INVITE_PROB
 
         target = np.zeros(n, dtype=np.int64)
@@ -262,7 +283,7 @@ def test_vectorised_phase_matches_reference_when_no_id_is_heard():
     path = graph_from_edges(3, [(0, 1), (1, 2)])
     params = Dvb2Params(level_count=2, d_sched=2, y_slots=6)
     runs = run_both_phases(path, params, [1, 2, 1], [5, 5, 5], seed=610, max_phases=4)
-    assert runs[0][0].neighbor_ids == [(), (), ()]
+    assert heard_ids(runs[0][0]) == [(), (), ()]
     assert runs[0][0].phases_elapsed() == 4
     assert_same_runs(runs)
 
@@ -440,3 +461,53 @@ def test_max_phases_reported():
     assert res.phases_elapsed == 1
     if not res.terminated:
         assert res.status == "max_phases_exceeded"
+
+
+def assert_singleton_invariant(aut, surplus):
+    """Interval consensus at K = 2 (Benezit et al., ICASSP 2009): over the
+    singleton value sets, #{1} - #{2} stays n_1 - n_2, and each singleton
+    set's holder has the set's value in memory."""
+    single = aut.value_sets.sum(axis=1) == 1
+    sets = aut.value_sets[single]
+    assert int(sets[:, 0].sum()) - int(sets[:, 1].sum()) == surplus
+    assert np.array_equal(aut.values[single], sets.argmax(axis=1) + 1)
+
+
+class SingletonCheckedDvb2(Dvb2Automaton):
+    """Checks the singleton invariant at every phase boundary."""
+
+    surplus = 0
+
+    def phase(self):
+        yield from super().phase()
+        assert_singleton_invariant(self, self.surplus)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.floats(0.0, 0.6),
+    ones=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_binary_unique_id_runs_conserve_the_singleton_surplus(n, p, ones, seed):
+    """With exact handshakes some node keeps the majority value in memory
+    until the end, so a terminated run has always reached the majority."""
+    n1 = ones % (n + 1)
+    assume(2 * n1 != n)
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(1, n), [rng.integers(i) for i in range(1, n)]] = True  # random tree
+    adj |= rng.random((n, n)) < p
+    adj = np.tril(adj, -1)
+    graph = graph_from_adjacency(adj | adj.T)
+    params = dvb2_params(graph, 2, id_mode="preassigned_unique")
+    max_phases = max(400, 40 * params.check_interval)  # dvb2_run's default cap
+    values = rng.permutation([1] * n1 + [2] * (n - n1))
+    aut = SingletonCheckedDvb2(graph, params, LevelAssignment(values, 2), rng, max_phases)
+    aut.surplus = 2 * n1 - n
+    assert_singleton_invariant(aut, aut.surplus)
+    res = aut.result(*run(graph, aut, slot_budget(params, max_phases)))
+    assert_singleton_invariant(aut, aut.surplus)
+    if res.terminated:
+        assert res.success

@@ -71,17 +71,11 @@ def test_make_assignment_shuffles():
 
 
 def test_make_assignment_rejects_ties():
+    # the rounding slack lifts the minority share 2 * (1/2 - 1e-12) to 1,
+    # so two nodes split one and one
     rng = np.random.default_rng(4)
-    with pytest.raises(ValueError):
-        make_assignment(2, 2, None, rng, fractions=(0.5, 0.5))
-
-
-def test_make_assignment_rejects_bad_fractions():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        make_assignment(10, 2, None, rng, fractions=(0.6, 0.6))
-    with pytest.raises(ValueError):
-        make_assignment(10, 2, None, rng, fractions=(0.3, 0.3, 0.4))
+    with pytest.raises(ValueError, match="no strict plurality"):
+        make_assignment(2, 2, 0.5 + 1e-12, rng)
 
 
 def test_wilson_contains_rate():
@@ -167,6 +161,15 @@ def test_config_validation():
         ExperimentConfig(deltas=(0.4,))
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+
+
+def test_config_rejects_level_counts_without_a_delta_grid():
+    for levels in (1, 4):
+        for deltas in ((), (0.2,)):
+            with pytest.raises(ValueError, match=r"levels must be one of \(2, 3\)"):
+                ExperimentConfig(levels=levels, deltas=deltas)
+    with pytest.raises(ValueError, match="levels must be one of"):
+        parse_config("levels = 4\n")
 
 
 def test_mesh_shape():
