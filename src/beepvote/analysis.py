@@ -10,10 +10,11 @@ the first time the counts form a halting pattern:
   draw:    no survivors anywhere.
 
 `halting` is that rule, vectorised; every function below reads it.
-`markov_success` solves the absorption probabilities exactly;
-`sample_success` estimates them by direct simulation and exists as an
-independent cross-check.  The closed-form lower bounds trade tightness
-for speed and are useful for sizing experiments.
+`markov_success` solves the absorption probabilities exactly, one total
+alive count at a time, since every move but the self-loop lowers the
+total; `sample_success` estimates them by direct simulation and exists
+as an independent cross-check.  The closed-form lower bounds trade
+tightness for speed and are useful for sizing experiments.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-# markov_success holds (K + 1) float64 values and K int64 counts per
-# state and visits every state in a Python loop; past this many states it
-# would take gigabytes and minutes, so it refuses
+# markov_success holds (K + 1) float64 values per state plus transient
+# copies of the grid and of one total's box; at this cap that peaks near
+# 210 MB (measured at (99, 99, 99)), so past it the solver refuses before
+# allocating.  It does not bound the binomial tables, (n_k + 1)^2 per level
 MAX_MARKOV_STATES = 10**6
 # sample_success raises if some sample has not halted after this many rounds
 MAX_SAMPLE_ROUNDS = 10_000
@@ -78,13 +80,13 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     """Exact absorption probabilities of the alive-count chain.
 
     Dynamic programming over the grid of states dominated componentwise
-    by the initial counts, in C order: every transition out of a
-    transient state except the self-loop goes to a state it dominates
-    componentwise, which comes earlier in lexicographic order, so each
-    state only needs already-solved ones plus a self-loop
-    renormalization by 1 / (1 - p^total).  The state space has
-    prod(n_k + 1) points, which is fine at desk scale but grows quickly
-    with the level count; above MAX_MARKOV_STATES it raises ValueError.
+    by the initial counts, one total alive count s at a time: every exit
+    from a transient state but the self-loop lowers the total, so the
+    states with total s need only solved ones.  Each total is one
+    vectorised step (one tensordot per axis over the solved box, then a
+    gather and the self-loop factor 1 / (1 - p^s)), at most sum(n_k)
+    steps.  The grid has prod(n_k + 1) states; above MAX_MARKOV_STATES
+    it raises ValueError.
     """
     counts = _count_vector(counts)
     if not 0.0 < p < 1.0:
@@ -105,13 +107,19 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     kind = halting(np.moveaxis(np.indices(shape), 0, -1))
     # halting states hold their one-hot outcome; transient ones start at 0
     value = (kind[..., None] == np.arange(k + 1)).astype(np.float64)
-    for state in np.ndindex(*shape):
-        if kind[state] >= 0:
-            continue
-        sub = value[tuple(slice(0, a + 1) for a in state)]
-        for axis, a in enumerate(state):
-            sub = np.tensordot(pmfs[axis][a, : a + 1], sub, axes=(0, 0))
-        value[state] = sub / (1.0 - p ** sum(state))
+    transient = np.argwhere(kind < 0)
+    totals = transient.sum(axis=1)
+    for total in np.unique(totals):
+        states = transient[totals == total]
+        lo, hi = states.min(axis=0), states.max(axis=0)
+        # contract the box under hi with pmf rows lo..hi, one axis per
+        # tensordot (unsolved entries meet zero weights, as P(j > a) = 0);
+        # each appends its row axis, so the outcome axis ends up first
+        box = value[tuple(slice(0, h + 1) for h in hi)]
+        for axis in range(k):
+            rows = pmfs[axis][lo[axis] : hi[axis] + 1, : hi[axis] + 1]
+            box = np.tensordot(box, rows, axes=(0, 1))
+        value[tuple(states.T)] = box[(slice(None), *(states - lo).T)].T / (1.0 - p**total)
     out = value[tuple(int(c) for c in counts)]
     return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
 

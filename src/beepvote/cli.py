@@ -33,6 +33,8 @@ from .harness import (
 )
 from .topology import D_MODES, build, spots
 
+BINARY_DELTA_DEFAULT = 0.7  # ternary deltas lie in [0, 1/3), so no one default fits both
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", default="complete", choices=TOPOLOGY_NAMES)
         p.add_argument("--nodes", type=int, default=100)
         p.add_argument("--levels", type=int, choices=LEVELS, default=2)
-        p.add_argument("--delta", type=float, default=0.7)
+        p.add_argument("--delta", type=float,
+                       help=f"default {BINARY_DELTA_DEFAULT} at --levels 2, required at 3")
         p.add_argument("--seed", type=int, default=0)
 
     p_run = sub.add_parser("run", help="run one trial and print its outcome")
@@ -117,14 +120,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_markov(args) -> int:
-    print("delta,counts,win_majority,draw")
+    # solve every row before printing, so a failing row leaves stdout empty
+    rows = ["delta,counts,win_majority,draw"]
     for delta in args.deltas:
         counts = level_counts(args.nodes, args.levels, delta)
         result = analysis.markov_success(counts, SURVIVAL_PROB)
         majority = max(range(args.levels), key=lambda i: counts[i])
         counts_text = "/".join(str(c) for c in counts)
-        print(f"{delta:.6g},{counts_text},"
-              f"{result.win_prob[majority]:.6g},{result.draw_prob:.6g}")
+        rows.append(f"{delta:.6g},{counts_text},"
+                    f"{result.win_prob[majority]:.6g},{result.draw_prob:.6g}")
+    print("\n".join(rows))
     return 0
 
 
@@ -167,6 +172,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "delta" in args and args.delta is None:
+            if args.levels == 3:
+                raise ValueError("--levels 3 has no default delta; pass --delta in [0, 1/3)")
+            args.delta = BINARY_DELTA_DEFAULT
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

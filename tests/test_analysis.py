@@ -4,9 +4,12 @@ Reference numbers were computed with an independent implementation of each
 formula and by hand where tractable.
 """
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy import stats
 
 from beepvote.analysis import (
     corollary_ratio,
@@ -139,10 +142,13 @@ def test_markov_frozen_values():
 
 
 def test_markov_degenerate_start():
-    for n in (1, 2, 7):
-        res = markov_success((n, 0), 0.5)
-        assert res.win_prob[0] == pytest.approx(1.0)
-        assert res.draw_prob == pytest.approx(0.0)
+    # no transient state, so the loop over totals never runs: the start
+    # state keeps exactly the one-hot outcome halting gives it
+    for counts in [(1, 0), (2, 0), (7, 0), (0, 0), (0,), (1,), (6,), (0, 0, 3)]:
+        res = markov_success(counts, 0.5)
+        probs = np.append(res.win_prob, res.draw_prob)
+        assert np.array_equal(probs, np.eye(len(counts) + 1)[halting(counts)])
+        assert res.total() == 1.0
 
 
 def test_markov_probabilities_sum_to_one():
@@ -172,26 +178,26 @@ def test_sampler_matches_exact_chain():
 
 
 def _sum_ordered_dp(counts, p):
-    """Reference absorption solver: the same recursion, with its own
-    halting rule, visiting states in ascending total order."""
+    """Reference absorption solver in exact rational arithmetic: the same
+    recursion, with its own halting rule, visiting states in ascending
+    total order.  p is taken at the exact value of the float."""
+    p = Fraction(p)
     k = len(counts)
-    pmfs = []
-    for n_i in counts:
-        grid = np.arange(n_i + 1)
-        pmfs.append(stats.binom.pmf(grid[None, :], grid[:, None], p))
-    value = np.zeros(tuple(c + 1 for c in counts) + (k + 1,))
-    for state in sorted(np.ndindex(*[c + 1 for c in counts]), key=sum):
-        order = sorted(state, reverse=True) + [0, 0]
-        if order[0] == 0:
-            value[state + (k,)] = 1.0
+    value = {}
+    for state in sorted(itertools.product(*(range(c + 1) for c in counts)), key=sum):
+        kind = _halting_by_rule(state)
+        if kind >= 0:
+            value[state] = [Fraction(int(i == kind)) for i in range(k + 1)]
             continue
-        if order[1] == 0 or (order[0] >= 2 and order[1] == 1 and order[2] == 0):
-            value[state + (int(np.argmax(state)),)] = 1.0
-            continue
-        sub = value[tuple(slice(0, a + 1) for a in state)]
-        for axis, a in enumerate(state):
-            sub = np.tensordot(pmfs[axis][a, : a + 1], sub, axes=(0, 0))
-        value[state] = sub / (1.0 - p ** sum(state))
+        acc = [Fraction(0)] * (k + 1)
+        for target in itertools.product(*(range(a + 1) for a in state)):
+            if target == state:
+                continue  # the self-loop, folded in below
+            weight = math.prod(
+                math.comb(a, j) * p**j * (1 - p) ** (a - j) for a, j in zip(state, target)
+            )
+            acc = [x + weight * v for x, v in zip(acc, value[target])]
+        value[state] = [x / (1 - p ** sum(state)) for x in acc]
     return value[tuple(counts)]
 
 
@@ -200,8 +206,15 @@ def _sum_ordered_dp(counts, p):
 )
 @pytest.mark.parametrize("p", [0.5, 0.3])
 def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
+    """Every probability lies within 1e-15 of the exact rational chain.
+
+    The name is kept from when the reference was a float DP pinned bit
+    for bit; that pinned one summation order, which a vectorised solve
+    does not keep.  A solver that reads a state before solving it is off
+    by far more than the few-ulp rounding this allows.
+    """
     res = markov_success(counts, p)
     ref = _sum_ordered_dp(counts, p)
-    k = len(counts)
-    assert np.array_equal(res.win_prob, ref[:k])
-    assert res.draw_prob == ref[k]
+    got = [Fraction(x) for x in (*res.win_prob, res.draw_prob)]
+    assert max(abs(g - r) for g, r in zip(got, ref)) <= Fraction(1, 10**15)
+    assert sum(ref) == 1

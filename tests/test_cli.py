@@ -26,10 +26,21 @@ def test_markov_state_count_guard_exits_one(capsys):
     start = time.perf_counter()
     rc = main(["markov", "--nodes", "1000", "--levels", "3", "--deltas", "0.1"])
     elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == 1
     assert err.startswith("error:")
+    assert out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("deltas", [["0.7"], ["0.1", "0.7"]])
+def test_markov_bad_delta_prints_nothing(deltas, capsys):
+    # 0.7 is a binary delta; every row is solved before the header prints
+    rc = main(["markov", "--nodes", "60", "--levels", "3", "--deltas", *deltas])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ternary delta")
 
 
 def test_bounds_command(capsys):
@@ -98,6 +109,21 @@ def test_bad_delta_exits_one(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_binary_delta_defaults_to_0_7(capsys):
+    assert main(["run", "--nodes", "30", "--seed", "5"]) == 0
+    assert "delta=0.7 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "spots"])
+def test_ternary_without_delta_exits_one(command, capsys):
+    # the binary default 0.7 lies outside the ternary range [0, 1/3)
+    rc = main([command, "--nodes", "9", "--levels", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --levels 3 has no default delta; pass --delta in [0, 1/3)\n"
 
 
 def test_missing_config_exits_one(capsys):
