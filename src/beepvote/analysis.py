@@ -12,9 +12,11 @@ the first time the counts form a halting pattern:
 `halting` is that rule, vectorised; every function below reads it.
 `markov_success` solves the absorption probabilities exactly, one total
 alive count at a time, since every move but the self-loop lowers the
-total; `sample_success` estimates them by direct simulation and exists
-as an independent cross-check.  The closed-form lower bounds trade
-tightness for speed and are useful for sizing experiments.
+total; its transition weights are binomial tables that `binomial_table`
+builds in numpy by the exact row recurrence.  `sample_success` estimates
+the same probabilities by direct simulation and exists as an independent
+cross-check.  The closed-form lower bounds trade tightness for speed and
+are useful for sizing experiments.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-# markov_success holds (K + 1) float64 values per state plus transient
-# copies of the grid and of one total's box; at this cap that peaks near
-# 210 MB (measured at (99, 99, 99)), so past it the solver refuses before
-# allocating.  It does not bound the binomial tables, (n_k + 1)^2 per level
+# markov_success refuses, before allocating, counts whose chain has more
+# states than this, or whose binomial tables ((n_k + 1)^2 floats per
+# level) hold more entries in sum.  At the cap the states hold (K + 1)
+# float64 values each plus transient copies of the grid and of one total's
+# box, which peaks near 210 MB (measured at (99, 99, 99)); the tables then
+# take at most 8 MB.
 MAX_MARKOV_STATES = 10**6
 # sample_success raises if some sample has not halted after this many rounds
 MAX_SAMPLE_ROUNDS = 10_000
@@ -42,6 +45,25 @@ def prop1_rounds(n: int, epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     return math.ceil(math.log2(n / epsilon))
+
+
+def binomial_table(n: int, p: float) -> np.ndarray:
+    """(n + 1, n + 1) table of P(Binomial(a, p) = j) at [a, j], 0 for j > a.
+
+    Row a is (1 - p) * row(a - 1) plus p * row(a - 1) shifted one column
+    right: n vector steps, every term non-negative, so no cancellation.
+    1 - p is carried as q + r, q its nearest float and r the exact rest;
+    with q alone the row sums would drift from 1 by up to half an ulp of q
+    per row."""
+    q = 1.0 - p
+    r = (1.0 - q) - p  # the rounding error of q; both subtractions are exact
+    table = np.zeros((n + 1, n + 1))
+    table[0, 0] = 1.0
+    for a in range(1, n + 1):
+        prev = table[a - 1, :a]
+        table[a, :a] = q * prev + r * prev
+        table[a, 1 : a + 1] += p * prev
+    return table
 
 
 def _count_vector(counts) -> np.ndarray:
@@ -85,25 +107,29 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     states with total s need only solved ones.  Each total is one
     vectorised step (one tensordot per axis over the solved box, then a
     gather and the self-loop factor 1 / (1 - p^s)), at most sum(n_k)
-    steps.  The grid has prod(n_k + 1) states; above MAX_MARKOV_STATES
-    it raises ValueError.
+    steps.  The transition weights come from one binomial_table per
+    level, (n_k + 1)^2 entries built by the exact row recurrence.  When the
+    grid's prod(n_k + 1) states or the tables' sum((n_k + 1)^2) entries
+    exceed MAX_MARKOV_STATES it raises ValueError before allocating either.
     """
     counts = _count_vector(counts)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    state_count = math.prod(int(c) + 1 for c in counts)
+    shape = tuple(int(c) + 1 for c in counts)
+    state_count = math.prod(shape)
     if state_count > MAX_MARKOV_STATES:
         raise ValueError(
             f"counts {tuple(int(c) for c in counts)} span {state_count} chain states, "
             f"above the limit of {MAX_MARKOV_STATES}"
         )
+    table_size = sum(s * s for s in shape)
+    if table_size > MAX_MARKOV_STATES:
+        raise ValueError(
+            f"counts {tuple(int(c) for c in counts)} need {table_size} binomial table "
+            f"entries, above the limit of {MAX_MARKOV_STATES}"
+        )
     k = len(counts)
-    # pmfs[i][a, j] = P(Binomial(a, p) = j), rows 0..n_i
-    pmfs = []
-    for n_i in counts:
-        grid = np.arange(n_i + 1)
-        pmfs.append(stats.binom.pmf(grid[None, :], grid[:, None], p))
-    shape = tuple(int(c) + 1 for c in counts)
+    pmfs = [binomial_table(int(n_i), p) for n_i in counts]
     kind = halting(np.moveaxis(np.indices(shape), 0, -1))
     # halting states hold their one-hot outcome; transient ones start at 0
     value = (kind[..., None] == np.arange(k + 1)).astype(np.float64)

@@ -1,10 +1,14 @@
 """End-to-end checks of the command-line entry point via main(argv)."""
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import beepvote
 from beepvote.cli import main
 
 
@@ -31,6 +35,33 @@ def test_markov_state_count_guard_exits_one(capsys):
     assert err.startswith("error:")
     assert out == ""
     assert elapsed < 1.0
+
+
+def test_markov_table_guard_exits_one(capsys):
+    # (0, 999998) passes the state-count guard, but its binomial table
+    # would need about 7 TiB; the oracle must refuse before allocating
+    start = time.perf_counter()
+    rc = main(["markov", "--nodes", "999998", "--deltas", "1.0"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error:")
+    assert out == ""
+    assert elapsed < 1.0
+
+
+def test_package_import_skips_scipy_stats():
+    # a fresh interpreter, since this one may hold scipy.stats via a plugin;
+    # importing it cost every beepvote process most of its start-up
+    src = str(Path(beepvote.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import beepvote, beepvote.cli, beepvote.harness, beepvote.analysis, "
+        "beepvote.dvb1, beepvote.dvb2; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("deltas", [["0.7"], ["0.1", "0.7"]])
