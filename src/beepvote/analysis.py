@@ -14,24 +14,29 @@ the first time the counts form a halting pattern:
 alive count at a time, since every move but the self-loop lowers the
 total; its transition weights are binomial tables that `binomial_table`
 builds in numpy by the exact row recurrence.  `sample_success` estimates
-the same probabilities by direct simulation and exists as an independent
-cross-check.  The closed-form lower bounds trade tightness for speed and
-are useful for sizing experiments.
+the same probabilities by simulation, as a cross-check that shares only
+`halting` and `binomial_table` with the exact solve: it keeps the
+ensemble as distinct alive-count states with a number of copies each,
+so one multinomial draw thins all copies of a state.  Both refuse, with
+the same checks, counts whose chain or tables exceed MAX_MARKOV_STATES.
+The closed-form lower bounds trade tightness for speed and are useful
+for sizing experiments.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# markov_success refuses, before allocating, counts whose chain has more
-# states than this, or whose binomial tables ((n_k + 1)^2 floats per
-# level) hold more entries in sum.  At the cap the states hold (K + 1)
-# float64 values each plus transient copies of the grid and of one total's
-# box, which peaks near 210 MB (measured at (99, 99, 99)); the tables then
-# take at most 8 MB.
+# markov_success and sample_success refuse, before allocating, counts
+# whose chain has more states than this, or whose binomial tables
+# ((n_k + 1)^2 floats per level) hold more entries in sum.  At the cap the
+# states hold (K + 1) float64 values each plus transient copies of the grid
+# and of one total's box, which peaks near 210 MB (measured at
+# (99, 99, 99)); the tables then take at most 8 MB.
 MAX_MARKOV_STATES = 10**6
 # sample_success raises if some sample has not halted after this many rounds
 MAX_SAMPLE_ROUNDS = 10_000
@@ -75,18 +80,43 @@ def _count_vector(counts) -> np.ndarray:
     return counts
 
 
+def _checked_counts(counts, p: float, samples: int = 1) -> np.ndarray:
+    """The count vector, once the inputs markov_success and sample_success
+    share are checked: counts, 0 < p < 1, samples >= 1, and a chain of at
+    most MAX_MARKOV_STATES states whose binomial tables hold at most as
+    many entries.  Raises ValueError before allocating either."""
+    counts = _count_vector(counts)
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    shape = tuple(int(c) + 1 for c in counts)
+    state_count = math.prod(shape)
+    if state_count > MAX_MARKOV_STATES:
+        raise ValueError(
+            f"counts {tuple(int(c) for c in counts)} span {state_count} chain states, "
+            f"above the limit of {MAX_MARKOV_STATES}"
+        )
+    table_size = sum(s * s for s in shape)
+    if table_size > MAX_MARKOV_STATES:
+        raise ValueError(
+            f"counts {tuple(int(c) for c in counts)} need {table_size} binomial table "
+            f"entries, above the limit of {MAX_MARKOV_STATES}"
+        )
+    return counts
+
+
 def halting(alive) -> np.ndarray:
     """Halting rule along the last axis of alive-count vectors: the
-    0-based winning level, K for a draw, or -1 for a transient state."""
+    0-based winning level, K for a draw, or -1 for a transient state.
+    A state is a win when exactly one level has survivors, or exactly two
+    do and exactly one of them is down to 1; the winner is the larger."""
     alive = np.asarray(alive, dtype=np.int64)
     k = alive.shape[-1]
-    order = -np.sort(-alive, axis=-1)
-    none = np.zeros(alive.shape[:-1], dtype=np.int64)
-    c1 = order[..., 0]
-    c2 = order[..., 1] if k > 1 else none
-    c3 = order[..., 2] if k > 2 else none
-    win = (c1 > 0) & ((c2 == 0) | ((c1 >= 2) & (c2 == 1) & (c3 == 0)))
-    return np.where(c1 == 0, k, np.where(win, alive.argmax(axis=-1), -1))
+    levels = (alive > 0).sum(axis=-1)
+    singles = (alive == 1).sum(axis=-1)
+    win = (levels == 1) | ((levels == 2) & (singles == 1))
+    return np.where(levels == 0, k, np.where(win, alive.argmax(axis=-1), -1))
 
 
 @dataclass(frozen=True)
@@ -112,22 +142,8 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     grid's prod(n_k + 1) states or the tables' sum((n_k + 1)^2) entries
     exceed MAX_MARKOV_STATES it raises ValueError before allocating either.
     """
-    counts = _count_vector(counts)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    counts = _checked_counts(counts, p)
     shape = tuple(int(c) + 1 for c in counts)
-    state_count = math.prod(shape)
-    if state_count > MAX_MARKOV_STATES:
-        raise ValueError(
-            f"counts {tuple(int(c) for c in counts)} span {state_count} chain states, "
-            f"above the limit of {MAX_MARKOV_STATES}"
-        )
-    table_size = sum(s * s for s in shape)
-    if table_size > MAX_MARKOV_STATES:
-        raise ValueError(
-            f"counts {tuple(int(c) for c in counts)} need {table_size} binomial table "
-            f"entries, above the limit of {MAX_MARKOV_STATES}"
-        )
     k = len(counts)
     pmfs = [binomial_table(int(n_i), p) for n_i in counts]
     kind = halting(np.moveaxis(np.indices(shape), 0, -1))
@@ -151,27 +167,72 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
 
 
 def sample_success(counts, p: float = 0.5, samples: int = 10**6, seed=0) -> MarkovResult:
-    """Monte-Carlo estimate of the same absorption probabilities by
-    simulating the thinning process directly.  It shares only the
-    `halting` rule with markov_success; used to cross-check it."""
-    counts = _count_vector(counts)
+    """Monte-Carlo estimate of the same absorption probabilities, used to
+    cross-check markov_success: it simulates the thinning process and
+    shares only `halting` and `binomial_table` with the exact solve.
+
+    The ensemble is kept as its distinct alive-count states plus the
+    number of samples in each (`copies`); the histogram of independent
+    chains is itself a Markov chain, so the estimate has the distribution
+    of `samples` chains simulated one by one.  Each round tallies the
+    halting states, thins the rest one level at a time (levels thin
+    independently given the state) and merges equal states.  A state with
+    more copies than the level's support width draws how many copies keep
+    each survivor count in one multinomial over binomial_table rows; any
+    other is drawn copy by copy, so memory stays O(samples * K).  Inputs
+    are checked as markov_success checks them, plus samples >= 1; it
+    raises RuntimeError if some sample has not halted after
+    MAX_SAMPLE_ROUNDS rounds.
+    """
+    samples = operator.index(samples)
+    counts = _checked_counts(counts, p, samples)
+    shape = tuple(int(c) + 1 for c in counts)
     k = len(counts)
+    # columns reversed: numpy's multinomial gives its leftover to the last
+    # column, which must be "0 survivors"; the zero padding then comes first
+    tables = [binomial_table(int(n_i), p)[:, ::-1] for n_i in counts]
     rng = np.random.default_rng(seed)
-    alive = np.tile(counts, (samples, 1))
-    win = np.zeros(k, dtype=np.int64)
-    draw = 0
-    active = np.arange(samples)
+    states = counts[None, :]
+    copies = np.array([samples], dtype=np.int64)
+    tally = np.zeros(k + 1, dtype=np.int64)
     for _ in range(MAX_SAMPLE_ROUNDS):
-        h = halting(alive[active])
-        win += np.bincount(h[(h >= 0) & (h < k)], minlength=k)
-        draw += int((h == k).sum())
-        active = active[h < 0]
-        if len(active) == 0:
+        kind = halting(states)
+        done = kind >= 0
+        tally += np.bincount(kind[done], weights=copies[done], minlength=k + 1).astype(np.int64)
+        states, copies = states[~done], copies[~done]
+        if len(copies) == 0:
             break
-        alive[active] = rng.binomial(alive[active], p)
-    if len(active):
+        for axis in range(k):
+            states, copies = _thin_axis(states, copies, axis, tables[axis], p, rng)
+        flat, where = np.unique(np.ravel_multi_index(states.T, shape), return_inverse=True)
+        copies = np.bincount(where, weights=copies).astype(np.int64)
+        states = np.stack(np.unravel_index(flat, shape), axis=-1)
+    else:
         raise RuntimeError(f"absorption not reached within {MAX_SAMPLE_ROUNDS} rounds")
-    return MarkovResult(win_prob=win / samples, draw_prob=draw / samples)
+    return MarkovResult(win_prob=tally[:k] / samples, draw_prob=float(tally[k] / samples))
+
+
+def _thin_axis(states, copies, axis: int, table: np.ndarray, p: float, rng):
+    """One round's survivors at one level for every copy of every state,
+    as (states, copies) rows; equal rows are not merged.  `table` is a
+    binomial_table with its columns reversed."""
+    alive = states[:, axis]
+    width = int(alive.max()) + 1
+    bulk = copies > width
+    # the multinomial draw holds rows * width < samples entries, the
+    # per-copy draw one entry per copy: O(samples) either way
+    rows = np.flatnonzero(bulk)
+    drawn = rng.multinomial(copies[rows], table[alive[rows], -width:])
+    row, col = np.nonzero(drawn)
+    bulk_states = states[rows[row]]
+    bulk_states[:, axis] = width - 1 - col
+    each = np.repeat(np.flatnonzero(~bulk), copies[~bulk])
+    single_states = states[each]
+    single_states[:, axis] = rng.binomial(single_states[:, axis], p)
+    return (
+        np.concatenate([bulk_states, single_states]),
+        np.concatenate([drawn[row, col], np.ones(len(each), dtype=np.int64)]),
+    )
 
 
 def lower_bound_two_event(counts, p: float = 0.5) -> float:

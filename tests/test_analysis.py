@@ -7,10 +7,12 @@ formula and by hand where tractable.
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from beepvote.analysis import (
     MAX_MARKOV_STATES,
@@ -211,6 +213,81 @@ def test_sampler_matches_exact_chain():
     assert abs(sampled.win_prob[0] - exact.win_prob[0]) < 0.005
     assert abs(sampled.win_prob[1] - exact.win_prob[1]) < 0.005
     assert abs(sampled.draw_prob - exact.draw_prob) < 0.005
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (5, 3), (2, 1, 1), (12, 9, 7), (40, 30, 20)])
+def test_sampler_chi_square_fits_exact_chain(counts):
+    # outcome tallies over 8 seeds against markov_success: the summed
+    # Pearson statistic is chi-square with 8 K degrees of freedom.  The
+    # small counts draw nearly every row by multinomial; (40, 30, 20)
+    # spreads its samples so thinly over states that most rows hold fewer
+    # copies than the level's width and are drawn copy by copy
+    samples, seeds = 20_000, range(8)
+    exact = markov_success(counts)
+    expected = samples * np.append(exact.win_prob, exact.draw_prob)
+    assert (expected > 5).all()
+    statistic = 0.0
+    for seed in seeds:
+        res = sample_success(counts, samples=samples, seed=seed)
+        observed = samples * np.append(res.win_prob, res.draw_prob)
+        statistic += float((((observed - expected) ** 2) / expected).sum())
+    assert chi2.sf(statistic, len(seeds) * len(counts)) > 1e-3
+
+
+@pytest.mark.parametrize("samples", [1, 7, 12_345])
+@pytest.mark.parametrize("counts", [(5, 3), (2, 1, 1), (3, 0)])
+def test_sampler_probabilities_are_multiples_of_one_over_samples(counts, samples):
+    res = sample_success(counts, samples=samples, seed=11)
+    probs = np.append(res.win_prob, res.draw_prob)
+    hits = np.rint(probs * samples)
+    assert np.array_equal(hits / samples, probs)
+    assert hits.sum() == samples
+
+
+def test_sampler_same_seed_same_result():
+    def run(seed):
+        res = sample_success((12, 9, 7), samples=5_000, seed=seed)
+        return np.append(res.win_prob, res.draw_prob)
+
+    assert np.array_equal(run(42), run(42))
+    seq = (4, 2)
+    assert np.array_equal(run(np.random.SeedSequence(seq)), run(np.random.SeedSequence(seq)))
+    assert not np.array_equal(run(42), run(43))
+
+
+def test_sampler_rejects_bad_inputs_before_sampling():
+    start = time.perf_counter()
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sample_success((5, 3), samples=samples)
+    for p in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+            sample_success((5, 3), p=p, samples=10)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_success((5, -1))
+    with pytest.raises(ValueError, match="non-empty"):
+        sample_success(())
+    with pytest.raises(ValueError, match="chain states"):
+        sample_success((1000, 1000))
+    with pytest.raises(ValueError, match="binomial table entries"):
+        sample_success((0, 999_998))
+    with pytest.raises(TypeError):
+        sample_success((5, 3), samples=2.5)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sampler_memory_is_linear_in_samples():
+    # beyond the binomial tables, at most 96 bytes per sample and level
+    # (about 41 measured); rows with few copies are drawn copy by copy
+    counts, samples = (300, 700), 10**5
+    tables = sum((c + 1) ** 2 for c in counts) * 8
+    tracemalloc.start()
+    try:
+        assert sample_success(counts, samples=samples, seed=1).total() == pytest.approx(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tables + 96 * samples * len(counts)
 
 
 def _sum_ordered_dp(counts, p):
