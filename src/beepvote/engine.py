@@ -21,10 +21,13 @@ account for exactly without touching the channel: either no node beeps,
 or the beepers and the absence of state changes are provably known.  The
 engine only adds the declared slot and beep counts, and counts a block's
 silent slots the same way, so metrics match a naive slot-by-slot
-execution bit for bit.  A block's rows are walked one by one only where
-single rows are observed: when a trace is written, or for the one block
-that crosses the slot budget.  Any other block adds its length and its
-beep total in one step.
+execution bit for bit.  Every event adds its length and its beep total
+in one step; a trace, when one is written, only describes the slots.
+
+A run has one stopping rule, its phase cap: every phase has a fixed
+length and every termination check a bounded one, so `slot_budget` is
+the exact length of the longest run, and `run` treats a schedule that
+outgrows it as a bug.
 
 `PhasedVoting` is the skeleton both voting protocols share: an optional
 setup block, then voting phases, with a `termination_wave` every D
@@ -62,8 +65,8 @@ class TrialResult:
     """Outcome of one protocol run.
 
     success is None when the input had no strict plurality; such runs
-    are excluded from success statistics.  status is "completed",
-    "max_phases_exceeded", or "slot_budget_exhausted".
+    are excluded from success statistics.  status is "completed" or
+    "max_phases_exceeded".
     """
 
     final_values: tuple
@@ -89,38 +92,17 @@ def step(graph: Graph, beeps: np.ndarray) -> np.ndarray:
     return graph.activity(beeps) & ~beeps
 
 
-# what drive_schedule returns in place of the generator's own value
-# when the slot budget runs out first
-BUDGET_EXHAUSTED = object()
+def drive_schedule(graph: Graph, gen, trace: IO[str] | None = None) -> tuple[int, int, object]:
+    """Run a slot-event generator until it returns.
 
-
-def drive_schedule(
-    graph: Graph, gen, slot_budget: int | None = None, trace: IO[str] | None = None
-) -> tuple[int, int, object]:
-    """Run a slot-event generator until it returns or the budget runs out.
-
-    Returns (slots, beeps, value).  value is whatever the generator
-    returned on StopIteration, or BUDGET_EXHAUSTED if it asked for a
-    channel slot, possibly inside a block, after slot_budget slots had
-    elapsed (the generator is then closed).  trace, if given, gets one
-    line per fast-forwarded stretch (a FastForward, a block's silent gap
-    or silent row) and one per node per channel slot.
-
-    Every block makes one channel call for its beeping rows.  Its rows
-    are then walked one by one only when a trace is written or when the
-    block ends past slot_budget, where the cut can fall inside it;
-    otherwise the block adds its length and its beep total at once.
+    Returns (slots, beeps, value), value being what the generator returned
+    on StopIteration.  Every event adds its length and its beep total in
+    one step; a block makes one channel call for its beeping rows first.
+    trace, if given, gets one line per fast-forwarded stretch (a
+    FastForward, a block's silent gap or silent row) and one per node per
+    channel slot.
     """
-    slots = 0
-    beeps = 0
-
-    def fast_forward(count: int, beep_count: int = 0) -> None:
-        nonlocal slots, beeps
-        slots += count
-        beeps += beep_count
-        if trace is not None and count:
-            trace.write(f"slots {slots - count}...{slots - 1} fast-forward beeps={beep_count}\n")
-
+    slots = beeps = 0
     reply = None
     while True:
         try:
@@ -128,39 +110,44 @@ def drive_schedule(
         except StopIteration as stop:
             return slots, beeps, stop.value
         if isinstance(event, FastForward):
-            fast_forward(event.slots, event.beep_count)
-            reply = None
-            continue
-        rows = event.beeps
-        counts = rows.sum(axis=1)
-        live = counts > 0  # a row in which nobody beeps skips the channel
-        reply = np.zeros(rows.shape, dtype=bool)
-        reply[live] = graph.activity(rows[live])
-        start = slots
-        length = len(rows) if event.length is None else int(event.length)
-        if trace is None and (slot_budget is None or start + length <= slot_budget):
-            # no row is observed: the whole block in one step
-            slots += length
-            beeps += int(counts.sum())
-            continue
-        counts = counts.tolist()
-        offsets = range(len(rows)) if event.offsets is None else event.offsets
-        for r, offset in enumerate(offsets):
-            fast_forward(start + int(offset) - slots)
-            if not counts[r]:
-                fast_forward(1)
-                continue
-            if slot_budget is not None and slots >= slot_budget:
-                gen.close()
-                return slots, beeps, BUDGET_EXHAUSTED
+            length, beep_count, reply = event.slots, event.beep_count, None
             if trace is not None:
-                heard = reply[r] & ~rows[r]
-                for i, beeped in enumerate(rows[r]):
-                    action = "beep" if beeped else "listen"
-                    trace.write(f"slot={slots} node={i} action={action} heard={int(heard[i])}\n")
-            slots += 1
-            beeps += counts[r]
-        fast_forward(start + length - slots)
+                _trace_skip(trace, slots, length, beep_count)
+        else:
+            rows = event.beeps
+            counts = rows.sum(axis=1)
+            live = counts > 0  # a row in which nobody beeps skips the channel
+            reply = np.zeros(rows.shape, dtype=bool)
+            reply[live] = graph.activity(rows[live])
+            length = len(rows) if event.length is None else int(event.length)
+            beep_count = int(counts.sum())
+            if trace is not None:
+                _trace_block(trace, slots, event, live, reply, length)
+        slots += length
+        beeps += beep_count
+
+
+def _trace_skip(trace: IO[str], start: int, count: int, beep_count: int = 0) -> None:
+    if count:
+        trace.write(f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n")
+
+
+def _trace_block(trace: IO[str], start: int, event: SlotRequest, live, reply, length) -> None:
+    """The trace lines of a block that starts at slot start."""
+    rows = event.beeps
+    slot = start  # the first slot without a line
+    for r, offset in enumerate(range(len(rows)) if event.offsets is None else event.offsets):
+        at = start + int(offset)
+        _trace_skip(trace, slot, at - slot)
+        if live[r]:
+            heard = reply[r] & ~rows[r]
+            for i, beeped in enumerate(rows[r]):
+                action = "beep" if beeped else "listen"
+                trace.write(f"slot={at} node={i} action={action} heard={int(heard[i])}\n")
+        else:
+            _trace_skip(trace, at, 1)
+        slot = at + 1
+    _trace_skip(trace, slot, start + length - slot)
 
 
 @dataclass(frozen=True)
@@ -229,15 +216,14 @@ def termination_wave(values: np.ndarray, level_count: int, d_sched: int):
 
 
 def slot_budget(params: PhaseParams, max_phases: int) -> int:
-    """Slots a run of at most max_phases phases can take: the setup
-    block, every phase, and a full termination check after every
-    check_interval phases, plus one slot of slack."""
-    checks = max_phases // params.check_interval + 1
+    """Slots the longest run of at most max_phases phases takes: the setup
+    block, every phase at its fixed length, and a full termination check
+    after every check_interval phases."""
+    checks = max_phases // params.check_interval
     return (
         params.setup_slots
         + max_phases * params.slots_per_phase
         + checks * (params.level_count - 1) * (params.d_sched + 1)
-        + 1
     )
 
 
@@ -329,12 +315,15 @@ class PhasedVoting:
 def run(
     graph: Graph, automaton: PhasedVoting, slot_budget: int, trace: IO[str] | None = None
 ) -> tuple[int, int, str]:
-    """Drive an automaton until its schedule ends or the budget runs out.
+    """Drive an automaton until its schedule ends.
 
-    Returns (slots, beeps, status).  The status is the automaton's own
-    (normally "completed" or "max_phases_exceeded") unless the slot
-    budget was exhausted first.  Only `schedule()` and `status` are read.
+    Returns (slots, beeps, status), status being the automaton's own.
+    Only `schedule()` and `status` are read.  slot_budget is the run's
+    exact longest length, `slot_budget(params, max_phases)`; a schedule
+    that took more slots ran a phase or a check past its fixed length,
+    and raises RuntimeError.
     """
-    slots, beeps, value = drive_schedule(graph, automaton.schedule(), slot_budget, trace)
-    status = "slot_budget_exhausted" if value is BUDGET_EXHAUSTED else automaton.status
-    return slots, beeps, status
+    slots, beeps, _ = drive_schedule(graph, automaton.schedule(), trace)
+    if slots > slot_budget:
+        raise RuntimeError(f"the schedule took {slots} slots, past its budget of {slot_budget}")
+    return slots, beeps, automaton.status

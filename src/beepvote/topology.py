@@ -89,26 +89,17 @@ class Graph:
 class CompleteGraph(Graph):
     """The complete graph on n nodes, stored as n alone.
 
-    The channel rule, the maximum degree and the two-hop relation are
-    closed forms; the CSR `adj` is built on first use, by `spots` or a
-    caller that reads it.
+    The channel rule, the maximum degree, the two-hop relation and the
+    spots are closed forms, so no adjacency matrix is ever built and
+    `adj` is not set.
     """
 
     def __init__(self, n: int) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diameter", min(n - 1, 1))
 
-    def __repr__(self) -> str:  # the dataclass repr would build adj
+    def __repr__(self) -> str:  # the dataclass repr would read adj
         return f"CompleteGraph(n={self.n})"
-
-    @cached_property
-    def adj(self) -> csr_array:
-        n = self.n
-        others = np.arange(n - 1)
-        indices = (others + (others >= np.arange(n)[:, None])).ravel()  # row i skips i
-        indptr = np.arange(n + 1) * (n - 1)
-        data = np.ones(len(indices), dtype=bool)
-        return _freeze(csr_array((data, indices, indptr), shape=(n, n)))
 
     @property
     def node_count(self) -> int:
@@ -127,7 +118,7 @@ class CompleteGraph(Graph):
         a CSR product would cost N^3."""
         n = self.n
         if n == 1:
-            return self.adj
+            return csr_array((1, 1), dtype=bool)
         every = np.arange(n * n) % n
         return csr_array((np.ones(n * n, dtype=bool), every, np.arange(n + 1) * n), shape=(n, n))
 
@@ -284,10 +275,14 @@ def spots(graph: Graph, values: np.ndarray) -> list[list[int]]:
     values = np.asarray(values)
     if len(values) != graph.node_count:
         raise ValueError("values length must match node count")
-    edges = graph.adj.tocoo()
-    keep = values[edges.row] == values[edges.col]
-    same = coo_array((edges.data[keep], (edges.row[keep], edges.col[keep])), shape=edges.shape)
-    _, labels = connected_components(same, directed=False)
+    if isinstance(graph, CompleteGraph):  # every pair is adjacent: one spot per value
+        _, labels = np.unique(values, return_inverse=True)
+    else:
+        edges = graph.adj.tocoo()
+        keep = values[edges.row] == values[edges.col]
+        kept = (edges.row[keep], edges.col[keep])
+        same = coo_array((edges.data[keep], kept), shape=edges.shape)
+        _, labels = connected_components(same, directed=False)
     parts: dict[int, list[int]] = {}
     for node, label in enumerate(labels.tolist()):
         parts.setdefault(label, []).append(node)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line entry point via main(argv)."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -104,6 +105,51 @@ def test_run_trace_file(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert path.read_text().strip()
+
+
+TRACE_LINE = re.compile(
+    r"slots (\d+)\.\.\.(\d+) fast-forward beeps=(\d+)"
+    r"|slot=(\d+) node=(\d+) action=(beep|listen) heard=[01]"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, all_cleared",
+    [
+        ("run --nodes 6 --delta 0.7 --seed 1", False),
+        ("run --topology mesh2d --nodes 9 --c1 0.1 --max-phases 4", True),
+        ("run --algo dvb2 --topology mesh2d --nodes 4 --delta 0.75 --seed 2 --max-phases 3", True),
+    ],
+)
+def test_trace_tiles_the_run(argv, all_cleared, tmp_path, capsys):
+    """The trace's fast-forward ranges and per-slot lines cover slots
+    0..slots-1 once each, in order, and their beeps add up to the run's
+    total.  all_cleared runs hit the termination wave's fast-forward over
+    relay slots in which every node beeps."""
+    path = tmp_path / "trace.log"
+    assert main(argv.split() + ["--trace", str(path)]) == 0
+    summary = re.search(r"slots=(\d+) beeps=(\d+)", capsys.readouterr().out)
+    n = int(argv.split("--nodes ")[1].split()[0])
+    slot = beeps = 0
+    cleared_lines = 0
+    lines = path.read_text().splitlines()
+    i = 0
+    while i < len(lines):
+        m = TRACE_LINE.fullmatch(lines[i])
+        assert m, lines[i]
+        if m[1] is not None:  # a fast-forwarded range
+            first, last, ff_beeps = int(m[1]), int(m[2]), int(m[3])
+            assert first == slot and last >= first
+            slot, beeps = last + 1, beeps + ff_beeps
+            cleared_lines += ff_beeps == (last - first + 1) * n > 0
+            i += 1
+            continue
+        nodes = [TRACE_LINE.fullmatch(line) for line in lines[i : i + n]]
+        assert [(int(m[4]), int(m[5])) for m in nodes] == [(slot, j) for j in range(n)]
+        beeps += sum(m[6] == "beep" for m in nodes)
+        slot, i = slot + 1, i + n
+    assert (slot, beeps) == (int(summary[1]), int(summary[2]))
+    assert (cleared_lines > 0) == all_cleared
 
 
 def test_spots_command(capsys):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from beepvote.dvb1 import Dvb1Automaton, Dvb1Params, dvb1_params, dvb1_run, slot_budget
 from beepvote.dvb2 import Dvb2Automaton, Dvb2Params, dvb2_params, dvb2_run
 from beepvote.engine import (
-    BUDGET_EXHAUSTED,
     FastForward,
-    SlotRequest,
     drive_schedule,
     run,
     step,
@@ -137,14 +135,49 @@ def test_single_node_run():
     assert res.success
 
 
-def test_slot_budget_exhaustion_reported():
+def test_run_raises_past_its_slot_budget():
+    # the budget is exact, so a schedule that outgrows it is a bug, not a status
     g = build(Complete(10))
     params = dvb1_params(g, 2)
     asg = make_assignment(10, 2, 0.7, np.random.default_rng(3))
     automaton = Dvb1Automaton(g, params, asg, np.random.default_rng(3), max_phases=50)
-    slots, _, status = run(g, automaton, slot_budget=5)
-    assert status == "slot_budget_exhausted"
-    assert slots == 5
+    with pytest.raises(RuntimeError, match="past its budget of 5"):
+        run(g, automaton, slot_budget=5)
+
+
+def tied(n, seed):
+    halves = [1] * (n // 2) + [2] * (n - n // 2)
+    return LevelAssignment(np.random.default_rng(seed).permutation(halves), 2)
+
+
+@pytest.mark.parametrize("protocol", ["dvb1", "dvb2"])
+def test_slot_budget_is_exact(protocol):
+    """A K=2 run that reaches its phase cap without terminating takes
+    exactly slot_budget slots: every phase has its fixed length, and a
+    termination check runs its one period in full.  Tied inputs keep the
+    runs from agreeing (with one corrosion round per phase for DVB1), and
+    the caps cover no check, one check, and checks plus a phase after."""
+    for spec in (Complete(8), Mesh2D(3, 3), Mesh2D(2, 5)):
+        g = build(spec)
+        if protocol == "dvb1":
+            params, protocol_run = dvb1_params(g, 2, c1=0.01), dvb1_run
+        else:
+            params, protocol_run = dvb2_params(g, 2), dvb2_run
+        for max_phases in {1, params.d_sched, 2 * params.d_sched + 1}:
+            for seed in range(3):
+                asg = tied(g.node_count, seed)
+                res = protocol_run(g, asg, params, seed=seed, max_phases=max_phases)
+                assert res.status == "max_phases_exceeded"
+                assert res.slots_elapsed == slot_budget(params, max_phases)
+    if protocol == "dvb1":
+        # with the default T rounds every node dies early in the phase,
+        # whose tail is then one FastForward
+        g = build(Mesh2D(3, 3))
+        params = dvb1_params(g, 2)
+        for seed in range(3):
+            res = dvb1_run(g, tied(9, seed), params, seed=seed, max_phases=1)
+            assert res.status == "max_phases_exceeded"
+            assert res.slots_elapsed == slot_budget(params, 1)
 
 
 def test_metrics_count_slots_and_beeps():
@@ -156,23 +189,6 @@ def test_metrics_count_slots_and_beeps():
     assert status == "completed"
     assert slots > 0
     assert 0 < beeps <= slots * 10
-
-
-def test_drive_schedule_closes_generator_when_budget_runs_out():
-    closed = False
-
-    def gen():
-        nonlocal closed
-        try:
-            yield SlotRequest(np.ones((4, 3), dtype=bool))
-        finally:
-            closed = True
-
-    events = gen()  # held here, so only drive_schedule can have closed it
-    slots, beeps, value = drive_schedule(build(Complete(3)), events, slot_budget=2)
-    assert value is BUDGET_EXHAUSTED
-    assert closed
-    assert (slots, beeps) == (2, 6)
 
 
 @pytest.mark.parametrize("protocol_run", [dvb1_run, dvb2_run])
@@ -221,12 +237,12 @@ def fast_forward_line(start, count, beep_count=0):
     return f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n"
 
 
-def naive_drive(graph, gen, slot_budget=None):
+def naive_drive(graph, gen):
     """Slot-by-slot reference for drive_schedule: every block is expanded
-    into single slots, with one channel call per beeping slot and the
-    budget checked before each.  A silent stretch of a block (a gap, or
-    a row in which nobody beeps) gets one trace line when it ends, as a
-    FastForward does.  Returns (slots, beeps, value, trace text)."""
+    into single slots, with one channel call per beeping slot.  A silent
+    stretch of a block (a gap, or a row in which nobody beeps) gets one
+    trace line when it ends, as a FastForward does.  Returns (slots,
+    beeps, value, trace text)."""
     trace = io.StringIO()
     slots = beeps = 0
     reply = None
@@ -261,9 +277,6 @@ def naive_drive(graph, gen, slot_budget=None):
                 trace.write(fast_forward_line(slots, 1))
                 slots += 1
                 continue
-            if slot_budget is not None and slots >= slot_budget:
-                gen.close()
-                return slots, beeps, BUDGET_EXHAUSTED, trace.getvalue()
             reply[r] = graph.activity(mask)
             heard = reply[r] & ~mask
             for i in range(graph.node_count):
@@ -316,29 +329,22 @@ def schedule_factory(kind, graph, k, seed):
     n=st.integers(1, 12),
     p=st.floats(0.0, 0.6),
     seed=st.integers(0, 2**16),
-    cut=st.floats(0.0, 1.0),
 )
-def test_drive_schedule_matches_slot_by_slot_reference(kind, k, n, p, seed, cut):
+def test_drive_schedule_matches_slot_by_slot_reference(kind, k, n, p, seed):
     """The engine's promise: counting a block's silent slots without the
-    channel matches a naive slot-by-slot run bit for bit, also when the
-    slot budget cuts inside a block.  Untraced, whole blocks skip the
-    per-row walk, so that path is checked against the reference too."""
+    channel matches a naive slot-by-slot run bit for bit.  The untraced
+    path only counts and the traced one also writes, so both are checked
+    against the reference."""
     graph = random_graph(n, p, np.random.default_rng(seed))
     make = schedule_factory(kind, graph, k, seed)
-    full_slots = None
-    for budget in (None, "cut"):
-        if budget == "cut":
-            budget = int(cut * full_slots)
-        ref_owner, ref_gen = make()
-        ref_slots, ref_beeps, ref_value, ref_trace = naive_drive(graph, ref_gen, budget)
-        for trace in (io.StringIO(), None):
-            owner, gen = make()
-            slots, beeps, value = drive_schedule(graph, gen, budget, trace)
-            assert type(slots) is int and type(beeps) is int
-            assert (slots, beeps) == (ref_slots, ref_beeps)
-            if trace is not None:
-                assert trace.getvalue() == ref_trace
-            assert (value is BUDGET_EXHAUSTED) == (ref_value is BUDGET_EXHAUSTED)
-            assert np.array_equal(value, ref_value)
-            assert np.array_equal(owner.values, ref_owner.values)
-        full_slots = slots
+    ref_owner, ref_gen = make()
+    ref_slots, ref_beeps, ref_value, ref_trace = naive_drive(graph, ref_gen)
+    for trace in (io.StringIO(), None):
+        owner, gen = make()
+        slots, beeps, value = drive_schedule(graph, gen, trace)
+        assert type(slots) is int and type(beeps) is int
+        assert (slots, beeps) == (ref_slots, ref_beeps)
+        if trace is not None:
+            assert trace.getvalue() == ref_trace
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(owner.values, ref_owner.values)

@@ -20,25 +20,30 @@ from beepvote.topology import (
 )
 
 
+def neighbor_rows(g):
+    """Dense adjacency through the channel: one-hot beep rows, node j
+    alone beeping in row j, are heard by exactly j's neighbors."""
+    return g.activity(np.eye(g.node_count, dtype=bool))
+
+
 def degrees(g):
-    """Node degrees through the channel: one-hot beep rows, node j alone
-    beeping in row j, are heard by exactly j's neighbors."""
-    return g.activity(np.eye(g.node_count, dtype=bool)).sum(axis=1)
+    return neighbor_rows(g).sum(axis=1)
 
 
 def test_complete_graph_shape():
     g = build(Complete(4))
     assert g.node_count == 4
-    assert g.adj.nnz // 2 == 6
+    assert degrees(g).sum() // 2 == 6
     assert g.diameter == 1
     assert g.max_degree == 3
-    assert not g.adj.diagonal().any()
+    assert not neighbor_rows(g).diagonal().any()
 
 
 def test_single_node():
     for g in (build(Complete(1)), build(Mesh2D(1, 1))):
         assert g.node_count == 1
-        assert g.adj.nnz == 0
+        assert degrees(g).tolist() == [0]
+        assert g.two_hop().shape == (1, 1) and g.two_hop().nnz == 0
         assert g.diameter == 0
         assert g.max_degree == 0
 
@@ -52,10 +57,13 @@ def test_complete_graph_closed_forms_match_its_csr_form():
             ref.max_degree,
             ref.diameter,
         )
-        assert g.adj.nnz // 2 == ref.adj.nnz // 2 == n * (n - 1) // 2
+        assert ref.adj.nnz // 2 == n * (n - 1) // 2
         assert degrees(g).tolist() == degrees(ref).tolist() == [n - 1] * n
         assert np.array_equal(g.two_hop().toarray(), ref.two_hop().toarray())
-        assert np.array_equal(g.adj.toarray(), ref.adj.toarray())
+        assert np.array_equal(neighbor_rows(g), ref.adj.toarray())
+        for seed in range(3):
+            values = np.random.default_rng(seed).integers(1, 4, size=n)
+            assert spots(g, values) == spots(ref, values)
 
 
 def test_mesh_diameter_and_degrees():
@@ -162,6 +170,7 @@ def test_spots_partition_and_maximality():
 
 def _bfs_spots(graph, values):
     """Reference: the per-node BFS spots was first written as."""
+    neighbors = neighbor_rows(graph)
     seen = np.zeros(graph.node_count, dtype=bool)
     out = []
     for start in range(graph.node_count):
@@ -172,7 +181,7 @@ def _bfs_spots(graph, values):
         frontier = [start]
         while frontier:
             u = frontier.pop()
-            for v in np.flatnonzero(graph.adj.toarray()[u]):
+            for v in np.flatnonzero(neighbors[u]):
                 v = int(v)
                 if not seen[v] and values[v] == values[start]:
                     seen[v] = True
@@ -194,6 +203,23 @@ def test_spots_match_reference_bfs():
             g = build(ErdosRenyi(n, float(rng.uniform(0.1, 0.6))), rng)
         values = rng.integers(1, int(rng.integers(2, 5)), size=g.node_count)
         assert spots(g, values) == _bfs_spots(g, values)
+
+
+def test_complete_graph_spots_build_no_adjacency():
+    # building an N^2 CSR here would peak near 300 MB
+    g = build(Complete(3000))
+    values = np.random.default_rng(4).integers(1, 4, size=3000)
+    tracemalloc.start()
+    try:
+        parts = spots(g, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert [values[part[0]] for part in parts] == list(dict.fromkeys(values.tolist()))
+    assert sorted(i for part in parts for i in part) == list(range(3000))
+    assert all(len(set(values[part].tolist())) == 1 for part in parts)
+    assert not hasattr(g, "adj")
 
 
 def test_assignment_validates_levels():
@@ -231,7 +257,7 @@ def test_graph_and_assignment_compare_by_identity():
 
 
 def test_graph_and_assignment_arrays_are_read_only():
-    g = build(Complete(3))
+    g = build(Mesh2D(1, 3))
     asg = LevelAssignment(np.array([1, 2, 1]), 2)
     with pytest.raises(ValueError):
         g.adj[0, 1] = False
