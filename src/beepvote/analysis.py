@@ -2,8 +2,8 @@
 
 Everything here reasons about the alive-count process: starting from
 per-level counts (n_1, ..., n_K), every alive node independently stays
-alive with probability p each round.  The phase is considered settled
-the first time the counts form a halting pattern:
+alive with probability 1/2 (SURVIVAL_PROB, as in DVB1) each round.  The
+phase is settled the first time the counts form a halting pattern:
 
   win(m):  level m alone has survivors, or it has at least two while
            exactly one other level is down to a single survivor;
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
 # markov_success and sample_success refuse, before allocating, counts
 # whose chain has more states than this, or whose binomial tables
 # ((n_k + 1)^2 floats per level) hold more entries in sum.  At the cap the
@@ -39,6 +40,7 @@ import numpy as np
 # (99, 99, 99)); the tables then take at most 8 MB.
 MAX_MARKOV_STATES = 10**6
 # sample_success raises if some sample has not halted after this many rounds
+# (a safety net: N alive nodes outlive R rounds with probability <= N 2^-R)
 MAX_SAMPLE_ROUNDS = 10_000
 
 
@@ -52,22 +54,17 @@ def prop1_rounds(n: int, epsilon: float) -> int:
     return math.ceil(math.log2(n / epsilon))
 
 
-def binomial_table(n: int, p: float) -> np.ndarray:
-    """(n + 1, n + 1) table of P(Binomial(a, p) = j) at [a, j], 0 for j > a.
+def binomial_table(n: int) -> np.ndarray:
+    """(n + 1, n + 1) table of P(Binomial(a, 1/2) = j) at [a, j], 0 for j > a.
 
-    Row a is (1 - p) * row(a - 1) plus p * row(a - 1) shifted one column
-    right: n vector steps, every term non-negative, so no cancellation.
-    1 - p is carried as q + r, q its nearest float and r the exact rest;
-    with q alone the row sums would drift from 1 by up to half an ulp of q
-    per row."""
-    q = 1.0 - p
-    r = (1.0 - q) - p  # the rounding error of q; both subtractions are exact
+    Row a is half of row(a - 1) plus half of it shifted one column right:
+    n vector steps, every term non-negative, so no cancellation."""
     table = np.zeros((n + 1, n + 1))
     table[0, 0] = 1.0
     for a in range(1, n + 1):
         prev = table[a - 1, :a]
-        table[a, :a] = q * prev + r * prev
-        table[a, 1 : a + 1] += p * prev
+        table[a, :a] = (1.0 - SURVIVAL_PROB) * prev
+        table[a, 1 : a + 1] += SURVIVAL_PROB * prev
     return table
 
 
@@ -80,14 +77,12 @@ def _count_vector(counts) -> np.ndarray:
     return counts
 
 
-def _checked_counts(counts, p: float, samples: int = 1) -> np.ndarray:
+def _checked_counts(counts, samples: int = 1) -> np.ndarray:
     """The count vector, once the inputs markov_success and sample_success
-    share are checked: counts, 0 < p < 1, samples >= 1, and a chain of at
+    share are checked: counts, samples >= 1, and a chain of at
     most MAX_MARKOV_STATES states whose binomial tables hold at most as
     many entries.  Raises ValueError before allocating either."""
     counts = _count_vector(counts)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     shape = tuple(int(c) + 1 for c in counts)
@@ -128,7 +123,7 @@ class MarkovResult:
         return float(self.win_prob.sum() + self.draw_prob)
 
 
-def markov_success(counts, p: float = 0.5) -> MarkovResult:
+def markov_success(counts) -> MarkovResult:
     """Exact absorption probabilities of the alive-count chain.
 
     Dynamic programming over the grid of states dominated componentwise
@@ -136,16 +131,16 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
     from a transient state but the self-loop lowers the total, so the
     states with total s need only solved ones.  Each total is one
     vectorised step (one tensordot per axis over the solved box, then a
-    gather and the self-loop factor 1 / (1 - p^s)), at most sum(n_k)
+    gather and the self-loop factor 1 / (1 - 2^-s)), at most sum(n_k)
     steps.  The transition weights come from one binomial_table per
     level, (n_k + 1)^2 entries built by the exact row recurrence.  When the
     grid's prod(n_k + 1) states or the tables' sum((n_k + 1)^2) entries
     exceed MAX_MARKOV_STATES it raises ValueError before allocating either.
     """
-    counts = _checked_counts(counts, p)
+    counts = _checked_counts(counts)
     shape = tuple(int(c) + 1 for c in counts)
     k = len(counts)
-    pmfs = [binomial_table(int(n_i), p) for n_i in counts]
+    pmfs = [binomial_table(int(n_i)) for n_i in counts]
     kind = halting(np.moveaxis(np.indices(shape), 0, -1))
     # halting states hold their one-hot outcome; transient ones start at 0
     value = (kind[..., None] == np.arange(k + 1)).astype(np.float64)
@@ -161,12 +156,13 @@ def markov_success(counts, p: float = 0.5) -> MarkovResult:
         for axis in range(k):
             rows = pmfs[axis][lo[axis] : hi[axis] + 1, : hi[axis] + 1]
             box = np.tensordot(box, rows, axes=(0, 1))
-        value[tuple(states.T)] = box[(slice(None), *(states - lo).T)].T / (1.0 - p**total)
+        loop = 1.0 - SURVIVAL_PROB**total
+        value[tuple(states.T)] = box[(slice(None), *(states - lo).T)].T / loop
     out = value[tuple(int(c) for c in counts)]
     return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
 
 
-def sample_success(counts, p: float = 0.5, samples: int = 10**6, seed=0) -> MarkovResult:
+def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
     """Monte-Carlo estimate of the same absorption probabilities, used to
     cross-check markov_success: it simulates the thinning process and
     shares only `halting` and `binomial_table` with the exact solve.
@@ -185,12 +181,12 @@ def sample_success(counts, p: float = 0.5, samples: int = 10**6, seed=0) -> Mark
     MAX_SAMPLE_ROUNDS rounds.
     """
     samples = operator.index(samples)
-    counts = _checked_counts(counts, p, samples)
+    counts = _checked_counts(counts, samples)
     shape = tuple(int(c) + 1 for c in counts)
     k = len(counts)
     # columns reversed: numpy's multinomial gives its leftover to the last
     # column, which must be "0 survivors"; the zero padding then comes first
-    tables = [binomial_table(int(n_i), p)[:, ::-1] for n_i in counts]
+    tables = [binomial_table(int(n_i))[:, ::-1] for n_i in counts]
     rng = np.random.default_rng(seed)
     states = counts[None, :]
     copies = np.array([samples], dtype=np.int64)
@@ -203,7 +199,7 @@ def sample_success(counts, p: float = 0.5, samples: int = 10**6, seed=0) -> Mark
         if len(copies) == 0:
             break
         for axis in range(k):
-            states, copies = _thin_axis(states, copies, axis, tables[axis], p, rng)
+            states, copies = _thin_axis(states, copies, axis, tables[axis], rng)
         flat, where = np.unique(np.ravel_multi_index(states.T, shape), return_inverse=True)
         copies = np.bincount(where, weights=copies).astype(np.int64)
         states = np.stack(np.unravel_index(flat, shape), axis=-1)
@@ -212,7 +208,7 @@ def sample_success(counts, p: float = 0.5, samples: int = 10**6, seed=0) -> Mark
     return MarkovResult(win_prob=tally[:k] / samples, draw_prob=float(tally[k] / samples))
 
 
-def _thin_axis(states, copies, axis: int, table: np.ndarray, p: float, rng):
+def _thin_axis(states, copies, axis: int, table: np.ndarray, rng):
     """One round's survivors at one level for every copy of every state,
     as (states, copies) rows; equal rows are not merged.  `table` is a
     binomial_table with its columns reversed."""
@@ -228,14 +224,14 @@ def _thin_axis(states, copies, axis: int, table: np.ndarray, p: float, rng):
     bulk_states[:, axis] = width - 1 - col
     each = np.repeat(np.flatnonzero(~bulk), copies[~bulk])
     single_states = states[each]
-    single_states[:, axis] = rng.binomial(single_states[:, axis], p)
+    single_states[:, axis] = rng.binomial(single_states[:, axis], SURVIVAL_PROB)
     return (
         np.concatenate([bulk_states, single_states]),
         np.concatenate([drawn[row, col], np.ones(len(each), dtype=np.int64)]),
     )
 
 
-def lower_bound_two_event(counts, p: float = 0.5) -> float:
+def lower_bound_two_event(counts) -> float:
     """Lower bound on one-phase success for the strict plurality level.
 
     For each round horizon r it combines the chance that at least two
@@ -247,8 +243,6 @@ def lower_bound_two_event(counts, p: float = 0.5) -> float:
     counts = _count_vector(counts)
     if counts.sum() < 1:
         raise ValueError("counts must include at least one node")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
     top = counts.max()
     winners = np.flatnonzero(counts == top)
     if len(winners) != 1:
@@ -259,7 +253,7 @@ def lower_bound_two_event(counts, p: float = 0.5) -> float:
     others = np.delete(counts, m).astype(np.float64)
     best = 0.0
     for r in range(r_max + 1):
-        pr = p**r
+        pr = SURVIVAL_PROB**r
         q = 1.0 - pr
         # P(>= 2 plurality survivors after r rounds)
         p_two = 1.0 - (q**n_m + n_m * pr * q ** (n_m - 1))

@@ -4,7 +4,7 @@ Subcommands: `run` (one verbose trial), `sweep` (config-file driven
 batch), `markov` (exact success oracle for the fully connected chain),
 `bounds` (analytic lower-bound tables), `spots` (same-value component
 printout).  Exit code 0 on success, 1 with a one-line diagnostic on
-configuration or I/O errors.
+configuration, I/O or out-of-memory errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .dvb1 import C1_DEFAULT, SURVIVAL_PROB
+from .dvb1 import C1_DEFAULT
 from .dvb2 import C2_DEFAULT, ID_MODES
 from .harness import (
     ALGOS,
@@ -124,7 +124,7 @@ def _cmd_markov(args) -> int:
     rows = ["delta,counts,win_majority,draw"]
     for delta in args.deltas:
         counts = level_counts(args.nodes, args.levels, delta)
-        result = analysis.markov_success(counts, SURVIVAL_PROB)
+        result = analysis.markov_success(counts)
         majority = max(range(args.levels), key=lambda i: counts[i])
         counts_text = "/".join(str(c) for c in counts)
         rows.append(f"{delta:.6g},{counts_text},"
@@ -177,8 +177,8 @@ def main(argv=None) -> int:
                 raise ValueError("--levels 3 has no default delta; pass --delta in [0, 1/3)")
             args.delta = BINARY_DELTA_DEFAULT
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import SURVIVAL_PROB
 from .engine import (
     FastForward,
     PhasedVoting,
@@ -43,7 +44,6 @@ from .engine import (
 )
 from .topology import Graph, LevelAssignment, hop_bound
 
-SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
 C1_DEFAULT = 20.0  # rounds per phase are ceil(c1 * log2(N))
 
 

@@ -118,6 +118,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
             raise ValueError(f"algo must be one of {ALGOS}")
+        if not self.topology:
+            raise ValueError("topology must name at least one graph")
         for name in self.topology:
             if name not in TOPOLOGY_NAMES:
                 raise ValueError(f"unknown topology {name!r}")
@@ -167,7 +169,7 @@ _CONFIG_PARSERS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat `key = value` lines; # starts a comment; unknown keys fail."""
+    """Flat `key = value` lines; # starts a comment; unknown keys and empty values fail."""
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,15 +178,17 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in settings:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            settings[key] = _CONFIG_PARSERS[key](value.strip())
+            settings[key] = _CONFIG_PARSERS[key](value) if value else ()
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        if settings[key] == ():  # nothing given, or a list of separators only
+            raise ValueError(f"line {lineno}: empty value for {key!r}")
     return ExperimentConfig(**settings)
 
 

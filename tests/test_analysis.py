@@ -16,6 +16,7 @@ from scipy.stats import chi2
 
 from beepvote.analysis import (
     MAX_MARKOV_STATES,
+    SURVIVAL_PROB,
     binomial_table,
     corollary_ratio,
     halting,
@@ -59,6 +60,33 @@ def test_two_event_bound_unopposed():
 def test_two_event_bound_rejects_tie():
     with pytest.raises(ValueError):
         lower_bound_two_event((50, 50))
+
+
+def _strided_counts():
+    """Binary n_1 < n_2 (n_1 <= 40, n_2 <= 60) and ternary counts <= 30
+    with a strict plurality, 240 starts on strided grids.  The full binary
+    grid (1,640 pairs) and the ternary one at stride 2 (3,720 triples) hold
+    too, but take about a minute."""
+    for n_1 in range(0, 41, 4):
+        for n_2 in range(n_1 + 1, 61, 3):
+            yield (n_1, n_2)
+    for counts in itertools.product(range(0, 31, 7), repeat=3):
+        top, runner_up = sorted(counts, reverse=True)[:2]
+        if top > runner_up:
+            yield counts
+
+
+def test_lower_bounds_lie_at_or_below_the_exact_chain():
+    checked = 0
+    for counts in _strided_counts():
+        ordered = sorted(counts, reverse=True)
+        exact = markov_success(counts).win_prob[int(np.argmax(counts))]
+        # equality is reached where the start state already halts, e.g. (0, 1)
+        assert lower_bound_two_event(counts) <= exact + 1e-12, counts
+        if ordered[1] >= 1:  # the closed form needs a runner-up
+            assert lower_bound_closed(ordered[0], ordered[1], len(counts)) <= exact + 1e-12, counts
+        checked += 1
+    assert checked > 200
 
 
 def test_closed_bound_values():
@@ -128,20 +156,20 @@ def test_halting_vectorises_along_the_last_axis():
 
 
 def test_markov_tie_splits_in_thirds():
-    res = markov_success((1, 1), 0.5)
+    res = markov_success((1, 1))
     assert abs(res.win_prob[0] - 1 / 3) < 1e-12
     assert abs(res.win_prob[1] - 1 / 3) < 1e-12
     assert abs(res.draw_prob - 1 / 3) < 1e-12
 
 
 def test_markov_frozen_values():
-    res = markov_success((45, 55), 0.5)
+    res = markov_success((45, 55))
     assert res.win_prob[1] == pytest.approx(0.539645, abs=1e-6)
-    res = markov_success((90, 10), 0.5)
+    res = markov_success((90, 10))
     assert res.win_prob[0] == pytest.approx(0.965103, abs=1e-6)
     assert res.win_prob[1] == pytest.approx(0.026200, abs=1e-6)
     assert res.draw_prob == pytest.approx(0.008697, abs=1e-6)
-    res = markov_success((50, 33, 17), 0.5)
+    res = markov_success((50, 33, 17))
     assert res.win_prob[0] == pytest.approx(0.496726, abs=1e-6)
     assert res.draw_prob == pytest.approx(0.109936, abs=1e-6)
 
@@ -150,7 +178,7 @@ def test_markov_degenerate_start():
     # no transient state, so the loop over totals never runs: the start
     # state keeps exactly the one-hot outcome halting gives it
     for counts in [(1, 0), (2, 0), (7, 0), (0, 0), (0,), (1,), (6,), (0, 0, 3)]:
-        res = markov_success(counts, 0.5)
+        res = markov_success(counts)
         probs = np.append(res.win_prob, res.draw_prob)
         assert np.array_equal(probs, np.eye(len(counts) + 1)[halting(counts)])
         assert res.total() == 1.0
@@ -163,16 +191,16 @@ def test_markov_probabilities_sum_to_one():
         counts = tuple(int(c) for c in rng.integers(0, 60, size=k))
         if sum(counts) == 0:
             counts = (1,) + counts[1:]
-        res = markov_success(counts, 0.5)
+        res = markov_success(counts)
         assert abs(sum(res.win_prob) + res.draw_prob - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p, max_ulps", [(0.5, 8), (0.3, 64)])
+@pytest.mark.parametrize("p, max_ulps", [(SURVIVAL_PROB, 8)])
 def test_binomial_table_matches_exact_rationals(p, max_ulps):
-    # at n = 60 the recurrence is off by at most 0.8 and 6 ulps at p = 1/2
-    # and 0.3; scipy.stats.binom.pmf, which it replaced, by 35 and 56
+    # at n = 60 the recurrence is off by at most 0.8 ulps, and
+    # scipy.stats.binom.pmf, which it replaced, by 35
     n = 60
-    table = binomial_table(n, p)
+    table = binomial_table(n)
     assert table.shape == (n + 1, n + 1)
     exact_p = Fraction(p)
     p_pow = [exact_p**j for j in range(n + 1)]
@@ -201,14 +229,14 @@ def test_markov_table_guard_refuses_before_allocating():
 
 
 def test_markov_binary_symmetry():
-    a = markov_success((30, 70), 0.5)
-    b = markov_success((70, 30), 0.5)
+    a = markov_success((30, 70))
+    b = markov_success((70, 30))
     assert a.win_prob[0] == pytest.approx(b.win_prob[1], abs=1e-12)
     assert a.draw_prob == pytest.approx(b.draw_prob, abs=1e-12)
 
 
 def test_sampler_matches_exact_chain():
-    exact = markov_success((30, 70), 0.5)
+    exact = markov_success((30, 70))
     sampled = sample_success((30, 70), samples=2 * 10**5, seed=608)
     assert abs(sampled.win_prob[0] - exact.win_prob[0]) < 0.005
     assert abs(sampled.win_prob[1] - exact.win_prob[1]) < 0.005
@@ -260,9 +288,6 @@ def test_sampler_rejects_bad_inputs_before_sampling():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             sample_success((5, 3), samples=samples)
-    for p in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
-            sample_success((5, 3), p=p, samples=10)
     with pytest.raises(ValueError, match="non-negative"):
         sample_success((5, -1))
     with pytest.raises(ValueError, match="non-empty"):
@@ -293,8 +318,7 @@ def test_sampler_memory_is_linear_in_samples():
 def _sum_ordered_dp(counts, p):
     """Reference absorption solver in exact rational arithmetic: the same
     recursion, with its own halting rule, visiting states in ascending
-    total order.  p is taken at the exact value of the float."""
-    p = Fraction(p)
+    total order, at survival probability p."""
     k = len(counts)
     value = {}
     for state in sorted(itertools.product(*(range(c + 1) for c in counts)), key=sum):
@@ -317,7 +341,7 @@ def _sum_ordered_dp(counts, p):
 @pytest.mark.parametrize(
     "counts", [(1, 1), (5, 7), (9, 4), (0, 6), (3, 4, 2), (5, 1, 3), (2, 2, 2), (6, 0, 4)]
 )
-@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("p", [SURVIVAL_PROB])  # the one survival probability the chain has
 def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
     """Every probability lies within 1e-15 of the exact rational chain.
 
@@ -326,8 +350,8 @@ def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
     does not keep.  A solver that reads a state before solving it is off
     by far more than the few-ulp rounding this allows.
     """
-    res = markov_success(counts, p)
-    ref = _sum_ordered_dp(counts, p)
+    res = markov_success(counts)
+    ref = _sum_ordered_dp(counts, Fraction(p))
     got = [Fraction(x) for x in (*res.win_prob, res.draw_prob)]
     assert max(abs(g - r) for g, r in zip(got, ref)) <= Fraction(1, 10**15)
     assert sum(ref) == 1

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import beepvote
+from beepvote import harness
 from beepvote.cli import main
 
 
@@ -63,6 +64,18 @@ def test_package_import_skips_scipy_stats():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_analysis_import_loads_no_scipy():
+    # dvb1 takes SURVIVAL_PROB from analysis, never the other way round, so
+    # the oracle alone loads numpy and no simulator module or scipy at all
+    src = str(Path(beepvote.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import beepvote.analysis; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'beepvote')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "['beepvote', 'beepvote.analysis']"
 
 
 @pytest.mark.parametrize("deltas", [["0.7"], ["0.1", "0.7"]])
@@ -208,6 +221,34 @@ def test_missing_config_exits_one(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_sweep_empty_config_value_exits_one(tmp_path, capsys):
+    # refused while parsing, so nothing is swept and no output is written
+    config = tmp_path / "sweep.cfg"
+    config.write_text("topology =\nsizes = 16\n")
+    out_path = tmp_path / "rows.csv"
+    rc = main(["sweep", "--config", str(config), "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: line 1: empty value for 'topology'\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 3.35 GiB"), MemoryError()])
+def test_out_of_memory_exits_one(exc, monkeypatch, capsys):
+    # a graph too large for memory (say erdos_renyi at 30,000 nodes) raises
+    # MemoryError from the build; stand it in rather than allocate
+    def build(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(harness, "build", build)
+    rc = main(["run", "--topology", "erdos_renyi", "--nodes", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {exc or 'MemoryError'}\n"
 
 
 def test_unknown_command_rejected(capsys):

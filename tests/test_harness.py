@@ -136,6 +136,18 @@ def test_parse_config_bad_value():
         parse_config("trials = soon\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("topology", ""), ("deltas", ""), ("out", ""), ("sizes", ""), ("algo", ""),
+     ("deltas", ","), ("topology", " , ,")],
+)
+def test_parse_config_rejects_empty_value(key, value):
+    # read as given, an empty topology would sweep nothing, empty deltas the
+    # default grid, and an empty out would fail only after the whole sweep
+    with pytest.raises(ValueError, match=f"line 2: empty value for '{key}'"):
+        parse_config(f"trials = 3\n{key} ={value}  # nothing\n")
+
+
 def test_parse_config_missing_equals():
     with pytest.raises(ValueError, match="line 2: expected key = value"):
         parse_config("# fine\njust words\n")
@@ -150,6 +162,8 @@ def test_default_delta_grids():
     assert len(ternary.deltas) == 7
     assert ternary.deltas[0] == pytest.approx(0.0)
     assert ternary.deltas[-1] == pytest.approx(0.30)
+    # an empty tuple given in code still means the default grid
+    assert ExperimentConfig(deltas=(), trials=1).deltas == binary.deltas
 
 
 def test_config_validation():
@@ -161,6 +175,8 @@ def test_config_validation():
         ExperimentConfig(deltas=(0.4,))
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ValueError, match="topology must name at least one graph"):
+        ExperimentConfig(topology=())
 
 
 def test_config_rejects_level_counts_without_a_delta_grid():
