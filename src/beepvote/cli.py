@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a config-file sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--out", default=None, help="override the config output path")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
+    p_sweep.add_argument("--out", default=None, help="write the rows here, not to stdout")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_markov = sub.add_parser(
         "markov", help="exact one-phase success on the fully connected graph"
@@ -114,8 +114,7 @@ def _cmd_sweep(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = parse_config(fh.read())
     rows = run_sweep(config, workers=args.workers)
-    emit(rows, args.format or config.format,
-         args.out if args.out is not None else config.out)
+    emit(rows, args.format, args.out)
     return 0
 
 
@@ -134,18 +133,20 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    # build every row before printing, so a failing row leaves stdout empty
     rounds = analysis.prop1_rounds(args.nodes, args.epsilon)
     ratio = analysis.corollary_ratio(args.levels, args.epsilon)
-    print(f"# corrosion rounds for all-dead with prob >= {1 - args.epsilon:g}: {rounds}")
-    print(f"# majority ratio threshold at epsilon={args.epsilon:g}: {ratio:.6g}")
-    print("delta,counts,two_event_bound,closed_form_bound")
+    rows = [f"# corrosion rounds for all-dead with prob >= {1 - args.epsilon:g}: {rounds}",
+            f"# majority ratio threshold at epsilon={args.epsilon:g}: {ratio:.6g}",
+            "delta,counts,two_event_bound,closed_form_bound"]
     for delta in args.deltas:
         counts = level_counts(args.nodes, args.levels, delta)
         two = analysis.lower_bound_two_event(counts)
         ordered = sorted(counts, reverse=True)
         closed = analysis.lower_bound_closed(ordered[0], ordered[1], args.levels)
         counts_text = "/".join(str(c) for c in counts)
-        print(f"{delta:.6g},{counts_text},{two:.6g},{closed:.6g}")
+        rows.append(f"{delta:.6g},{counts_text},{two:.6g},{closed:.6g}")
+    print("\n".join(rows))
     return 0
 
 

@@ -151,15 +151,13 @@ class Dvb1Automaton(PhasedVoting):
 def dvb1_run(
     graph: Graph,
     assignment: LevelAssignment,
-    params: Dvb1Params | None = None,
+    params: Dvb1Params,
     seed=0,
     max_phases: int | None = None,
     trace=None,
 ) -> TrialResult:
     """Run DVB1 to unanimous termination (or a phase cap) and score the
     outcome against the assignment's strict plurality."""
-    if params is None:
-        params = dvb1_params(graph, assignment.level_count)
     if max_phases is None:
         max_phases = 50 * params.d_sched
     automaton = Dvb1Automaton(graph, params, assignment, np.random.default_rng(seed), max_phases)
@@ -184,12 +182,10 @@ class OnePhaseResult:
 def one_phase(
     graph: Graph,
     assignment: LevelAssignment,
-    params: Dvb1Params | None = None,
+    params: Dvb1Params,
     seed=0,
 ) -> OnePhaseResult:
     """Run exactly one corrosion phase with no termination slots."""
-    if params is None:
-        params = dvb1_params(graph, assignment.level_count)
     automaton = Dvb1Automaton(graph, params, assignment, np.random.default_rng(seed), 1)
     slots, beeps, all_dead_round = drive_schedule(graph, automaton.phase())
     return OnePhaseResult(

@@ -288,15 +288,13 @@ class Dvb2Automaton(PhasedVoting):
 def dvb2_run(
     graph: Graph,
     assignment: LevelAssignment,
-    params: Dvb2Params | None = None,
+    params: Dvb2Params,
     seed=0,
     max_phases: int | None = None,
     trace=None,
 ) -> TrialResult:
     """Run DVB2 to unanimous termination (or a phase cap) and score the
     outcome against the assignment's strict plurality."""
-    if params is None:
-        params = dvb2_params(graph, assignment.level_count)
     if max_phases is None:
         # pairwise exchanges need far more phases than corrosion does, and
         # on low-diameter graphs check_interval is no guide to that scale

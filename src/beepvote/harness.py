@@ -78,11 +78,15 @@ def delta_fractions(level_count: int, delta: float) -> tuple[float, ...]:
 
 def level_counts(n: int, level_count: int, delta: float) -> tuple[int, ...]:
     """Per-level node counts from the delta fractions: each level gets
-    the floor of its share, the majority level the remainder."""
+    the floor of its share, the majority level the remainder.  Raises
+    unless one level strictly outnumbers every other (n = 0 has none)."""
     fractions = delta_fractions(level_count, delta)
     counts = [int(math.floor(f * n + 1e-9)) for f in fractions]
     majority = max(range(level_count), key=lambda i: fractions[i])
     counts[majority] += n - sum(counts)
+    top = sorted(counts, reverse=True)
+    if top[0] == top[1]:
+        raise ValueError("no strict plurality after rounding")
     return tuple(counts)
 
 
@@ -91,9 +95,6 @@ def make_assignment(
 ) -> LevelAssignment:
     """`level_counts`, shuffled uniformly over node indices."""
     counts = level_counts(n, level_count, delta)
-    top = sorted(counts, reverse=True)
-    if len(top) > 1 and top[0] == top[1]:
-        raise ValueError("no strict plurality after rounding")
     values = np.repeat(np.arange(1, level_count + 1), counts)
     return LevelAssignment(rng.permutation(values), level_count)
 
@@ -112,8 +113,6 @@ class ExperimentConfig:
     d_mode: str = "exact"
     id_mode: str = "random"
     max_phases: int | None = None
-    format: str = "csv"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
@@ -133,8 +132,6 @@ class ExperimentConfig:
             raise ValueError(f"id_mode must be one of {ID_MODES}")
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("c1 and c2 must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
         if self.max_phases is not None and self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if self.levels not in LEVELS:
@@ -163,13 +160,13 @@ _CONFIG_PARSERS = {
     "d_mode": str,
     "id_mode": str,
     "max_phases": lambda s: None if s.lower() == "none" else int(s),
-    "format": str,
-    "out": lambda s: None if s.lower() == "none" else s,
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat `key = value` lines; # starts a comment; unknown keys and empty values fail."""
+    """Flat `key = value` lines, one per ExperimentConfig field; # starts a
+    comment; unknown keys and empty values fail.  Where the rows go is not
+    a config key: `beepvote sweep` takes it as --format and --out."""
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

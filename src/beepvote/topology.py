@@ -40,7 +40,7 @@ class Mesh2D:
 @dataclass(frozen=True)
 class ErdosRenyi:
     n: int
-    edge_probability: float | None = None  # None: (2/N) * log2(N)
+    edge_probability: float
 
 
 TopologySpec = Complete | Mesh2D | ErdosRenyi
@@ -54,8 +54,8 @@ class Graph:
     edges only through the channel rule (`activity`) and the two-hop
     relation (`two_hop`).  The constructor takes ownership of `adj`
     without a copy, puts it in canonical form and makes its arrays
-    read-only; `graph_from_adjacency` and `graph_from_edges` are the entry
-    points that validate a caller's matrix or edge list.
+    read-only; `graph_from_edges` is the entry point that validates a
+    caller's edge list.
 
     Attributes:
         adj: (N, N) boolean CSR adjacency, symmetric, zero diagonal.
@@ -157,36 +157,23 @@ def exact_diameter(adj: csr_array) -> int:
     return int(dist.max())
 
 
-def _graph_from_csr(adj: csr_array) -> Graph:
-    """Validate a caller's CSR matrix and measure its diameter."""
-    if adj.diagonal().any():
-        raise ValueError("self-loops are not allowed")
-    if (adj != adj.T).nnz:
-        raise ValueError("adjacency must be symmetric")
-    if adj.shape[0] < 1:
-        raise ValueError("node count must be >= 1")
-    return Graph(adj, exact_diameter(adj))
-
-
-def graph_from_adjacency(adj: np.ndarray) -> Graph:
-    adj = np.asarray(adj, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    return _graph_from_csr(csr_array(adj))
-
-
 def graph_from_edges(n: int, edges) -> Graph:
+    """The connected graph on n nodes with undirected (u, v) edges, no self-loops."""
     if n < 1:
         raise ValueError("node count must be >= 1")
     u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
-    return _graph_from_csr(_symmetric_csr(n, u, v))
+    if (u == v).any():
+        raise ValueError("self-loops are not allowed")
+    adj = _symmetric_csr(n, u, v)
+    return Graph(adj, exact_diameter(adj))
 
 
 def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
     """Build a connected graph from a topology description.
 
-    ErdosRenyi samples every edge independently and resamples the whole
-    graph until it is connected; after ER_RETRY_LIMIT failures it raises.
+    ErdosRenyi samples every edge independently from rng, which it
+    requires, and resamples the whole graph until it is connected; after
+    ER_RETRY_LIMIT failures it raises.  The other graphs ignore rng.
     """
     if isinstance(spec, Complete):
         if spec.n < 1:
@@ -209,12 +196,10 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
         if n < 1:
             raise ValueError("node count must be >= 1")
         p = spec.edge_probability
-        if p is None:
-            p = default_edge_probability(n)
         if not (0.0 <= p <= 1.0):
             raise ValueError("edge probability must lie in [0, 1]")
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("an Erdos-Renyi graph draws from the caller's generator; pass rng")
         iu = np.triu_indices(n, k=1)
         for _ in range(ER_RETRY_LIMIT):
             mask = rng.random(len(iu[0])) < p

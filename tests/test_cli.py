@@ -181,10 +181,10 @@ def test_sweep_command(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text(
         "topology = complete\nsizes = 8\ndeltas = 0.75\ntrials = 3\n"
-        "master_seed = 9\nformat = json\n"
+        "master_seed = 9\n"
     )
     out_path = tmp_path / "rows.json"
-    rc = main(["sweep", "--config", str(config), "--out", str(out_path)])
+    rc = main(["sweep", "--config", str(config), "--format", "json", "--out", str(out_path)])
     capsys.readouterr()
     assert rc == 0
     data = json.loads(out_path.read_text())
@@ -234,6 +234,42 @@ def test_sweep_empty_config_value_exits_one(tmp_path, capsys):
     assert out == ""
     assert err == "error: line 1: empty value for 'topology'\n"
     assert not out_path.exists()
+
+
+def test_sweep_config_output_key_exits_one(tmp_path, capsys):
+    # the output path and format are command-line options, not config keys
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sizes = 8\nout = rows.csv\n")
+    rc = main(["sweep", "--config", str(config)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: line 2: unknown key 'out'\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("markov --nodes 2 --deltas 0.500000000001", "no strict plurality after rounding"),
+        ("markov --nodes 0 --deltas 0.7", "no strict plurality after rounding"),
+        ("bounds --nodes 2 --deltas 0.500000000001", "no strict plurality after rounding"),
+        ("bounds --nodes 100 --deltas 0.7 0.500000000001", "no strict plurality after rounding"),
+        ("bounds --nodes 1 --deltas 0.7", "counts must be >= 1"),
+        ("bounds --nodes 0 --deltas 0.7", "n must be >= 1"),
+        ("run --nodes 2 --delta 0.500000000001", "no strict plurality after rounding"),
+        ("spots --nodes 2 --delta 0.500000000001", "no strict plurality after rounding"),
+    ],
+)
+def test_unscorable_counts_exit_one_with_empty_stdout(argv, message, capsys):
+    # two nodes at delta just above 1/2 split one and one, and zero nodes
+    # have no plurality at all; bounds builds every row before printing, so
+    # a failing row leaves no header or '#' lines behind
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 3.35 GiB"), MemoryError()])

@@ -58,7 +58,7 @@ def pump_rounds(graph, gen, slots):
 def test_consensus_is_fixed_point():
     g = build(Complete(6))
     asg = LevelAssignment(np.full(6, 2), 3)
-    res = one_phase(g, asg, seed=4)
+    res = one_phase(g, asg, dvb1_params(g, 3), seed=4)
     assert res.final_values == (2,) * 6
 
 
@@ -80,7 +80,7 @@ def test_minority_node_adopts_majority_level():
 
 def test_single_node_phase_changes_nothing():
     g = build(Complete(1))
-    res = one_phase(g, LevelAssignment(np.array([3]), 3), seed=8)
+    res = one_phase(g, LevelAssignment(np.array([3]), 3), dvb1_params(g, 3), seed=8)
     assert res.final_values == (3,)
 
 

@@ -19,7 +19,6 @@ from beepvote.topology import (
     LevelAssignment,
     Mesh2D,
     build,
-    graph_from_adjacency,
     graph_from_edges,
     hop_bound,
 )
@@ -64,9 +63,7 @@ def test_unique_ids_distinct_within_two_hops():
     adj = adj | adj.T
     adj[np.arange(29), np.arange(1, 30)] = True  # keep it connected
     adj = adj | adj.T
-    from beepvote.topology import graph_from_adjacency
-
-    g = graph_from_adjacency(adj)
+    g = graph_from_edges(30, np.argwhere(adj))
     ids = assign_ids(g, id_space(g.max_degree), "preassigned_unique", rng)
     for i in range(30):
         seen = {int(ids[i])}
@@ -92,8 +89,6 @@ def _dense_greedy_ids(adj, y_slots):
 
 
 def test_unique_ids_match_dense_greedy_reference():
-    from beepvote.topology import graph_from_adjacency
-
     rng = np.random.default_rng(77)
     cases = []
     for _ in range(12):
@@ -101,7 +96,7 @@ def test_unique_ids_match_dense_greedy_reference():
         adj = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1)
         adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
         adj = adj | adj.T
-        cases.append((graph_from_adjacency(adj), adj))
+        cases.append((graph_from_edges(n, np.argwhere(adj)), adj))
     for r, c in ((1, 1), (1, 7), (4, 5), (9, 9)):
         n = r * c
         adj = np.zeros((n, n), dtype=bool)
@@ -270,7 +265,7 @@ def test_vectorised_phase_matches_per_node_reference(n, p, k, y, seed):
     rng = np.random.default_rng(seed)
     adj = np.triu(rng.random((n, n)) < p, 1)
     adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
-    graph = graph_from_adjacency(adj | adj.T)
+    graph = graph_from_edges(n, np.argwhere(adj | adj.T))
     params = Dvb2Params(level_count=k, d_sched=hop_bound(graph, "exact"), y_slots=y)
     values = rng.integers(1, k + 1, size=n)
     ids = rng.integers(1, y + 1, size=n)
@@ -500,7 +495,7 @@ def test_binary_unique_id_runs_conserve_the_singleton_surplus(n, p, ones, seed):
     adj[np.arange(1, n), [rng.integers(i) for i in range(1, n)]] = True  # random tree
     adj |= rng.random((n, n)) < p
     adj = np.tril(adj, -1)
-    graph = graph_from_adjacency(adj | adj.T)
+    graph = graph_from_edges(n, np.argwhere(adj | adj.T))
     params = dvb2_params(graph, 2, id_mode="preassigned_unique")
     max_phases = max(400, 40 * params.check_interval)  # dvb2_run's default cap
     values = rng.permutation([1] * n1 + [2] * (n - n1))

@@ -22,7 +22,6 @@ from beepvote.topology import (
     LevelAssignment,
     Mesh2D,
     build,
-    graph_from_adjacency,
     graph_from_edges,
     hop_bound,
 )
@@ -60,7 +59,7 @@ def test_channel_property_random_graphs():
         adj = np.triu(rng.random((n, n)) < 0.4, 1)
         adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
         adj = adj | adj.T
-        g = graph_from_adjacency(adj)
+        g = graph_from_edges(n, np.argwhere(adj))
         beeps = rng.random(n) < 0.5
         activity = g.activity(beeps)
         heard = step(g, beeps)
@@ -89,7 +88,7 @@ def test_channel_rule_on_both_storage_forms():
     for n in (1, 2, 7, 40):
         everyone = [[j for j in range(n) if j != i] for i in range(n)]
         cases.append((build(Complete(n)), everyone))
-        cases.append((graph_from_adjacency(~np.eye(n, dtype=bool)), everyone))
+        cases.append((graph_from_edges(n, np.argwhere(~np.eye(n, dtype=bool))), everyone))
     for r, c in ((1, 1), (1, 5), (3, 4)):
         grid = [(i // c, i % c) for i in range(r * c)]
         near = [
@@ -197,10 +196,11 @@ def test_terminated_iff_completed(protocol_run):
     statuses = set()
     for spec in (Complete(6), Mesh2D(3, 3)):
         g = build(spec)
+        params = (dvb1_params if protocol_run is dvb1_run else dvb2_params)(g, 2)
         for seed in range(3):
             asg = make_assignment(g.node_count, 2, 0.7, np.random.default_rng(seed))
             for max_phases in (None, 1):
-                res = protocol_run(g, asg, seed=seed, max_phases=max_phases)
+                res = protocol_run(g, asg, params, seed=seed, max_phases=max_phases)
                 assert res.terminated == (res.status == "completed")
                 statuses.add(res.status)
     assert statuses == {"completed", "max_phases_exceeded"}
@@ -291,7 +291,7 @@ def naive_drive(graph, gen):
 def random_graph(n, p, rng):
     adj = np.triu(rng.random((n, n)) < p, 1)
     adj[np.arange(n - 1), np.arange(1, n)] = True  # path 0-1-...-(n-1): connected
-    return graph_from_adjacency(adj | adj.T)
+    return graph_from_edges(n, np.argwhere(adj | adj.T))
 
 
 def schedule_factory(kind, graph, k, seed):

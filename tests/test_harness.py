@@ -13,6 +13,7 @@ from beepvote.harness import (
     SweepRow,
     delta_fractions,
     emit,
+    level_counts,
     make_assignment,
     mesh_shape,
     parse_config,
@@ -78,6 +79,14 @@ def test_make_assignment_rejects_ties():
         make_assignment(2, 2, 0.5 + 1e-12, rng)
 
 
+@pytest.mark.parametrize("n, levels, delta", [(2, 2, 0.5 + 1e-12), (0, 2, 0.7), (0, 3, 0.1)])
+def test_level_counts_rejects_ties(n, levels, delta):
+    # the check lives here, so every command that turns a delta into counts
+    # (run, spots, markov, bounds) refuses a tie, not only make_assignment
+    with pytest.raises(ValueError, match="no strict plurality after rounding"):
+        level_counts(n, levels, delta)
+
+
 def test_wilson_contains_rate():
     lo, hi = wilson_interval(70, 100)
     assert 0.0 <= lo < 0.7 < hi <= 1.0
@@ -117,13 +126,19 @@ def test_parse_config_good():
     assert cfg.deltas == (0.7, 0.9)
     assert cfg.trials == 5
     assert cfg.master_seed == 7
-    assert cfg.format == "csv"
-    assert cfg.out is None
 
 
 def test_parse_config_unknown_key():
     with pytest.raises(ValueError, match="line 2: unknown key"):
         parse_config("trials = 3\nbogus = 1\n")
+
+
+@pytest.mark.parametrize("line", ["out = x", "format = json"])
+def test_parse_config_refuses_output_keys(line):
+    # where the rows go is set by `beepvote sweep --format/--out` alone
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=f"line 2: unknown key '{key}'"):
+        parse_config(f"trials = 3\n{line}\n")
 
 
 def test_parse_config_duplicate_key():
@@ -138,12 +153,12 @@ def test_parse_config_bad_value():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("topology", ""), ("deltas", ""), ("out", ""), ("sizes", ""), ("algo", ""),
+    [("topology", ""), ("deltas", ""), ("sizes", ""), ("algo", ""),
      ("deltas", ","), ("topology", " , ,")],
 )
 def test_parse_config_rejects_empty_value(key, value):
-    # read as given, an empty topology would sweep nothing, empty deltas the
-    # default grid, and an empty out would fail only after the whole sweep
+    # read as given, an empty topology would sweep nothing and empty deltas
+    # would run the default grid
     with pytest.raises(ValueError, match=f"line 2: empty value for '{key}'"):
         parse_config(f"trials = 3\n{key} ={value}  # nothing\n")
 

@@ -14,7 +14,6 @@ from beepvote.topology import (
     build,
     default_edge_probability,
     exact_diameter,
-    graph_from_adjacency,
     graph_from_edges,
     spots,
 )
@@ -50,7 +49,7 @@ def test_single_node():
 
 def test_complete_graph_closed_forms_match_its_csr_form():
     for n in (1, 2, 3, 8):
-        g, ref = build(Complete(n)), graph_from_adjacency(~np.eye(n, dtype=bool))
+        g, ref = build(Complete(n)), graph_from_edges(n, np.argwhere(~np.eye(n, dtype=bool)))
         assert type(g) is not type(ref)
         assert (g.node_count, g.max_degree, g.diameter) == (
             ref.node_count,
@@ -101,10 +100,16 @@ def test_mesh_row_major_edges():
 
 def test_erdos_renyi_connected_with_default_probability():
     for seed in range(5):
-        g = build(ErdosRenyi(40, None), np.random.default_rng(seed))
+        g = build(ErdosRenyi(40, default_edge_probability(40)), np.random.default_rng(seed))
         assert g.node_count == 40
         assert exact_diameter(g.adj) == g.diameter
     assert default_edge_probability(40) == pytest.approx(2 * np.log2(40) / 40)
+
+
+def test_erdos_renyi_requires_a_generator():
+    # ER draws only from the caller's stream, never from a fresh unseeded one
+    with pytest.raises(ValueError, match="pass rng"):
+        build(ErdosRenyi(10, 0.5))
 
 
 def test_erdos_renyi_retry_exhaustion():
@@ -117,13 +122,11 @@ def test_graph_from_edges_rejects_disconnected():
         graph_from_edges(4, [(0, 1), (2, 3)])
 
 
-def test_graph_from_adjacency_rejects_asymmetric():
-    adj = np.zeros((3, 3), dtype=bool)
-    adj[0, 1] = True
-    with pytest.raises(ValueError):
-        graph_from_adjacency(adj)
+def test_graph_from_edges_rejects_no_nodes_and_self_loops():
     with pytest.raises(ValueError, match="node count must be >= 1"):
-        graph_from_adjacency(np.zeros((0, 0)))
+        graph_from_edges(0, [])
+    with pytest.raises(ValueError, match="self-loops are not allowed"):
+        graph_from_edges(3, [(0, 1), (1, 1), (1, 2)])
 
 
 def test_path_diameter():
