@@ -6,7 +6,11 @@ j, every node still allowed to beep announces its level in that level's
 slot and then survives the round with probability 1/2; every node records,
 per level, whether any neighbor beeped in that slot.  A node that heard
 exactly one level at the end of a round adopts it (dead nodes keep
-listening and adopting; they only stop beeping).
+listening and adopting; they only stop beeping).  Once a round's beeps
+hold at most one level m, the phase's values are final: every survivor
+holds m, and a node next to a survivor was next to a beeper of that round
+and adopted m.  The rest of the phase only draws survival coins, so it is
+fast-forwarded with the survivors' beeps.
 
 Hear flags are defined as "some neighbor beeped in slot k" for beepers
 and listeners alike, so a node beeping alongside a same-level neighbor
@@ -119,9 +123,11 @@ class Dvb1Automaton(PhasedVoting):
         beeps in a later slot of the same round.  Coins are drawn for the
         beepers in level order, and in node order within a level, as a
         slot-by-slot run draws them.  The reply rows are the per-level hear
-        flags.  Once every node is dead the rest of the phase provably
-        changes nothing (no beeps, hence no flags, hence no adoptions) and
-        is fast-forwarded.
+        flags.  Once nobody survives a round, or its beeps hold at most
+        one level m, the later rounds change no value: every survivor
+        holds m, and its neighbors heard only m this round and adopted
+        m.  They only draw the survivors' coins, in node order, and are
+        fast-forwarded with those beeps.
 
         Returns the 1-based round index at whose end all nodes were dead,
         or None if some node could still beep when the phase ended.
@@ -140,12 +146,19 @@ class Dvb1Automaton(PhasedVoting):
             adopters = flags.sum(axis=1) == 1
             if adopters.any():
                 values[adopters] = flags[adopters].argmax(axis=1) + 1
-            if not allowed.any():
-                remaining = (rounds - j - 1) * level_count
-                if remaining:
-                    yield FastForward(remaining)
-                return j + 1
-        return None
+            if np.count_nonzero(beeps.any(axis=1)) <= 1 or not allowed.any():
+                break
+        beep_count = 0
+        done = j + 1  # rounds whose coins are drawn
+        while done < rounds and allowed.any():
+            (beepers,) = np.nonzero(allowed)
+            beep_count += len(beepers)
+            allowed[beepers[self.rng.random(len(beepers)) < death]] = False
+            done += 1
+        remaining = (rounds - j - 1) * level_count
+        if remaining:
+            yield FastForward(remaining, beep_count)
+        return None if allowed.any() else done
 
 
 def dvb1_run(

@@ -131,14 +131,20 @@ TRACE_LINE = re.compile(
     [
         ("run --nodes 6 --delta 0.7 --seed 1", False),
         ("run --topology mesh2d --nodes 9 --c1 0.1 --max-phases 4", True),
+        ("run --topology mesh2d --nodes 16 --seed 3 --max-phases 4", False),
+        ("run --topology erdos_renyi --nodes 12 --seed 4 --max-phases 4", False),
         ("run --algo dvb2 --topology mesh2d --nodes 4 --delta 0.75 --seed 2 --max-phases 3", True),
+        ("run --algo dvb2 --topology erdos_renyi --nodes 9 --delta 0.75 --seed 5 --max-phases 2",
+         True),
     ],
 )
 def test_trace_tiles_the_run(argv, all_cleared, tmp_path, capsys):
     """The trace's fast-forward ranges and per-slot lines cover slots
     0..slots-1 once each, in order, and their beeps add up to the run's
-    total.  all_cleared runs hit the termination wave's fast-forward over
-    relay slots in which every node beeps."""
+    total.  The DVB1 runs at the default c1 fast-forward the ends of their
+    corrosion phases with the survivors' beeps; all_cleared runs hit the
+    termination wave's fast-forward over relay slots in which every node
+    beeps."""
     path = tmp_path / "trace.log"
     assert main(argv.split() + ["--trace", str(path)]) == 0
     summary = re.search(r"slots=(\d+) beeps=(\d+)", capsys.readouterr().out)

@@ -6,8 +6,10 @@ allowance so they test the claim, not the noise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beepvote.analysis import lower_bound_two_event
+from beepvote.analysis import SURVIVAL_PROB, lower_bound_two_event
 from beepvote.dvb1 import (
     Dvb1Automaton,
     Dvb1Params,
@@ -16,7 +18,7 @@ from beepvote.dvb1 import (
     one_phase,
     termination_detection,
 )
-from beepvote.engine import FastForward, drive_schedule
+from beepvote.engine import FastForward, SlotRequest, drive_schedule
 from beepvote.harness import make_assignment
 from beepvote.topology import Complete, LevelAssignment, Mesh2D, build, graph_from_edges
 
@@ -161,6 +163,71 @@ def test_value_changes_obey_flags():
                     flags[:] = False
         if pending is not None:
             check(pending)
+
+
+def round_by_round_phase(aut):
+    """Reference corrosion phase: every round goes through the channel,
+    and only an all-dead phase fast-forwards its silent rest."""
+    values = aut.values
+    level_count = aut.params.level_count
+    rounds = aut.params.rounds_per_phase
+    death = 1.0 - SURVIVAL_PROB
+    levels = np.arange(1, level_count + 1)[:, None]
+    aut.allowed = allowed = np.ones(aut.graph.node_count, dtype=bool)
+    for j in range(rounds):
+        beeps = (values == levels) & allowed
+        _, beepers = np.nonzero(beeps)
+        allowed[beepers[aut.rng.random(len(beepers)) < death]] = False
+        flags = (yield SlotRequest(beeps)).T
+        adopters = flags.sum(axis=1) == 1
+        if adopters.any():
+            values[adopters] = flags[adopters].argmax(axis=1) + 1
+        if not allowed.any():
+            remaining = (rounds - j - 1) * level_count
+            if remaining:
+                yield FastForward(remaining)
+            return j + 1
+    return None
+
+
+def phase_graph(kind, n, seed):
+    if kind == "mesh":
+        return build(Mesh2D(3, 4))
+    if kind == "complete":
+        return build(Complete(n))
+    rng = np.random.default_rng(seed)
+    extra = np.argwhere(np.triu(rng.random((n, n)) < rng.random(), 1))
+    path = [(i, i + 1) for i in range(n - 1)]  # keeps the graph connected
+    return graph_from_edges(n, path + [tuple(e) for e in extra])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["random", "mesh", "complete"]),
+    n=st.integers(1, 14),
+    k=st.sampled_from([1, 2, 3]),
+    c1=st.sampled_from([0.3, 2.0, 20.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_phase_matches_round_by_round_reference(kind, n, k, c1, seed):
+    """Fast-forwarding a phase once its beeps hold one level leaves the
+    values, the survivors, the slot and beep counts, the all-dead round
+    and the random stream as a round-by-round phase leaves them."""
+    graph = phase_graph(kind, n, seed)
+    params = dvb1_params(graph, k, c1=c1)
+    values = np.random.default_rng(seed).integers(1, k + 1, size=graph.node_count)
+    runs = []
+    for phase in (Dvb1Automaton.phase, round_by_round_phase):
+        aut = Dvb1Automaton(
+            graph, params, LevelAssignment(values, k), np.random.default_rng(seed), 1
+        )
+        slots, beeps, dead_round = drive_schedule(graph, phase(aut))
+        runs.append((aut, slots, beeps, dead_round))
+    (fast, *fast_counts), (ref, *ref_counts) = runs
+    assert fast_counts == ref_counts
+    assert np.array_equal(fast.values, ref.values)
+    assert np.array_equal(fast.allowed, ref.allowed)
+    assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_all_dead_probability_bound():

@@ -261,8 +261,8 @@ spot 2: level=3 size=2 nodes=2 8
 # argv -> (trace lines, sha256 of the trace file)
 TRACE_DIGESTS = {
     "run --nodes 6 --delta 0.7 --seed 1": (
-        35,
-        "b2222c1c6e7e7cf47abc5f5f1c0213cab36a5af9f34b2b28588e2395485f0f31",
+        21,
+        "0d37488a9366ab336f1cd2453b3e6a76faf33189bb53bbac5cc18528871f4138",
     ),
     "run --algo dvb2 --topology mesh2d --nodes 4 --delta 0.75 --seed 2 --max-phases 3": (
         134,
