@@ -123,11 +123,14 @@ class Dvb1Automaton(PhasedVoting):
         beeps in a later slot of the same round.  Coins are drawn for the
         beepers in level order, and in node order within a level, as a
         slot-by-slot run draws them.  The reply rows are the per-level hear
-        flags.  Once nobody survives a round, or its beeps hold at most
-        one level m, the later rounds change no value: every survivor
-        holds m, and its neighbors heard only m this round and adopted
-        m.  They only draw the survivors' coins, in node order, and are
-        fast-forwarded with those beeps.
+        flags, decoded with one integer product: tally row 0 counts the
+        levels a node heard and row 1 sums them, so where exactly one was
+        heard the sum is that level, and the node adopts it.  Once nobody
+        survives a round, or its beeps hold at most one level m, the
+        later rounds change no value: every survivor holds m, and its
+        neighbors heard only m this round and adopted m.  They only draw
+        the survivors' coins, in node order, and are fast-forwarded with
+        those beeps.
 
         Returns the 1-based round index at whose end all nodes were dead,
         or None if some node could still beep when the phase ended.
@@ -136,17 +139,21 @@ class Dvb1Automaton(PhasedVoting):
         level_count = self.params.level_count
         rounds = self.params.rounds_per_phase
         death = 1.0 - SURVIVAL_PROB
-        levels = np.arange(1, level_count + 1)[:, None]
+        tally = np.stack([np.ones(level_count, dtype=np.int64), np.arange(1, level_count + 1)])
+        levels = tally[1][:, None]
         self.allowed = allowed = np.ones(self.graph.node_count, dtype=bool)
         for j in range(rounds):
             beeps = (values == levels) & allowed
-            _, beepers = np.nonzero(beeps)  # level order, then node order
-            allowed[beepers[self.rng.random(len(beepers)) < death]] = False
-            flags = (yield SlotRequest(beeps)).T
-            adopters = flags.sum(axis=1) == 1
-            if adopters.any():
-                values[adopters] = flags[adopters].argmax(axis=1) + 1
-            if np.count_nonzero(beeps.any(axis=1)) <= 1 or not allowed.any():
+            rows, beepers = np.nonzero(beeps)  # level order, then node order
+            dying = self.rng.random(len(beepers)) < death
+            allowed[beepers[dying]] = False
+            flags = yield SlotRequest(beeps)
+            heard, level = tally @ flags.view(np.uint8)
+            np.copyto(values, level, where=heard == 1)
+            # every allowed node beeps, so nobody survived iff every beeper
+            # died; rows ascend, so one level beeped iff the first and the
+            # last beeper share a row
+            if dying.all() or rows[0] == rows[-1]:
                 break
         beep_count = 0
         done = j + 1  # rounds whose coins are drawn

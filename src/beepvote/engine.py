@@ -11,9 +11,11 @@ observation, `heard = activity & ~beeps`.
 `drive_schedule` runs a slot-event generator: one that yields
 `SlotRequest` and `FastForward` events.  A SlotRequest is one open-loop
 block, its (S, N) boolean beep rows (True = beep) fixed before it starts.
-The engine replies, via `send`, with the (S, N) activity rows rather
-than `heard`; the activity form additionally lets a protocol model
-sender-side collision detection (a beeper noticing that a neighbor
+All of its rows go to the channel in one `Graph.activity` call, silent
+rows too (their activity is all false, so nothing needs to pick them
+out).  The engine replies, via `send`, with the (S, N) bool activity
+rows rather than `heard`; the activity form additionally lets a protocol
+model sender-side collision detection (a beeper noticing that a neighbor
 beeped in the same slot).
 
 FastForward covers stretches of slots whose outcome the automaton can
@@ -97,10 +99,10 @@ def drive_schedule(graph: Graph, gen, trace: IO[str] | None = None) -> tuple[int
 
     Returns (slots, beeps, value), value being what the generator returned
     on StopIteration.  Every event adds its length and its beep total in
-    one step; a block makes one channel call for its beeping rows first.
-    trace, if given, gets one line per fast-forwarded stretch (a
-    FastForward, a block's silent gap or silent row) and one per node per
-    channel slot.
+    one step; a block sends all its rows, silent ones included, to the
+    channel in one call and replies with the activity rows.  trace, if
+    given, gets one line per fast-forwarded stretch (a FastForward, a
+    block's silent gap or silent row) and one per node per beeping slot.
     """
     slots = beeps = 0
     reply = None
@@ -115,14 +117,11 @@ def drive_schedule(graph: Graph, gen, trace: IO[str] | None = None) -> tuple[int
                 _trace_skip(trace, slots, length, beep_count)
         else:
             rows = event.beeps
-            counts = rows.sum(axis=1)
-            live = counts > 0  # a row in which nobody beeps skips the channel
-            reply = np.zeros(rows.shape, dtype=bool)
-            reply[live] = graph.activity(rows[live])
+            reply = graph.activity(rows)
             length = len(rows) if event.length is None else int(event.length)
-            beep_count = int(counts.sum())
+            beep_count = int(np.count_nonzero(rows))
             if trace is not None:
-                _trace_block(trace, slots, event, live, reply, length)
+                _trace_block(trace, slots, event, reply, length)
         slots += length
         beeps += beep_count
 
@@ -132,14 +131,15 @@ def _trace_skip(trace: IO[str], start: int, count: int, beep_count: int = 0) -> 
         trace.write(f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n")
 
 
-def _trace_block(trace: IO[str], start: int, event: SlotRequest, live, reply, length) -> None:
-    """The trace lines of a block that starts at slot start."""
+def _trace_block(trace: IO[str], start: int, event: SlotRequest, reply, length) -> None:
+    """The trace lines of a block that starts at slot start; a row in
+    which nobody beeps is traced as a one-slot fast-forward."""
     rows = event.beeps
     slot = start  # the first slot without a line
     for r, offset in enumerate(range(len(rows)) if event.offsets is None else event.offsets):
         at = start + int(offset)
         _trace_skip(trace, slot, at - slot)
-        if live[r]:
+        if rows[r].any():
             heard = reply[r] & ~rows[r]
             for i, beeped in enumerate(rows[r]):
                 action = "beep" if beeped else "listen"

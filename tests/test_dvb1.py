@@ -213,6 +213,24 @@ def test_phase_matches_round_by_round_reference(kind, n, k, c1, seed):
     """Fast-forwarding a phase once its beeps hold one level leaves the
     values, the survivors, the slot and beep counts, the all-dead round
     and the random stream as a round-by-round phase leaves them."""
+    assert_phase_matches_reference(kind, n, k, c1, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["random", "mesh", "complete"]),
+    n=st.integers(1, 14),
+    k=st.sampled_from([4, 5]),
+    c1=st.sampled_from([0.3, 2.0, 20.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_phase_matches_round_by_round_reference_at_more_levels(kind, n, k, c1, seed):
+    """The tally decode of a round's adoptions, checked where level sums
+    of two or more heard levels can equal a level (1 + 3 = 4)."""
+    assert_phase_matches_reference(kind, n, k, c1, seed)
+
+
+def assert_phase_matches_reference(kind, n, k, c1, seed):
     graph = phase_graph(kind, n, seed)
     params = dvb1_params(graph, k, c1=c1)
     values = np.random.default_rng(seed).integers(1, k + 1, size=graph.node_count)
@@ -228,6 +246,37 @@ def test_phase_matches_round_by_round_reference(kind, n, k, c1, seed):
     assert np.array_equal(fast.values, ref.values)
     assert np.array_equal(fast.allowed, ref.allowed)
     assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "beeping, hub_after",
+    [
+        ((), 1),  # heard nothing
+        ((3,), 3),  # heard one level
+        ((3, 5), 3),  # heard one level from two leaves
+        ((1,), 1),  # heard its own level
+        ((2, 3), 1),  # heard two levels
+        ((1, 3), 1),  # two levels summing to a third (1 + 3 = 4)
+        ((1, 2, 3, 4), 1),  # heard all K levels
+    ],
+)
+def test_star_hub_adopts_only_a_single_heard_level(beeping, hub_after):
+    # hub 0 holds level 1; leaves 1..5 hold levels 1, 2, 3, 4, 3 of K = 4.
+    # Only the leaves in `beeping` reach the channel in round 1, so the hub
+    # hears their levels; every leaf hears just the hub and adopts 1.
+    leaves = [1, 2, 3, 4, 3]
+    g = graph_from_edges(6, [(0, leaf) for leaf in range(1, 6)])
+    aut = Dvb1Automaton(
+        g, dvb1_params(g, 4), LevelAssignment([1] + leaves, 4), np.random.default_rng(0), 1
+    )
+    gen = aut.phase()
+    event = next(gen)
+    reaching = np.isin(np.arange(6), (0,) + beeping)
+    try:
+        gen.send(g.activity(event.beeps & reaching))
+    except StopIteration:
+        pass
+    assert aut.values.tolist() == [hub_after] + [1] * 5
 
 
 def test_all_dead_probability_bound():

@@ -9,6 +9,7 @@ from beepvote.dvb1 import Dvb1Automaton, Dvb1Params, dvb1_params, dvb1_run, slot
 from beepvote.dvb2 import Dvb2Automaton, Dvb2Params, dvb2_params, dvb2_run
 from beepvote.engine import (
     FastForward,
+    SlotRequest,
     drive_schedule,
     run,
     step,
@@ -109,9 +110,35 @@ def test_channel_rule_on_both_storage_forms():
         blocks += [rng.random((s, n)) < p for s in (1, 5) for p in (0.1, 0.5)]
         blocks[-1][2] = False  # an all-silent row inside a block
         for beeps in vectors + blocks:
+            # the engine sends silent rows and S = 0 blocks as they are,
+            # and DVB1 reads the bool reply through a uint8 view
             activity = g.activity(beeps)
             assert activity.dtype == bool and activity.shape == beeps.shape
             assert np.array_equal(activity, _heard_by_rule(neighbors, beeps))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build(Complete(1)),
+        build(Complete(7)),
+        build(Mesh2D(3, 4)),
+        graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    ],
+)
+def test_silent_block_replies_all_false_with_no_beeps(graph):
+    # a block's silent rows reach the channel like any other row
+    n = graph.node_count
+    replies = []
+
+    def silent_block():
+        replies.append((yield SlotRequest(np.zeros((3, n), dtype=bool), [0, 2, 5], 7)))
+
+    trace = io.StringIO()
+    assert drive_schedule(graph, silent_block(), trace) == (7, 0, None)
+    (reply,) = replies
+    assert reply.dtype == bool and reply.shape == (3, n) and not reply.any()
+    assert "action=" not in trace.getvalue()
 
 
 def test_identical_seeds_identical_results():
