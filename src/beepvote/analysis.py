@@ -69,7 +69,10 @@ def binomial_table(n: int) -> np.ndarray:
 
 
 def _count_vector(counts) -> np.ndarray:
-    counts = np.asarray(counts, dtype=np.int64)
+    raw = np.asarray(counts)  # integer dtypes need no check
+    if raw.dtype.kind not in "biu" and not (np.isfinite(raw) & (np.trunc(raw) == raw)).all():
+        raise ValueError("counts must be whole numbers")
+    counts = raw.astype(np.int64, copy=False)
     if counts.ndim != 1 or len(counts) < 1:
         raise ValueError("counts must be a non-empty 1D vector")
     if (counts < 0).any():

@@ -74,8 +74,8 @@ def dvb1_params(
     c1: float = C1_DEFAULT,
     d_mode: str = "exact",
 ) -> Dvb1Params:
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    if not (math.isfinite(c1) and c1 > 0):
+        raise ValueError("c1 must be positive and finite")
     n = graph.node_count
     rounds = max(1, math.ceil(c1 * math.log2(n))) if n > 1 else 1
     return Dvb1Params(

@@ -59,8 +59,8 @@ C2_DEFAULT = 20.0  # id space scale: Y = ceil(c2 * Delta * log2(Delta))
 
 def id_space(max_degree: int, c2: float = C2_DEFAULT) -> int:
     """Id range Y = max(ceil(c2 * Delta * log2(Delta)), Delta + 1)."""
-    if c2 <= 0:
-        raise ValueError("c2 must be positive")
+    if not (math.isfinite(c2) and c2 > 0):
+        raise ValueError("c2 must be positive and finite")
     if max_degree <= 1:
         return max_degree + 1
     return max(math.ceil(c2 * max_degree * math.log2(max_degree)), max_degree + 1)
@@ -111,25 +111,15 @@ def assign_ids(
     """Node ids in 1..y_slots.
 
     "random" draws ids independently and uniformly, so nearby nodes can
-    collide.  "preassigned_unique" greedily colors the distance-2 graph,
-    which guarantees that every closed neighborhood sees pairwise
-    distinct ids and makes every handshake exact.
+    collide.  "preassigned_unique" takes the greedy distance-2 colouring,
+    so every closed neighborhood sees pairwise distinct ids and every
+    handshake is exact; it raises if that needs more than y_slots ids.
     """
-    n = graph.node_count
     if id_mode == "random":
-        return rng.integers(1, y_slots + 1, size=n).astype(np.int64)
+        return rng.integers(1, y_slots + 1, size=graph.node_count).astype(np.int64)
     if id_mode != "preassigned_unique":
         raise ValueError(f"id_mode must be one of {ID_MODES}")
-    two_hop = graph.two_hop()
-    ids = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        near = two_hop.indices[two_hop.indptr[i] : two_hop.indptr[i + 1]]
-        taken = set(ids[near[near < i]].tolist())
-        candidate = 1
-        while candidate in taken:
-            candidate += 1
-        ids[i] = candidate
-    # a node's greedy colour does not depend on y_slots, so one check suffices
+    ids = graph.distance2_colouring()
     if ids.max() > y_slots:
         raise ValueError(
             f"id space too small for locally unique ids: Y = {y_slots}, "

@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise ValueError(f"d_mode must be one of {D_MODES}")
         if self.id_mode not in ID_MODES:
             raise ValueError(f"id_mode must be one of {ID_MODES}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in (self.c1, self.c2)):
+            raise ValueError("c1 and c2 must be positive and finite")
         if self.max_phases is not None and self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if self.levels not in LEVELS:

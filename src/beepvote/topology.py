@@ -1,8 +1,10 @@
 """Network topologies for the beep-model simulator.
 
 Graphs are undirected, connected, and immutable once built.  Nodes are
-indexed 0..N-1; the 2D mesh is numbered row-major.  Level assignments map
-each node to a voting level in 1..K.
+indexed 0..N-1; the 2D mesh is numbered row-major.  Only this module
+reads a graph's storage (`adj` and its CSR arrays): other modules see its
+edges through the channel rule (`activity`) and the distance-2 colouring.
+Level assignments map each node to a voting level in 1..K.
 """
 
 from __future__ import annotations
@@ -50,12 +52,9 @@ TopologySpec = Complete | Mesh2D | ErdosRenyi
 class Graph:
     """Immutable undirected graph, the one place adjacency is stored.
 
-    Nothing outside this module reads `adj`: the engine and protocols see
-    edges only through the channel rule (`activity`) and the two-hop
-    relation (`two_hop`).  The constructor takes ownership of `adj`
-    without a copy, puts it in canonical form and makes its arrays
-    read-only; `graph_from_edges` is the entry point that validates a
-    caller's edge list.
+    The constructor takes ownership of `adj` without a copy, puts it in
+    canonical form and makes its arrays read-only; `graph_from_edges` is
+    the entry point that validates a caller's edge list.
 
     Attributes:
         adj: (N, N) boolean CSR adjacency, symmetric, zero diagonal.
@@ -81,16 +80,26 @@ class Graph:
         beeped.  The bool CSR product sums with logical OR."""
         return (self.adj @ beeps.T).T
 
-    def two_hop(self) -> csr_array:
-        """(N, N) boolean CSR: j is a neighbor of i or a neighbor of one."""
-        return self.adj + self.adj @ self.adj
+    def distance2_colouring(self) -> np.ndarray:
+        """Greedy colours from 1 in node order, each the least not held within
+        two hops, so every closed neighborhood holds pairwise distinct colours."""
+        within_two = self.adj + self.adj @ self.adj
+        ptr, near = within_two.indptr, within_two.indices
+        colours = np.zeros(self.node_count, dtype=np.int64)
+        for i in range(len(colours)):  # i and the nodes after it still read 0
+            taken = set(colours[near[ptr[i] : ptr[i + 1]]].tolist())
+            colour = 1
+            while colour in taken:
+                colour += 1
+            colours[i] = colour
+        return colours
 
 
 class CompleteGraph(Graph):
     """The complete graph on n nodes, stored as n alone.
 
-    The channel rule, the maximum degree, the two-hop relation and the
-    spots are closed forms, so no adjacency matrix is ever built and
+    The channel rule, the maximum degree, the distance-2 colouring and
+    the spots are closed forms, so no adjacency matrix is ever built and
     `adj` is not set.
     """
 
@@ -113,14 +122,9 @@ class CompleteGraph(Graph):
         """Some other node beeped: the row's beep count exceeds one's own."""
         return (beeps.sum(axis=-1, keepdims=True) - beeps) > 0
 
-    def two_hop(self) -> csr_array:
-        """Every pair, each node with itself, once there are two nodes;
-        a CSR product would cost N^3."""
-        n = self.n
-        if n == 1:
-            return csr_array((1, 1), dtype=bool)
-        every = np.arange(n * n) % n
-        return csr_array((np.ones(n * n, dtype=bool), every, np.arange(n + 1) * n), shape=(n, n))
+    def distance2_colouring(self) -> np.ndarray:
+        """Every pair is adjacent, so node i takes colour i + 1."""
+        return np.arange(1, self.n + 1, dtype=np.int64)
 
 
 def _freeze(adj: csr_array) -> csr_array:
@@ -223,7 +227,10 @@ class LevelAssignment:
     level_count: int
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.int64)  # never the caller's array
+        raw = np.asarray(self.values)  # integer dtypes need no check
+        if raw.dtype.kind not in "biu" and not (np.isfinite(raw) & (np.trunc(raw) == raw)).all():
+            raise ValueError("levels must be whole numbers")
+        values = np.array(raw, dtype=np.int64)  # never the caller's array
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.level_count < 1:

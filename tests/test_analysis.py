@@ -301,6 +301,20 @@ def test_sampler_rejects_bad_inputs_before_sampling():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("counts", [(2.5, 3), (2.7, 3), (3, 1e-9), (np.nan, 3), (np.inf, 3)])
+def test_counts_must_be_whole_numbers(counts):
+    # truncating solved (2, 3) instead: the two-event bound of (2.7, 3) read 0.46875
+    for solve in (markov_success, sample_success, lower_bound_two_event):
+        with pytest.raises(ValueError, match="counts must be whole numbers"):
+            solve(counts)
+
+
+def test_whole_float_counts_solve_as_integers():
+    assert lower_bound_two_event((2.0, 3.0)) == lower_bound_two_event((2, 3))
+    exact, ref = markov_success(np.array([2.0, 3.0])), markov_success((2, 3))
+    assert exact.win_prob.tolist() == ref.win_prob.tolist()
+
+
 def test_sampler_memory_is_linear_in_samples():
     # beyond the binomial tables, at most 96 bytes per sample and level
     # (about 41 measured); rows with few copies are drawn copy by copy

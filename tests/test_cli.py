@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import beepvote
-from beepvote import harness
+from beepvote import cli, harness
 from beepvote.cli import main
 
 
@@ -276,6 +276,34 @@ def test_unscorable_counts_exit_one_with_empty_stdout(argv, message, capsys):
     assert rc == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", ["--c1 inf", "--c1 nan", "--algo dvb2 --c2 inf", "--algo dvb2 --c2 nan"]
+)
+def test_run_non_finite_c_exits_one(argv, capsys):
+    # inf used to die in an OverflowError traceback, nan in a cast error
+    rc = main(["run", "--nodes", "16"] + argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: c1 and c2 must be positive and finite\n"
+
+
+@pytest.mark.parametrize("setting", ["c1 = nan", "algo = dvb2\nc2 = inf"])
+def test_sweep_non_finite_c_exits_one_before_any_trial(setting, tmp_path, monkeypatch, capsys):
+    # the config is refused while parsing, not counted as an error per trial
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"sizes = 8\ndeltas = 0.75\ntrials = 3\n{setting}\n")
+    rc = main(["sweep", "--config", str(config)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: c1 and c2 must be positive and finite\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 3.35 GiB"), MemoryError()])

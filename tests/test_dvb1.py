@@ -395,3 +395,10 @@ def test_split_termination_flags_raise():
     params = Dvb1Params(level_count=2, rounds_per_phase=1, d_sched=1)
     with pytest.raises(RuntimeError, match="flags disagree"):
         dvb1_run(g, asg, params, seed=0)
+
+
+@pytest.mark.parametrize("c1", [0.0, -1.0, float("inf"), float("nan")])
+def test_params_refuse_c1_that_is_not_positive_and_finite(c1):
+    # ceil(inf * log2 N) raised OverflowError, and nan slipped past c1 <= 0
+    with pytest.raises(ValueError, match="c1 must be positive and finite"):
+        dvb1_params(build(Complete(8)), 2, c1=c1)

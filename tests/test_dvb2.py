@@ -31,6 +31,13 @@ def test_id_space_values():
     assert id_space(0) == 1
 
 
+@pytest.mark.parametrize("c2", [0.0, -1.0, float("inf"), float("nan")])
+def test_id_space_refuses_c2_that_is_not_positive_and_finite(c2):
+    # ceil(inf * ...) raised OverflowError, and nan slipped past c2 <= 0
+    with pytest.raises(ValueError, match="c2 must be positive and finite"):
+        id_space(4, c2)
+
+
 def test_id_space_floor():
     for degree in range(0, 50):
         assert id_space(degree) >= degree + 1

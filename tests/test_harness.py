@@ -194,6 +194,16 @@ def test_config_validation():
         ExperimentConfig(topology=())
 
 
+@pytest.mark.parametrize("key", ["c1", "c2"])
+@pytest.mark.parametrize("value", [0.0, -2.0, float("inf"), float("nan")])
+def test_config_refuses_c_that_is_not_positive_and_finite(key, value):
+    # a nan or inf here used to pass, and every trial of the sweep then errored
+    with pytest.raises(ValueError, match="c1 and c2 must be positive and finite"):
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ValueError, match="c1 and c2 must be positive and finite"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_config_rejects_level_counts_without_a_delta_grid():
     for levels in (1, 4):
         for deltas in ((), (0.2,)):

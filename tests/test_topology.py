@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beepvote import topology
+from beepvote.dvb2 import assign_ids, id_space
 from beepvote.topology import (
     Complete,
     ErdosRenyi,
@@ -42,7 +43,7 @@ def test_single_node():
     for g in (build(Complete(1)), build(Mesh2D(1, 1))):
         assert g.node_count == 1
         assert degrees(g).tolist() == [0]
-        assert g.two_hop().shape == (1, 1) and g.two_hop().nnz == 0
+        assert g.distance2_colouring().tolist() == [1]
         assert g.diameter == 0
         assert g.max_degree == 0
 
@@ -58,7 +59,8 @@ def test_complete_graph_closed_forms_match_its_csr_form():
         )
         assert ref.adj.nnz // 2 == n * (n - 1) // 2
         assert degrees(g).tolist() == degrees(ref).tolist() == [n - 1] * n
-        assert np.array_equal(g.two_hop().toarray(), ref.two_hop().toarray())
+        assert g.distance2_colouring().tolist() == ref.distance2_colouring().tolist()
+        assert g.distance2_colouring().tolist() == list(range(1, n + 1))
         assert np.array_equal(neighbor_rows(g), ref.adj.toarray())
         for seed in range(3):
             values = np.random.default_rng(seed).integers(1, 4, size=n)
@@ -225,11 +227,30 @@ def test_complete_graph_spots_build_no_adjacency():
     assert not hasattr(g, "adj")
 
 
+def test_complete_graph_colouring_builds_no_two_hop_matrix():
+    # the two-hop CSR of complete(3000) alone would hold 9e6 entries
+    g = build(Complete(3000))
+    tracemalloc.start()
+    try:
+        ids = assign_ids(g, id_space(g.max_degree), "preassigned_unique", None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert ids.tolist() == list(range(1, 3001))
+    assert not hasattr(g, "adj")
+
+
 def test_assignment_validates_levels():
     with pytest.raises(ValueError):
         LevelAssignment(np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         LevelAssignment(np.array([1, 3]), 2)
+    # refused, not truncated: [1.5, 2] used to read [1, 2]
+    for values in ([1.5, 2], [1, 2.0000001], [np.nan, 1], [np.inf, 1]):
+        with pytest.raises(ValueError, match="levels must be whole numbers"):
+            LevelAssignment(values, 2)
+    assert LevelAssignment(np.array([1.0, 2.0, 2.0]), 2).values.tolist() == [1, 2, 2]
 
 
 def test_assignment_counts_and_plurality():
@@ -280,13 +301,16 @@ def test_assignment_copies_its_values():
 
 
 def test_only_topology_reads_the_adjacency_matrix():
+    # neither the matrix nor its CSR arrays (np.indices aside) leave topology
+    storage = re.compile(r"\.adj\b|\btwo_hop\b|\.indptr\b|(?<!\bnp)\.indices\b")
     package = Path(topology.__file__).parent
     readers = [
         path.name
         for path in sorted(package.glob("*.py"))
-        if path.name != "topology.py" and re.search(r"\.adj\b", path.read_text())
+        if path.name != "topology.py" and storage.search(path.read_text())
     ]
     assert readers == []
+    assert not hasattr(topology.Graph, "two_hop")
 
 
 def test_large_graphs_hold_no_dense_matrix():
