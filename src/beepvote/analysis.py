@@ -10,15 +10,17 @@ phase is settled the first time the counts form a halting pattern:
   draw:    no survivors anywhere.
 
 `halting` is that rule, vectorised; every function below reads it.
-`markov_success` solves the absorption probabilities exactly, one total
-alive count at a time, since every move but the self-loop lowers the
-total; its transition weights are binomial tables that `binomial_table`
-builds in numpy by the exact row recurrence.  `sample_success` estimates
-the same probabilities by simulation, as a cross-check that shares only
-`halting` and `binomial_table` with the exact solve: it keeps the
-ensemble as distinct alive-count states with a number of copies each,
-so one multinomial draw thins all copies of a state.  Both refuse, with
-the same checks, counts whose chain or tables exceed MAX_MARKOV_STATES.
+`markov_success` solves the absorption probabilities exactly, line by
+line: the states that differ only in the largest level's count solve one
+triangular system, whose right-hand side comes from partial sums carried
+across lines solved before; its transition weights are binomial tables
+that `binomial_table` builds in numpy by the exact row recurrence.
+`sample_success` estimates the same probabilities by simulation, as a
+cross-check that shares only `halting` and `binomial_table` with the
+exact solve: it keeps the ensemble as distinct alive-count states with a
+number of copies each, so one multinomial draw thins all copies of a
+state.  Both refuse, with the same checks, counts whose chain or tables
+exceed MAX_MARKOV_STATES.
 The closed-form lower bounds trade tightness for speed and are useful
 for sizing experiments.
 """
@@ -34,11 +36,15 @@ import numpy as np
 SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
 # markov_success and sample_success refuse, before allocating, counts
 # whose chain has more states than this, or whose binomial tables
-# ((n_k + 1)^2 floats per level) hold more entries in sum.  At the cap the
-# states hold (K + 1) float64 values each plus transient copies of the grid
-# and of one total's box, which peaks near 210 MB (measured at
-# (99, 99, 99)); the tables then take at most 8 MB.
+# ((n_k + 1)^2 floats per level) hold more entries in sum.  The tables
+# then take at most 8 MB.
 MAX_MARKOV_STATES = 10**6
+# markov_success also refuses counts whose solve would hold more floats than
+# this: K (K + 1) per state over the K levels with nodes, for the value grid
+# and the K - 1 partial-sum grids; a ternary chain at the state cap is the
+# largest it takes.  The process peaks near 180 MB there (measured at
+# (99, 99, 99) on one BLAS thread, the CLI's imports included).
+MAX_SOLVE_FLOATS = 12 * MAX_MARKOV_STATES
 # sample_success raises if some sample has not halted after this many rounds
 # (a safety net: N alive nodes outlive R rounds with probability <= N 2^-R)
 MAX_SAMPLE_ROUNDS = 10_000
@@ -129,40 +135,102 @@ class MarkovResult:
 def markov_success(counts) -> MarkovResult:
     """Exact absorption probabilities of the alive-count chain.
 
-    Dynamic programming over the grid of states dominated componentwise
-    by the initial counts, one total alive count s at a time: every exit
-    from a transient state but the self-loop lowers the total, so the
-    states with total s need only solved ones.  Each total is one
-    vectorised step (one tensordot per axis over the solved box, then a
-    gather and the self-loop factor 1 / (1 - 2^-s)), at most sum(n_k)
-    steps.  The transition weights come from one binomial_table per
-    level, (n_k + 1)^2 entries built by the exact row recurrence.  When the
-    grid's prod(n_k + 1) states or the tables' sum((n_k + 1)^2) entries
-    exceed MAX_MARKOV_STATES it raises ValueError before allocating either.
+    Levels with no nodes never change the chain and are dropped; the rest
+    are ordered by count, so the largest is the last axis.  A line is every
+    state that shares the first K - 1 alive counts (its prefix).  A round
+    keeps or lowers every count, so a state reaches only its own line and
+    lines whose prefix lies below its own: along the last axis a line's
+    values solve one lower-triangular system (I - alpha B_last) v = rhs,
+    where B_last is the last level's binomial table and alpha =
+    2^-(prefix total) the chance that the prefix keeps all its nodes.  An
+    absorbing state's row is the identity, with its one-hot outcome on the
+    right.
+
+    Lines are solved one prefix total (a plane) at a time, each with one
+    LAPACK triangular solve.  After a plane, each line's B_last @ v is kept
+    along every prefix axis d as a partial sum over the prefix axes after
+    d, so a later line reads what reaches it along axis d as one product
+    with d's strictly lower pmf rows; its rhs is those K - 1 products in
+    Horner form.  That is O(K * states * sum(n_k)) work.  Raises ValueError
+    before allocating when the grid's prod(n_k + 1) states or the tables'
+    sum((n_k + 1)^2) entries exceed MAX_MARKOV_STATES, or the solve's
+    K (K + 1) floats per state exceed MAX_SOLVE_FLOATS.
     """
+    from scipy.linalg import lapack  # here, so that importing this module loads numpy alone
+
     counts = _checked_counts(counts)
-    shape = tuple(int(c) + 1 for c in counts)
     k = len(counts)
-    pmfs = [binomial_table(int(n_i)) for n_i in counts]
-    kind = halting(np.moveaxis(np.indices(shape), 0, -1))
-    # halting states hold their one-hot outcome; transient ones start at 0
-    value = (kind[..., None] == np.arange(k + 1)).astype(np.float64)
-    transient = np.argwhere(kind < 0)
-    totals = transient.sum(axis=1)
-    for total in np.unique(totals):
-        states = transient[totals == total]
-        lo, hi = states.min(axis=0), states.max(axis=0)
-        # contract the box under hi with pmf rows lo..hi, one axis per
-        # tensordot (unsolved entries meet zero weights, as P(j > a) = 0);
-        # each appends its row axis, so the outcome axis ends up first
-        box = value[tuple(slice(0, h + 1) for h in hi)]
-        for axis in range(k):
-            rows = pmfs[axis][lo[axis] : hi[axis] + 1, : hi[axis] + 1]
-            box = np.tensordot(box, rows, axes=(0, 1))
-        loop = 1.0 - SURVIVAL_PROB**total
-        value[tuple(states.T)] = box[(slice(None), *(states - lo).T)].T / loop
-    out = value[tuple(int(c) for c in counts)]
-    return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
+    outcome = int(halting(counts))
+    if outcome >= 0:  # already absorbed
+        out = np.eye(k + 1)[outcome]
+        return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
+    perm = np.argsort(counts, kind="stable")
+    perm = perm[counts[perm] > 0]
+    shape = tuple(int(c) + 1 for c in counts[perm])
+    m, width = len(shape), shape[-1]
+    floats = math.prod(shape) * m * (m + 1)
+    if floats > MAX_SOLVE_FLOATS:
+        raise ValueError(
+            f"counts {tuple(int(c) for c in counts)} need {floats} solve floats, "
+            f"above the limit of {MAX_SOLVE_FLOATS}"
+        )
+    pmfs = [binomial_table(s - 1) for s in shape]
+    kind = halting(np.moveaxis(np.indices(shape), 0, -1)).reshape(-1, width)
+    # one-hot outcomes of the absorbing states; each line's solve overwrites its own
+    value = (kind[..., None] == np.arange(m + 1)).astype(np.float64)
+    # line p holds the prefix whose axis d reads p // stride[d] % shape[d]
+    lines = np.arange(len(kind))
+    stride = [math.prod(shape[d + 1 : -1]) for d in range(m - 1)]
+    prefix = [lines // stride[d] % shape[d] for d in range(m - 1)]
+    other = [lines // (stride[d] * shape[d]) * stride[d] + lines % stride[d] for d in range(m - 1)]
+    # sums[d][other, x_d] is B_last @ v of line x summed over prefix axes
+    # d + 1 .. K - 2 against their pmf rows, outcomes flattened with the last axis
+    sums = [np.zeros((len(kind) // shape[d], shape[d], width * (m + 1))) for d in range(m - 1)]
+    below = [np.tril(pmfs[d], -1) for d in range(m - 1)]
+    last = pmfs[-1]
+    last_t, diagonal = np.ascontiguousarray(last.T), np.arange(width)
+    # planes in order of increasing prefix total, cut so that a batch's line
+    # matrices and gathered sums hold at most about MAX_MARKOV_STATES floats
+    totals = sum(prefix)
+    order = np.argsort(totals, kind="stable")
+    rank = lines - np.searchsorted(totals[order], totals[order])
+    per_batch = max(1, MAX_MARKOV_STATES // (width**2 * (m + 1)))
+    for batch in np.split(order, np.flatnonzero(rank % per_batch == 0)[1:]):
+        x = [p[batch] for p in prefix]
+        o = [p[batch] for p in other]
+        # the chance that axis d keeps all its x_d nodes: its pmf diagonal
+        keep = [SURVIVAL_PROB ** xd[:, None] for xd in x]
+        # what reaches the line from lines below it on axis d; rows at or
+        # above a line's own count have zero weight
+        hi = [int(xd.max()) for xd in x]
+        pulled = [
+            np.matmul(below[d][x[d], None, : hi[d]], sums[d][o[d], : hi[d]])[:, 0]
+            for d in range(m - 1)
+        ]
+        rhs = pulled[-1]
+        for d in range(m - 3, -1, -1):
+            rhs = pulled[d] + keep[d] * rhs
+        transient = kind[batch] < 0
+        rhs = np.where(transient[..., None], rhs.reshape(-1, width, m + 1), value[batch])
+        # matrices[i].T is line i's system (I - alpha B_last), with absorbing rows
+        # replaced by identity rows, stored F-ordered as LAPACK reads it
+        alpha = SURVIVAL_PROB ** totals[batch]
+        matrices = last_t * (-alpha[:, None] * transient)[:, None, :]
+        matrices[:, diagonal, diagonal] += 1.0
+        for i in range(len(batch)):
+            rhs[i], info = lapack.dtrtrs(matrices[i].T, rhs[i], lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"triangular solve failed with info {info}")
+        value[batch] = rhs
+        part = (last @ rhs).reshape(len(batch), -1)
+        for d in range(m - 2, -1, -1):
+            sums[d][o[d], x[d]] = part
+            if d:
+                part = pulled[d] + keep[d] * part
+    out = value[-1, -1]
+    win_prob = np.zeros(k)
+    win_prob[perm] = out[:m]
+    return MarkovResult(win_prob=win_prob, draw_prob=float(out[m]))
 
 
 def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:

@@ -77,7 +77,10 @@ def dvb1_params(
     if not (math.isfinite(c1) and c1 > 0):
         raise ValueError("c1 must be positive and finite")
     n = graph.node_count
-    rounds = max(1, math.ceil(c1 * math.log2(n))) if n > 1 else 1
+    scaled = c1 * math.log2(n) if n > 1 else 1.0
+    if not math.isfinite(scaled):
+        raise ValueError(f"c1 * log2(N) is not finite at c1={c1:g}, N={n}")
+    rounds = max(1, math.ceil(scaled))
     return Dvb1Params(
         level_count=level_count, d_sched=hop_bound(graph, d_mode), rounds_per_phase=rounds
     )

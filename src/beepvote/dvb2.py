@@ -63,7 +63,12 @@ def id_space(max_degree: int, c2: float = C2_DEFAULT) -> int:
         raise ValueError("c2 must be positive and finite")
     if max_degree <= 1:
         return max_degree + 1
-    return max(math.ceil(c2 * max_degree * math.log2(max_degree)), max_degree + 1)
+    scaled = c2 * max_degree * math.log2(max_degree)
+    if not math.isfinite(scaled):
+        raise ValueError(
+            f"c2 * Delta * log2(Delta) is not finite at c2={c2:g}, Delta={max_degree}"
+        )
+    return max(math.ceil(scaled), max_degree + 1)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 ER_RETRY_LIMIT = 1000
 D_MODES = ("exact", "upper_bound_n")
+DIAMETER_BLOCK = 256  # BFS sources per pass of exact_diameter
 
 
 def default_edge_probability(n: int) -> float:
@@ -151,14 +152,24 @@ def hop_bound(graph: Graph, d_mode: str) -> int:
 
 
 def exact_diameter(adj: csr_array) -> int:
-    """Hop diameter via all-pairs BFS.  Raises on a disconnected graph."""
+    """Hop diameter via BFS from every node, DIAMETER_BLOCK sources at a
+    time: column j of `reach` marks the nodes within `hops` of source j and
+    grows by one product `adj @ reach` per hop, so memory is O(N * block).
+    Raises on a disconnected graph."""
     n = adj.shape[0]
-    if n <= 1:
-        return 0
-    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
-    if np.isinf(dist).any():
-        raise ValueError("graph not connected")
-    return int(dist.max())
+    diameter = 0
+    for start in range(0, n, DIAMETER_BLOCK):
+        sources = np.arange(start, min(start + DIAMETER_BLOCK, n))
+        reach = np.zeros((n, len(sources)), dtype=bool)
+        reach[sources, np.arange(len(sources))] = True
+        hops = 0
+        while not reach.all():
+            grown = reach | (adj @ reach)
+            if np.array_equal(grown, reach):
+                raise ValueError("graph not connected")
+            reach, hops = grown, hops + 1
+        diameter = max(diameter, hops)
+    return diameter
 
 
 def graph_from_edges(n: int, edges) -> Graph:

@@ -175,8 +175,8 @@ def test_markov_frozen_values():
 
 
 def test_markov_degenerate_start():
-    # no transient state, so the loop over totals never runs: the start
-    # state keeps exactly the one-hot outcome halting gives it
+    # an absorbing start returns before any line is solved, with exactly
+    # the one-hot outcome halting gives it
     for counts in [(1, 0), (2, 0), (7, 0), (0, 0), (0,), (1,), (6,), (0, 0, 3)]:
         res = markov_success(counts)
         probs = np.append(res.win_prob, res.draw_prob)
@@ -223,6 +223,11 @@ def test_markov_table_guard_refuses_before_allocating():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="binomial table entries"):
         markov_success((0, 999_998))
+    # 2^16 states pass the state-count guard, but the solve would hold
+    # 16 * 17 floats per state; empty levels hold none
+    with pytest.raises(ValueError, match="solve floats"):
+        markov_success((1,) * 16)
+    assert markov_success((1,) * 15 + (0,) * 5).total() == pytest.approx(1.0)
     assert time.perf_counter() - start < 1.0
     # the largest single axis the cap admits still solves
     assert markov_success((999,)).total() == 1.0
@@ -329,14 +334,14 @@ def test_sampler_memory_is_linear_in_samples():
     assert peak < tables + 96 * samples * len(counts)
 
 
-def _sum_ordered_dp(counts, p):
+def _sum_ordered_dp(counts, p, rule=_halting_by_rule):
     """Reference absorption solver in exact rational arithmetic: the same
-    recursion, with its own halting rule, visiting states in ascending
-    total order, at survival probability p."""
+    recursion, with its own halting rule unless given one, visiting states
+    in ascending total order, at survival probability p."""
     k = len(counts)
     value = {}
     for state in sorted(itertools.product(*(range(c + 1) for c in counts)), key=sum):
-        kind = _halting_by_rule(state)
+        kind = rule(state)
         if kind >= 0:
             value[state] = [Fraction(int(i == kind)) for i in range(k + 1)]
             continue
@@ -369,3 +374,30 @@ def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
     got = [Fraction(x) for x in (*res.win_prob, res.draw_prob)]
     assert max(abs(g - r) for g, r in zip(got, ref)) <= Fraction(1, 10**15)
     assert sum(ref) == 1
+
+
+def test_markov_matches_rational_chain_on_every_small_count():
+    """Every count vector with K in {1, 2, 3} and at most 7 nodes: the
+    line solve lies within 1e-15 of the same chain, halting rule included,
+    solved state by state in exact rationals."""
+    for k in (1, 2, 3):
+        for counts in itertools.product(range(8), repeat=k):
+            if sum(counts) > 7:
+                continue
+            res = markov_success(counts)
+            ref = _sum_ordered_dp(counts, Fraction(1, 2), rule=halting)
+            got = [Fraction(x) for x in (*res.win_prob, res.draw_prob)]
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= Fraction(1, 10**15), counts
+
+
+def test_markov_level_order_does_not_matter():
+    # the solve sorts the levels by count; any order of the same counts
+    # gives the permuted win probabilities and the same draw probability
+    rng = np.random.default_rng(22)
+    draws = [tuple(int(c) for c in rng.integers(0, 31, size=3)) for _ in range(5)]
+    for counts in draws + [(12, 12, 0), (9, 9, 4), (30, 30, 30)]:
+        ref = markov_success(counts)
+        for perm in itertools.permutations(range(3)):
+            res = markov_success(tuple(counts[i] for i in perm))
+            assert np.abs(res.win_prob - ref.win_prob[list(perm)]).max() <= 1e-15
+            assert res.draw_prob == ref.draw_prob

@@ -290,6 +290,25 @@ def test_run_non_finite_c_exits_one(argv, capsys):
     assert err == "error: c1 and c2 must be positive and finite\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--c1 1e308", "c1 * log2(N) is not finite at c1=1e+308, N=16"),
+        (
+            "--algo dvb2 --c2 1e308",
+            "c2 * Delta * log2(Delta) is not finite at c2=1e+308, Delta=15",
+        ),
+    ],
+)
+def test_run_overflowing_c_exits_one(argv, message, capsys):
+    # finite, but c * log2(.) overflowed to inf and math.ceil raised OverflowError
+    rc = main(["run", "--nodes", "16"] + argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("setting", ["c1 = nan", "algo = dvb2\nc2 = inf"])
 def test_sweep_non_finite_c_exits_one_before_any_trial(setting, tmp_path, monkeypatch, capsys):
     # the config is refused while parsing, not counted as an error per trial

@@ -402,3 +402,10 @@ def test_params_refuse_c1_that_is_not_positive_and_finite(c1):
     # ceil(inf * log2 N) raised OverflowError, and nan slipped past c1 <= 0
     with pytest.raises(ValueError, match="c1 must be positive and finite"):
         dvb1_params(build(Complete(8)), 2, c1=c1)
+
+
+def test_params_refuse_c1_whose_round_count_overflows():
+    # finite, but c1 * log2(8) overflows to inf and math.ceil raised OverflowError
+    with pytest.raises(ValueError, match=r"c1 \* log2\(N\) is not finite at c1=1e\+308, N=8"):
+        dvb1_params(build(Complete(8)), 2, c1=1e308)
+    assert dvb1_params(build(Complete(1)), 2, c1=1e308).rounds_per_phase == 1

@@ -38,6 +38,13 @@ def test_id_space_refuses_c2_that_is_not_positive_and_finite(c2):
         id_space(4, c2)
 
 
+def test_id_space_refuses_c2_whose_range_overflows():
+    # finite, but c2 * 4 * log2(4) overflows to inf and math.ceil raised OverflowError
+    with pytest.raises(ValueError, match=r"c2 \* Delta \* log2\(Delta\) is not finite"):
+        id_space(4, 1e308)
+    assert id_space(1, 1e308) == 2
+
+
 def test_id_space_floor():
     for degree in range(0, 50):
         assert id_space(degree) >= degree + 1

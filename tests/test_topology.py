@@ -120,8 +120,22 @@ def test_erdos_renyi_retry_exhaustion():
 
 
 def test_graph_from_edges_rejects_disconnected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="graph not connected"):
         graph_from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_exact_diameter_matches_all_pairs_shortest_paths():
+    # scipy's all-pairs search holds an N^2 float matrix, so only this test
+    # calls it; graphs above DIAMETER_BLOCK nodes take several source blocks
+    from scipy.sparse.csgraph import shortest_path
+
+    rng = np.random.default_rng(12)
+    graphs = [build(ErdosRenyi(n, default_edge_probability(n)), rng) for n in (2, 9, 64, 300, 600)]
+    graphs += [build(Mesh2D(r, c)) for r, c in ((1, 7), (5, 9), (17, 17))]
+    graphs += [graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 3, 300)]
+    for g in graphs:
+        dist = shortest_path(g.adj, unweighted=True, directed=False)
+        assert exact_diameter(g.adj) == int(dist.max())
 
 
 def test_graph_from_edges_rejects_no_nodes_and_self_loops():
