@@ -37,13 +37,14 @@ SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
 # markov_success and sample_success refuse, before allocating, counts
 # whose chain has more states than this, or whose binomial tables
 # ((n_k + 1)^2 floats per level) hold more entries in sum.  The tables
-# then take at most 8 MB.
+# then take at most 8 MB.  A markov_success call at the cap peaks near
+# 180 MB of process RSS (measured at (99, 99, 99) on one BLAS thread, the
+# CLI's imports included).
 MAX_MARKOV_STATES = 10**6
 # markov_success also refuses counts whose solve would hold more floats than
 # this: K (K + 1) per state over the K levels with nodes, for the value grid
 # and the K - 1 partial-sum grids; a ternary chain at the state cap is the
-# largest it takes.  The process peaks near 180 MB there (measured at
-# (99, 99, 99) on one BLAS thread, the CLI's imports included).
+# largest it takes.
 MAX_SOLVE_FLOATS = 12 * MAX_MARKOV_STATES
 # sample_success raises if some sample has not halted after this many rounds
 # (a safety net: N alive nodes outlive R rounds with probability <= N 2^-R)
