@@ -9,12 +9,13 @@ phase is settled the first time the counts form a halting pattern:
            exactly one other level is down to a single survivor;
   draw:    no survivors anywhere.
 
-`halting` is that rule, vectorised; every function below reads it.
-`markov_success` solves the absorption probabilities exactly, line by
-line: the states that differ only in the largest level's count solve one
-triangular system, whose right-hand side comes from partial sums carried
-across lines solved before; its transition weights are binomial tables
-that `binomial_table` builds in numpy by the exact row recurrence.
+`halting` is that rule, vectorised; every function below reads it.  It
+reads a level's count only as 0, 1 or "two or more", so `markov_success`
+computes the absorption probabilities by a forward sweep over counts
+capped at two, a chain of at most 3^K states, stopped once the mass
+still transient is provably below 2^-64; its transition weights come
+from binomial tables that `binomial_table` builds in numpy by the exact
+row recurrence.
 `sample_success` estimates the same probabilities by simulation, as a
 cross-check that shares only `halting` and `binomial_table` with the
 exact solve: it keeps the ensemble as distinct alive-count states with a
@@ -35,17 +36,14 @@ import numpy as np
 
 SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
 # markov_success and sample_success refuse, before allocating, counts
-# whose chain has more states than this, or whose binomial tables
+# whose full grid of prod(n_k + 1) alive-count states is larger than this
+# (the sampler indexes states in it), or whose binomial tables
 # ((n_k + 1)^2 floats per level) hold more entries in sum.  The tables
-# then take at most 8 MB.  A markov_success call at the cap peaks near
-# 180 MB of process RSS (measured at (99, 99, 99) on one BLAS thread, the
-# CLI's imports included).
+# then take at most 8 MB.  A markov_success call under the cap peaks near
+# 127 MB of process RSS, the CLI's imports included, at (1,) * 12 + (2,) * 5,
+# whose 995,328 capped states are the most the cap admits; (99, 99, 99)
+# and (999,) stay under 70 MB (measured on one BLAS thread).
 MAX_MARKOV_STATES = 10**6
-# markov_success also refuses counts whose solve would hold more floats than
-# this: K (K + 1) per state over the K levels with nodes, for the value grid
-# and the K - 1 partial-sum grids; a ternary chain at the state cap is the
-# largest it takes.
-MAX_SOLVE_FLOATS = 12 * MAX_MARKOV_STATES
 # sample_success raises if some sample has not halted after this many rounds
 # (a safety net: N alive nodes outlive R rounds with probability <= N 2^-R)
 MAX_SAMPLE_ROUNDS = 10_000
@@ -116,7 +114,7 @@ def halting(alive) -> np.ndarray:
     0-based winning level, K for a draw, or -1 for a transient state.
     A state is a win when exactly one level has survivors, or exactly two
     do and exactly one of them is down to 1; the winner is the larger."""
-    alive = np.asarray(alive, dtype=np.int64)
+    alive = np.asarray(alive)
     k = alive.shape[-1]
     levels = (alive > 0).sum(axis=-1)
     singles = (alive == 1).sum(axis=-1)
@@ -134,104 +132,81 @@ class MarkovResult:
 
 
 def markov_success(counts) -> MarkovResult:
-    """Exact absorption probabilities of the alive-count chain.
+    """Exact absorption probabilities of the alive-count chain, swept
+    forward over alive counts capped at two.
 
-    Levels with no nodes never change the chain and are dropped; the rest
-    are ordered by count, so the largest is the last axis.  A line is every
-    state that shares the first K - 1 alive counts (its prefix).  A round
-    keeps or lowers every count, so a state reaches only its own line and
-    lines whose prefix lies below its own: along the last axis a line's
-    values solve one lower-triangular system (I - alpha B_last) v = rhs,
-    where B_last is the last level's binomial table and alpha =
-    2^-(prefix total) the chance that the prefix keeps all its nodes.  An
-    absorbing state's row is the identity, with its one-hot outcome on the
-    right.
+    `halting` reads a level's alive count only as 0, 1 or "two or more",
+    and a count only falls, so a level now at two or more has been there
+    every round so far and a level at 1 holds exactly one node.  Each
+    capped count min(A_k, 2) is therefore a Markov chain of its own: 0
+    stays; 1 stays or falls to 0, each with probability 1/2; two or more
+    at round r moves to x with P(A_k(r) >= 2, A_k(r + 1) = x) /
+    P(A_k(r) >= 2), read off the law Binomial(n_k, 2^-r) (see
+    `_capped_steps`).  Levels thin independently, so the joint chain has
+    prod(min(n_k + 1, 3)) states.  Levels with no nodes are dropped and
+    the rest ordered by count, so that every order of the same counts takes
+    the same float steps.
 
-    Lines are solved one prefix total (a plane) at a time, each with one
-    LAPACK triangular solve.  After a plane, each line's B_last @ v is kept
-    along every prefix axis d as a partial sum over the prefix axes after
-    d, so a later line reads what reaches it along axis d as one product
-    with d's strictly lower pmf rows; its rhs is those K - 1 products in
-    Horner form.  That is O(K * states * sum(n_k)) work.  Raises ValueError
-    before allocating when the grid's prod(n_k + 1) states or the tables'
-    sum((n_k + 1)^2) entries exceed MAX_MARKOV_STATES, or the solve's
-    K (K + 1) floats per state exceed MAX_SOLVE_FLOATS.
+    The sweep starts with all mass on the start state.  Each round it
+    sends the mass on halting states to the outcome tally (an absorbing
+    start is tallied at round 0), then moves the rest one level at a time.
+    A transient state has at least two nodes alive, and a given pair
+    outlives R rounds with probability 4^-R, so the mass still transient
+    after R rounds is at most C(N, 2) 4^-R for N = sum(n_k) nodes; R is
+    the least round count that makes this bound at most 2^-64.  Raises
+    ValueError before allocating when the full grid's prod(n_k + 1)
+    states or the tables' sum((n_k + 1)^2) entries exceed
+    MAX_MARKOV_STATES, as sample_success does.
     """
-    from scipy.linalg import lapack  # here, so that importing this module loads numpy alone
-
     counts = _checked_counts(counts)
     k = len(counts)
-    outcome = int(halting(counts))
-    if outcome >= 0:  # already absorbed
-        out = np.eye(k + 1)[outcome]
-        return MarkovResult(win_prob=out[:k].copy(), draw_prob=float(out[k]))
-    perm = np.argsort(counts, kind="stable")
-    perm = perm[counts[perm] > 0]
-    shape = tuple(int(c) + 1 for c in counts[perm])
-    m, width = len(shape), shape[-1]
-    floats = math.prod(shape) * m * (m + 1)
-    if floats > MAX_SOLVE_FLOATS:
-        raise ValueError(
-            f"counts {tuple(int(c) for c in counts)} need {floats} solve floats, "
-            f"above the limit of {MAX_SOLVE_FLOATS}"
-        )
-    pmfs = [binomial_table(s - 1) for s in shape]
-    kind = halting(np.moveaxis(np.indices(shape), 0, -1)).reshape(-1, width)
-    # one-hot outcomes of the absorbing states; each line's solve overwrites its own
-    value = (kind[..., None] == np.arange(m + 1)).astype(np.float64)
-    # line p holds the prefix whose axis d reads p // stride[d] % shape[d]
-    lines = np.arange(len(kind))
-    stride = [math.prod(shape[d + 1 : -1]) for d in range(m - 1)]
-    prefix = [lines // stride[d] % shape[d] for d in range(m - 1)]
-    other = [lines // (stride[d] * shape[d]) * stride[d] + lines % stride[d] for d in range(m - 1)]
-    # sums[d][other, x_d] is B_last @ v of line x summed over prefix axes
-    # d + 1 .. K - 2 against their pmf rows, outcomes flattened with the last axis
-    sums = [np.zeros((len(kind) // shape[d], shape[d], width * (m + 1))) for d in range(m - 1)]
-    below = [np.tril(pmfs[d], -1) for d in range(m - 1)]
-    last = pmfs[-1]
-    last_t, diagonal = np.ascontiguousarray(last.T), np.arange(width)
-    # planes in order of increasing prefix total, cut so that a batch's line
-    # matrices and gathered sums hold at most about MAX_MARKOV_STATES floats
-    totals = sum(prefix)
-    order = np.argsort(totals, kind="stable")
-    rank = lines - np.searchsorted(totals[order], totals[order])
-    per_batch = max(1, MAX_MARKOV_STATES // (width**2 * (m + 1)))
-    for batch in np.split(order, np.flatnonzero(rank % per_batch == 0)[1:]):
-        x = [p[batch] for p in prefix]
-        o = [p[batch] for p in other]
-        # the chance that axis d keeps all its x_d nodes: its pmf diagonal
-        keep = [SURVIVAL_PROB ** xd[:, None] for xd in x]
-        # what reaches the line from lines below it on axis d; rows at or
-        # above a line's own count have zero weight
-        hi = [int(xd.max()) for xd in x]
-        pulled = [
-            np.matmul(below[d][x[d], None, : hi[d]], sums[d][o[d], : hi[d]])[:, 0]
-            for d in range(m - 1)
-        ]
-        rhs = pulled[-1]
-        for d in range(m - 3, -1, -1):
-            rhs = pulled[d] + keep[d] * rhs
-        transient = kind[batch] < 0
-        rhs = np.where(transient[..., None], rhs.reshape(-1, width, m + 1), value[batch])
-        # matrices[i].T is line i's system (I - alpha B_last), with absorbing rows
-        # replaced by identity rows, stored F-ordered as LAPACK reads it
-        alpha = SURVIVAL_PROB ** totals[batch]
-        matrices = last_t * (-alpha[:, None] * transient)[:, None, :]
-        matrices[:, diagonal, diagonal] += 1.0
-        for i in range(len(batch)):
-            rhs[i], info = lapack.dtrtrs(matrices[i].T, rhs[i], lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"triangular solve failed with info {info}")
-        value[batch] = rhs
-        part = (last @ rhs).reshape(len(batch), -1)
-        for d in range(m - 2, -1, -1):
-            sums[d][o[d], x[d]] = part
-            if d:
-                part = pulled[d] + keep[d] * part
-    out = value[-1, -1]
+    # levels with no nodes never change the chain: keep the rest (or one)
+    perm = np.argsort(counts, kind="stable")[-max(1, np.count_nonzero(counts)) :]
+    m = len(perm)
+    pairs = math.comb(int(counts.sum()), 2) << 64
+    rounds = ((pairs - 1).bit_length() + 1) // 2  # least R with C(N, 2) 4^-R <= 2^-64
+    steps = [_capped_steps(int(n), rounds) for n in counts[perm]]
+    shape = tuple(len(s[0]) for s in steps)
+    kind = halting(np.moveaxis(np.indices(shape, dtype=np.int8), 0, -1)).ravel()
+    stop = np.flatnonzero(kind >= 0)
+    outcome = kind[stop]
+    mass = np.zeros(len(kind))
+    mass[-1] = 1.0  # the start: every level at min(n_k, 2), the grid's last state
+    out = np.bincount(outcome, mass[stop], minlength=m + 1)
+    for r in range(rounds):
+        mass[stop] = 0.0
+        # moving the leading level appends it as the last axis, so m moves
+        # restore the level order
+        for step in steps:
+            mass = mass.reshape(len(step[r]), -1).T @ step[r]
+        mass = mass.ravel()
+        out += np.bincount(outcome, mass[stop], minlength=m + 1)
     win_prob = np.zeros(k)
-    win_prob[perm] = out[:m]
-    return MarkovResult(win_prob=win_prob, draw_prob=float(out[m]))
+    win_prob[perm] = out[:-1]
+    return MarkovResult(win_prob=win_prob, draw_prob=float(out[-1]))
+
+
+def _capped_steps(n: int, rounds: int) -> np.ndarray:
+    """(rounds, s, s) transition matrices of min(A, 2), s = min(n + 1, 3),
+    from round r to r + 1, where A(r) ~ Binomial(n, 2^-r) is one level's
+    alive count.  The row of "two or more" weighs each count a >= 2 by
+    P(A(r) = a), a law carried round to round through binomial_table, so
+    every sum has non-negative terms and nothing cancels."""
+    table = binomial_table(n)
+    steps = np.zeros((rounds, 3, 3))
+    steps[:, 0, 0] = 1.0
+    steps[:, 1, :2] = 1.0 - SURVIVAL_PROB, SURVIVAL_PROB
+    if n >= 2:
+        # P(Binomial(a, 1/2) = x) for a >= 2 and x in 0, 1, "two or more"
+        capped = np.column_stack([table[2:, :2], table[2:, 2:].sum(axis=1)])
+        law = np.zeros(n + 1)
+        law[n] = 1.0
+        for r in range(rounds):
+            joint = law[2:] @ capped
+            steps[r, 2] = joint / joint.sum()
+            law = law @ table
+    s = min(n + 1, 3)
+    return steps[:, :s, :s]
 
 
 def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
@@ -254,7 +229,10 @@ def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
     """
     samples = operator.index(samples)
     counts = _checked_counts(counts, samples)
-    shape = tuple(int(c) + 1 for c in counts)
+    # a state's index in the row-major grid of prod(n_k + 1) <= MAX_MARKOV_STATES
+    # states; numpy's ravel_multi_index would stop at 64 levels
+    shape = counts + 1
+    strides = np.array([math.prod(shape[d + 1 :]) for d in range(len(shape))], dtype=np.int64)
     k = len(counts)
     # columns reversed: numpy's multinomial gives its leftover to the last
     # column, which must be "0 survivors"; the zero padding then comes first
@@ -272,9 +250,9 @@ def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
             break
         for axis in range(k):
             states, copies = _thin_axis(states, copies, axis, tables[axis], rng)
-        flat, where = np.unique(np.ravel_multi_index(states.T, shape), return_inverse=True)
+        flat, where = np.unique(states @ strides, return_inverse=True)
         copies = np.bincount(where, weights=copies).astype(np.int64)
-        states = np.stack(np.unravel_index(flat, shape), axis=-1)
+        states = flat[:, None] // strides % shape
     else:
         raise RuntimeError(f"absorption not reached within {MAX_SAMPLE_ROUNDS} rounds")
     return MarkovResult(win_prob=tally[:k] / samples, draw_prob=float(tally[k] / samples))

@@ -55,10 +55,13 @@ from .topology import Graph, LevelAssignment, hop_bound
 ID_MODES = ("random", "preassigned_unique")
 INVITE_PROB = 0.5  # chance that a node invites rather than listens, each phase
 C2_DEFAULT = 20.0  # id space scale: Y = ceil(c2 * Delta * log2(Delta))
+# the largest Y whose Y^2 invitation-grid offsets fit in int64
+MAX_ID_SPACE = math.isqrt(2**63 - 1)
 
 
 def id_space(max_degree: int, c2: float = C2_DEFAULT) -> int:
-    """Id range Y = max(ceil(c2 * Delta * log2(Delta)), Delta + 1)."""
+    """Id range Y = max(ceil(c2 * Delta * log2(Delta)), Delta + 1); raises
+    ValueError when Y exceeds MAX_ID_SPACE."""
     if not (math.isfinite(c2) and c2 > 0):
         raise ValueError("c2 must be positive and finite")
     if max_degree <= 1:
@@ -68,7 +71,13 @@ def id_space(max_degree: int, c2: float = C2_DEFAULT) -> int:
         raise ValueError(
             f"c2 * Delta * log2(Delta) is not finite at c2={c2:g}, Delta={max_degree}"
         )
-    return max(math.ceil(scaled), max_degree + 1)
+    y = max(math.ceil(scaled), max_degree + 1)
+    if y > MAX_ID_SPACE:
+        raise ValueError(
+            f"c2={c2:g} gives an id space Y = {y:.4g} at Delta={max_degree}, above "
+            f"{MAX_ID_SPACE}, where the Y^2 invitation grid overflows int64"
+        )
+    return y
 
 
 @dataclass(frozen=True)

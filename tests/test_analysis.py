@@ -4,6 +4,7 @@ Reference numbers were computed with an independent implementation of each
 formula and by hand where tractable.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -175,8 +176,8 @@ def test_markov_frozen_values():
 
 
 def test_markov_degenerate_start():
-    # an absorbing start returns before any line is solved, with exactly
-    # the one-hot outcome halting gives it
+    # an absorbing start is tallied at round 0, with exactly the one-hot
+    # outcome halting gives it, and nothing is added to it later
     for counts in [(1, 0), (2, 0), (7, 0), (0, 0), (0,), (1,), (6,), (0, 0, 3)]:
         res = markov_success(counts)
         probs = np.append(res.win_prob, res.draw_prob)
@@ -223,15 +224,12 @@ def test_markov_table_guard_refuses_before_allocating():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="binomial table entries"):
         markov_success((0, 999_998))
-    # 2^16 states pass the state-count guard, but the solve would hold
-    # 16 * 17 floats per state; empty levels hold none
-    with pytest.raises(ValueError, match="solve floats"):
-        markov_success((1,) * 16)
     assert time.perf_counter() - start < 1.0
     # the largest single axis the cap admits still solves, and so do 15
-    # levels of one node
+    # and 16 levels of one node (2^16 states)
     assert markov_success((999,)).total() == 1.0
     assert markov_success((1,) * 15 + (0,) * 5).total() == pytest.approx(1.0)
+    assert abs(markov_success((1,) * 16).total() - 1.0) <= 1e-12
 
 
 def test_markov_binary_symmetry():
@@ -307,6 +305,27 @@ def test_sampler_rejects_bad_inputs_before_sampling():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(5, 3), (0,), (0, 0), (999,), (998, 0), (1,) * 16, (0,) * 80 + (2, 3), (2.0, 3.0)]
+    + [(1000, 1000), (0, 999_998), (999, 1), (1,) * 20, (), (5, -1), ((1, 2),), (2.5, 3)],
+)
+def test_markov_and_sampler_refuse_the_same_inputs(counts):
+    # one shared check: either both refuse with the same message, or both
+    # solve (the sampler on one sample, checking only that it runs).  The
+    # two once split on (1,) * 16, which a second solve guard refused, and
+    # on 82 levels, past numpy's 64 dimensions in the sampler's state index
+    errors = []
+    for solve in (markov_success, functools.partial(sample_success, samples=1)):
+        try:
+            solve(counts)
+        except ValueError as err:
+            errors.append(str(err))
+        else:
+            errors.append(None)
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize("counts", [(2.5, 3), (2.7, 3), (3, 1e-9), (np.nan, 3), (np.inf, 3)])
 def test_counts_must_be_whole_numbers(counts):
     # truncating solved (2, 3) instead: the two-event bound of (2.7, 3) read 0.46875
@@ -378,12 +397,13 @@ def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
 
 
 def test_markov_matches_rational_chain_on_every_small_count():
-    """Every count vector with K in {1, 2, 3} and at most 7 nodes: the
-    line solve lies within 1e-15 of the same chain, halting rule included,
-    solved state by state in exact rationals."""
-    for k in (1, 2, 3):
-        for counts in itertools.product(range(8), repeat=k):
-            if sum(counts) > 7:
+    """Every count vector with K in {1, 2, 3} and at most 7 nodes, K = 4
+    and at most 6, or K = 5 and at most 5: the capped-count sweep lies
+    within 1e-15 of the full chain, halting rule included, solved state by
+    state in exact rationals."""
+    for k, most in ((1, 7), (2, 7), (3, 7), (4, 6), (5, 5)):
+        for counts in itertools.product(range(most + 1), repeat=k):
+            if sum(counts) > most:
                 continue
             res = markov_success(counts)
             ref = _sum_ordered_dp(counts, Fraction(1, 2), rule=halting)

@@ -309,6 +309,20 @@ def test_run_overflowing_c_exits_one(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("c2, y", [("3e8", "1.758e+10"), ("1e300", "5.86e+301")])
+def test_run_c2_whose_id_space_overflows_int64_exits_one(c2, y, capsys):
+    # 3e8 exited 0 with wrong results (the Y^2 grid offsets wrapped in
+    # int64), and 1e300 died in numpy's "high is out of bounds for int64"
+    rc = main(["run", "--nodes", "16", "--algo", "dvb2", "--c2", c2])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        f"error: c2={float(c2):g} gives an id space Y = {y} at Delta=15, above 3037000499, "
+        "where the Y^2 invitation grid overflows int64\n"
+    )
+
+
 @pytest.mark.parametrize("setting", ["c1 = nan", "algo = dvb2\nc2 = inf"])
 def test_sweep_non_finite_c_exits_one_before_any_trial(setting, tmp_path, monkeypatch, capsys):
     # the config is refused while parsing, not counted as an error per trial

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from beepvote.dvb2 import (
     INVITE_PROB,
+    MAX_ID_SPACE,
     Dvb2Automaton,
     Dvb2Params,
     assign_ids,
@@ -43,6 +44,17 @@ def test_id_space_refuses_c2_whose_range_overflows():
     with pytest.raises(ValueError, match=r"c2 \* Delta \* log2\(Delta\) is not finite"):
         id_space(4, 1e308)
     assert id_space(1, 1e308) == 2
+
+
+def test_id_space_refuses_y_whose_invitation_grid_overflows_int64():
+    # c2 = 3e8 at Delta = 15 gives Y = 17,581,007,681: the grid offsets
+    # (id - 1) * Y + target - 1 wrapped in int64 and the run exited 0
+    for degree, c2 in ((15, 3e8), (15, 1e300), (4, 379_625_062.5)):
+        with pytest.raises(ValueError, match=r"c2=\S+ gives an id space Y = .* overflows int64"):
+            id_space(degree, c2)
+    # 8 * c2 = 3,037,000,499 exactly: the largest Y whose Y^2 fits in int64
+    assert id_space(4, 379_625_062.375) == MAX_ID_SPACE == 3_037_000_499
+    assert MAX_ID_SPACE**2 <= 2**63 - 1 < (MAX_ID_SPACE + 1) ** 2
 
 
 def test_id_space_floor():
