@@ -13,15 +13,15 @@ phase is settled the first time the counts form a halting pattern:
 reads a level's count only as 0, 1 or "two or more", so `markov_success`
 computes the absorption probabilities by a forward sweep over counts
 capped at two, a chain of at most 3^K states, stopped once the mass
-still transient is provably below 2^-64; its transition weights come
-from binomial tables that `binomial_table` builds in numpy by the exact
-row recurrence.
+still transient is provably below 2^-64; its transition weights are
+closed forms in the level's count and the round, for all rounds at once.
 `sample_success` estimates the same probabilities by simulation, as a
-cross-check that shares only `halting` and `binomial_table` with the
-exact solve: it keeps the ensemble as distinct alive-count states with a
-number of copies each, so one multinomial draw thins all copies of a
-state.  Both refuse, with the same checks, counts whose chain or tables
-exceed MAX_MARKOV_STATES.
+cross-check that shares only `halting` with the exact solve and alone
+builds binomial tables (`binomial_table`): it keeps the ensemble as
+distinct alive-count states with a number of copies each, merged after
+each level thins, so one multinomial draw thins all copies of a state.
+Both refuse, with the same checks, counts whose chain or tables exceed
+MAX_MARKOV_STATES.
 The closed-form lower bounds trade tightness for speed and are useful
 for sizing experiments.
 """
@@ -38,8 +38,9 @@ SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
 # markov_success and sample_success refuse, before allocating, counts
 # whose full grid of prod(n_k + 1) alive-count states is larger than this
 # (the sampler indexes states in it), or whose binomial tables
-# ((n_k + 1)^2 floats per level) hold more entries in sum.  The tables
-# then take at most 8 MB.  A markov_success call under the cap peaks near
+# ((n_k + 1)^2 floats per level) hold more entries in sum: the tables take
+# at most 8 MB, and n_k <= 999 keeps markov_success's round-1 weights
+# C(n, a) / C(n, 2) finite.  A markov_success call under the cap peaks near
 # 127 MB of process RSS, the CLI's imports included, at (1,) * 12 + (2,) * 5,
 # whose 995,328 capped states are the most the cap admits; (99, 99, 99)
 # and (999,) stay under 70 MB (measured on one BLAS thread).
@@ -141,85 +142,83 @@ def markov_success(counts) -> MarkovResult:
     capped count min(A_k, 2) is therefore a Markov chain of its own: 0
     stays; 1 stays or falls to 0, each with probability 1/2; two or more
     at round r moves to x with P(A_k(r) >= 2, A_k(r + 1) = x) /
-    P(A_k(r) >= 2), read off the law Binomial(n_k, 2^-r) (see
-    `_capped_steps`).  Levels thin independently, so the joint chain has
-    prod(min(n_k + 1, 3)) states.  Levels with no nodes are dropped and
-    the rest ordered by count, so that every order of the same counts takes
-    the same float steps.
+    P(A_k(r) >= 2) under A_k(r) ~ Binomial(n_k, 2^-r), in closed form for
+    all rounds at once (`_capped_steps`; no binomial table is built).
+    Levels thin independently, so the joint chain has prod(min(n_k + 1, 3))
+    states.  Levels with no nodes are dropped and the rest ordered by
+    count, so every order of the same counts takes the same float steps.
 
-    The sweep starts with all mass on the start state.  Each round it
-    sends the mass on halting states to the outcome tally (an absorbing
-    start is tallied at round 0), then moves the rest one level at a time.
-    A transient state has at least two nodes alive, and a given pair
-    outlives R rounds with probability 4^-R, so the mass still transient
-    after R rounds is at most C(N, 2) 4^-R for N = sum(n_k) nodes; R is
-    the least round count that makes this bound at most 2^-64.  Raises
-    ValueError before allocating when the full grid's prod(n_k + 1)
-    states or the tables' sum((n_k + 1)^2) entries exceed
-    MAX_MARKOV_STATES, as sample_success does.
+    The sweep starts with all mass on the start state.  Each round it adds
+    the mass on halting states to their tally (an absorbing start is
+    tallied at round 0), then moves the rest one level at a time; the
+    tally is summed by outcome at the end.  A transient state has at least
+    two nodes alive, and a given pair outlives R rounds with probability
+    4^-R, so the mass still transient after R rounds is at most
+    C(N, 2) 4^-R for N = sum(n_k) nodes; R is the least round count that
+    makes this bound at most 2^-64.  Inputs are refused before anything is
+    allocated, by the check sample_success runs (`_checked_counts`).
     """
     counts = _checked_counts(counts)
     k = len(counts)
     # levels with no nodes never change the chain: keep the rest (or one)
     perm = np.argsort(counts, kind="stable")[-max(1, np.count_nonzero(counts)) :]
-    m = len(perm)
     pairs = math.comb(int(counts.sum()), 2) << 64
     rounds = ((pairs - 1).bit_length() + 1) // 2  # least R with C(N, 2) 4^-R <= 2^-64
     steps = [_capped_steps(int(n), rounds) for n in counts[perm]]
     shape = tuple(len(s[0]) for s in steps)
     kind = halting(np.moveaxis(np.indices(shape, dtype=np.int8), 0, -1)).ravel()
     stop = np.flatnonzero(kind >= 0)
-    outcome = kind[stop]
+    outcome = np.append(perm, k)[kind[stop]]  # the caller's level order, draw last
     mass = np.zeros(len(kind))
     mass[-1] = 1.0  # the start: every level at min(n_k, 2), the grid's last state
-    out = np.bincount(outcome, mass[stop], minlength=m + 1)
+    absorbed = mass[stop]
     for r in range(rounds):
         mass[stop] = 0.0
-        # moving the leading level appends it as the last axis, so m moves
-        # restore the level order
+        # moving the leading level appends it as the last axis, so one move
+        # per level restores the level order
         for step in steps:
             mass = mass.reshape(len(step[r]), -1).T @ step[r]
         mass = mass.ravel()
-        out += np.bincount(outcome, mass[stop], minlength=m + 1)
-    win_prob = np.zeros(k)
-    win_prob[perm] = out[:-1]
-    return MarkovResult(win_prob=win_prob, draw_prob=float(out[-1]))
+        absorbed += mass[stop]
+    out = np.bincount(outcome, absorbed, minlength=k + 1)
+    return MarkovResult(win_prob=out[:k], draw_prob=float(out[k]))
 
 
 def _capped_steps(n: int, rounds: int) -> np.ndarray:
     """(rounds, s, s) transition matrices of min(A, 2), s = min(n + 1, 3),
     from round r to r + 1, where A(r) ~ Binomial(n, 2^-r) is one level's
-    alive count.  The row of "two or more" weighs each count a >= 2 by
-    P(A(r) = a), a law carried round to round through binomial_table, so
-    every sum has non-negative terms and nothing cancels."""
-    table = binomial_table(n)
+    alive count.  Round 0 has A = n; for r >= 1 the "two or more" row
+    weighs each a >= 2 by P(A(r) = a) / P(A(r) = 2) = C(n, a) / C(n, 2)
+    t^(a - 2), t = 1 / (2^r - 1) (one cumprod for all rounds), and splits
+    it as Binomial(a, 1/2) falls to 0, 1 or "two or more".  No term is
+    negative, so nothing cancels; n <= 999 keeps the weights finite."""
     steps = np.zeros((rounds, 3, 3))
     steps[:, 0, 0] = 1.0
     steps[:, 1, :2] = 1.0 - SURVIVAL_PROB, SURVIVAL_PROB
     if n >= 2:
-        # P(Binomial(a, 1/2) = x) for a >= 2 and x in 0, 1, "two or more"
-        capped = np.column_stack([table[2:, :2], table[2:, 2:].sum(axis=1)])
-        law = np.zeros(n + 1)
-        law[n] = 1.0
-        for r in range(rounds):
-            joint = law[2:] @ capped
-            steps[r, 2] = joint / joint.sum()
-            law = law @ table
+        a = np.arange(2, n + 1)
+        p0 = SURVIVAL_PROB**a  # P(Binomial(a, 1/2) = 0); P(... = 1) is a * p0
+        capped = np.column_stack([p0, a * p0, 1.0 - (1 + a) * p0])
+        ratio = np.outer(1.0 / (2.0 ** np.arange(1, rounds) - 1.0), (n + 1 - a) / a)
+        ratio[:, 0] = 1.0  # weights relative to a = 2; then P(A = a) / P(A = a - 1)
+        joint = np.vstack([capped[-1], np.cumprod(ratio, axis=1) @ capped])
+        steps[:, 2] = joint / joint.sum(axis=1, keepdims=True)
     s = min(n + 1, 3)
     return steps[:, :s, :s]
 
 
 def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
     """Monte-Carlo estimate of the same absorption probabilities, used to
-    cross-check markov_success: it simulates the thinning process and
-    shares only `halting` and `binomial_table` with the exact solve.
+    cross-check markov_success: it simulates the thinning process, shares
+    only `halting` with the exact solve and alone calls `binomial_table`.
 
     The ensemble is kept as its distinct alive-count states plus the
     number of samples in each (`copies`); the histogram of independent
     chains is itself a Markov chain, so the estimate has the distribution
     of `samples` chains simulated one by one.  Each round tallies the
     halting states, thins the rest one level at a time (levels thin
-    independently given the state) and merges equal states.  A state with
+    independently given the state) and merges equal states after each
+    level, so the next level thins distinct states only.  A state with
     more copies than the level's support width draws how many copies keep
     each survivor count in one multinomial over binomial_table rows; any
     other is drawn copy by copy, so memory stays O(samples * K).  Inputs
@@ -250,9 +249,9 @@ def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
             break
         for axis in range(k):
             states, copies = _thin_axis(states, copies, axis, tables[axis], rng)
-        flat, where = np.unique(states @ strides, return_inverse=True)
-        copies = np.bincount(where, weights=copies).astype(np.int64)
-        states = flat[:, None] // strides % shape
+            flat, where = np.unique(states @ strides, return_inverse=True)
+            copies = np.bincount(where, weights=copies).astype(np.int64)
+            states = flat[:, None] // strides % shape
     else:
         raise RuntimeError(f"absorption not reached within {MAX_SAMPLE_ROUNDS} rounds")
     return MarkovResult(win_prob=tally[:k] / samples, draw_prob=float(tally[k] / samples))

@@ -111,10 +111,16 @@ def dvb2_params(
     id_mode: str = "random",
     d_mode: str = "exact",
 ) -> Dvb2Params:
+    """The parameters of a DVB2 run on graph.  With id_mode
+    "preassigned_unique" it raises ValueError, naming both numbers, when Y
+    is below the largest colour of the graph's distance-2 colouring."""
+    y_slots = id_space(graph.max_degree, c2)
+    if id_mode == "preassigned_unique":  # the graph's colouring is cached for the runs
+        assign_ids(graph, y_slots, id_mode, None)
     return Dvb2Params(
         level_count=level_count,
         d_sched=hop_bound(graph, d_mode),
-        y_slots=id_space(graph.max_degree, c2),
+        y_slots=y_slots,
         id_mode=id_mode,
     )
 
@@ -125,9 +131,10 @@ def assign_ids(
     """Node ids in 1..y_slots.
 
     "random" draws ids independently and uniformly, so nearby nodes can
-    collide.  "preassigned_unique" takes the greedy distance-2 colouring,
-    so every closed neighborhood sees pairwise distinct ids and every
-    handshake is exact; it raises if that needs more than y_slots ids.
+    collide.  "preassigned_unique" takes the graph's greedy distance-2
+    colouring (computed once per graph, read-only), so every closed
+    neighborhood sees pairwise distinct ids and every handshake is exact;
+    it raises if that needs more than y_slots ids.
     """
     if id_mode == "random":
         return rng.integers(1, y_slots + 1, size=graph.node_count).astype(np.int64)

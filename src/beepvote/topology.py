@@ -15,7 +15,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
-from scipy.sparse.csgraph import connected_components
+
+# scipy.sparse.csgraph is imported where it is used, by the Erdos-Renyi build
+# and `spots`: it loads scipy.linalg, about 11 MB of RSS no other path needs
 
 ER_RETRY_LIMIT = 1000
 D_MODES = ("exact", "upper_bound_n")
@@ -83,7 +85,12 @@ class Graph:
 
     def distance2_colouring(self) -> np.ndarray:
         """Greedy colours from 1 in node order, each the least not held within
-        two hops, so every closed neighborhood holds pairwise distinct colours."""
+        two hops, so every closed neighborhood holds pairwise distinct colours.
+        The graph is coloured once; every call returns that read-only array."""
+        return self._colours
+
+    @cached_property
+    def _colours(self) -> np.ndarray:
         within_two = self.adj + self.adj @ self.adj
         ptr, near = within_two.indptr, within_two.indices
         colours = np.zeros(self.node_count, dtype=np.int64)
@@ -93,6 +100,7 @@ class Graph:
             while colour in taken:
                 colour += 1
             colours[i] = colour
+        colours.setflags(write=False)
         return colours
 
 
@@ -123,9 +131,12 @@ class CompleteGraph(Graph):
         """Some other node beeped: the row's beep count exceeds one's own."""
         return (beeps.sum(axis=-1, keepdims=True) - beeps) > 0
 
-    def distance2_colouring(self) -> np.ndarray:
+    @cached_property
+    def _colours(self) -> np.ndarray:
         """Every pair is adjacent, so node i takes colour i + 1."""
-        return np.arange(1, self.n + 1, dtype=np.int64)
+        colours = np.arange(1, self.n + 1, dtype=np.int64)
+        colours.setflags(write=False)
+        return colours
 
 
 def _freeze(adj: csr_array) -> csr_array:
@@ -215,6 +226,8 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
             raise ValueError("edge probability must lie in [0, 1]")
         if rng is None:
             raise ValueError("an Erdos-Renyi graph draws from the caller's generator; pass rng")
+        from scipy.sparse.csgraph import connected_components
+
         iu = np.triu_indices(n, k=1)
         for _ in range(ER_RETRY_LIMIT):
             mask = rng.random(len(iu[0])) < p
@@ -281,6 +294,8 @@ def spots(graph: Graph, values: np.ndarray) -> list[list[int]]:
     if isinstance(graph, CompleteGraph):  # every pair is adjacent: one spot per value
         _, labels = np.unique(values, return_inverse=True)
     else:
+        from scipy.sparse.csgraph import connected_components
+
         edges = graph.adj.tocoo()
         keep = values[edges.row] == values[edges.col]
         kept = (edges.row[keep], edges.col[keep])

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from beepvote import analysis
 from beepvote.analysis import (
     MAX_MARKOV_STATES,
     SURVIVAL_PROB,
+    _capped_steps,
     binomial_table,
     corollary_ratio,
     halting,
@@ -217,6 +219,40 @@ def test_binomial_table_matches_exact_rationals(p, max_ulps):
     assert not np.triu(table, k=1).any()
 
 
+def test_capped_steps_match_the_exact_conditional_law():
+    # the "two or more" row at round r is the law of min(Binomial(a, 1/2), 2)
+    # with a drawn from Binomial(n, 2^-r) given a >= 2; round 0 has a = n.
+    # The closed form lies within 3 ulps of it (2.3 measured), all 40 rounds
+    for n in range(2, 13):
+        steps = _capped_steps(n, 40)
+        assert steps.shape == (40, 3, 3)
+        for r in range(40):
+            p = Fraction(1, 2**r)
+            law = {a: math.comb(n, a) * p**a * (1 - p) ** (n - a) for a in range(2, n + 1)}
+            given = sum(law.values())
+            row = [
+                sum(w * Fraction(math.comb(a, x), 2**a) for a, w in law.items()) / given
+                for x in (0, 1)
+            ]
+            row.append(1 - sum(row))
+            for got, exact in zip(steps[r, 2], row):
+                assert abs(Fraction(got) - exact) <= 3 * 2.0**-52 * exact, (n, r)
+            assert steps[r, :2].tolist() == [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
+    assert _capped_steps(0, 3).tolist() == [[[1.0]]] * 3
+    assert _capped_steps(1, 3).tolist() == [[[1.0, 0.0], [0.5, 0.5]]] * 3
+
+
+def test_markov_builds_no_binomial_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError("markov_success built a binomial table")
+
+    monkeypatch.setattr(analysis, "binomial_table", refuse)
+    for counts in [(35, 65), (22, 20, 18), (300, 700), (2, 1, 1), (999,)]:
+        assert markov_success(counts).total() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(AssertionError, match="binomial table"):
+        sample_success((3, 2), samples=10)
+
+
 def test_markov_table_guard_refuses_before_allocating():
     # 999,999 states pass the state-count guard, but the one table would
     # hold 999,999^2 floats (about 7 TiB)
@@ -247,23 +283,33 @@ def test_sampler_matches_exact_chain():
     assert abs(sampled.draw_prob - exact.draw_prob) < 0.005
 
 
-@pytest.mark.parametrize("counts", [(1, 1), (5, 3), (2, 1, 1), (12, 9, 7), (40, 30, 20)])
+@pytest.mark.parametrize(
+    "counts", [(1, 1), (5, 3), (2, 1, 1), (12, 9, 7), (40, 30, 20), (7, 5, 3, 2), (6, 4, 0, 3)]
+)
 def test_sampler_chi_square_fits_exact_chain(counts):
     # outcome tallies over 8 seeds against markov_success: the summed
-    # Pearson statistic is chi-square with 8 K degrees of freedom.  The
+    # Pearson statistic over the outcomes the exact chain allows is
+    # chi-square with 8 (cells - 1) degrees of freedom, and an outcome it
+    # gives probability 0 (an empty level winning) is never sampled.  The
     # small counts draw nearly every row by multinomial; (40, 30, 20)
     # spreads its samples so thinly over states that most rows hold fewer
-    # copies than the level's width and are drawn copy by copy
+    # copies than the level's width and are drawn copy by copy.  The four
+    # level counts, one with an empty level, merge equal states after
+    # each of four levels thins
     samples, seeds = 20_000, range(8)
     exact = markov_success(counts)
-    expected = samples * np.append(exact.win_prob, exact.draw_prob)
+    p = np.append(exact.win_prob, exact.draw_prob)
+    cells = p > 0
+    assert cells.sum() == 1 + np.count_nonzero(counts)
+    expected = samples * p[cells]
     assert (expected > 5).all()
     statistic = 0.0
     for seed in seeds:
         res = sample_success(counts, samples=samples, seed=seed)
         observed = samples * np.append(res.win_prob, res.draw_prob)
-        statistic += float((((observed - expected) ** 2) / expected).sum())
-    assert chi2.sf(statistic, len(seeds) * len(counts)) > 1e-3
+        assert not observed[~cells].any()
+        statistic += float((((observed[cells] - expected) ** 2) / expected).sum())
+    assert chi2.sf(statistic, len(seeds) * (cells.sum() - 1)) > 1e-3
 
 
 @pytest.mark.parametrize("samples", [1, 7, 12_345])

@@ -54,13 +54,16 @@ def test_markov_table_guard_exits_one(capsys):
 
 def test_package_import_skips_scipy_stats():
     # a fresh interpreter, since this one may hold scipy.stats via a plugin;
-    # importing it cost every beepvote process most of its start-up
+    # importing it cost every beepvote process most of its start-up.
+    # scipy.sparse.csgraph (and the scipy.linalg it loads, about 11 MB of
+    # RSS) waits for the first Erdos-Renyi build or spots call
     src = str(Path(beepvote.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
         "import beepvote, beepvote.cli, beepvote.harness, beepvote.analysis, "
         "beepvote.dvb1, beepvote.dvb2; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.stats', 'scipy.sparse.csgraph', 'scipy.linalg'))))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

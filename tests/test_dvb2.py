@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beepvote.dvb2 import (
+    C2_DEFAULT,
     INVITE_PROB,
     MAX_ID_SPACE,
     Dvb2Automaton,
@@ -17,9 +20,11 @@ from beepvote.dvb2 import (
 from beepvote.engine import FastForward, drive_schedule, run, slot_budget
 from beepvote.topology import (
     Complete,
+    ErdosRenyi,
     LevelAssignment,
     Mesh2D,
     build,
+    default_edge_probability,
     graph_from_edges,
     hop_bound,
 )
@@ -155,9 +160,12 @@ def test_unique_ids_need_enough_space():
 def test_too_small_id_space_names_the_y_it_needs():
     # the greedy distance-2 colouring of a 5x5 mesh takes 7 ids, but
     # c2 = 0.01 sizes Y at Delta + 1 = 5; a node's colour does not depend
-    # on Y, so every Y below 7 fails the same way
+    # on Y, so every Y below 7 fails the same way.  dvb2_params refuses it
+    # before any trial, and assign_ids still guards params built by hand
     g = build(Mesh2D(5, 5))
-    params = dvb2_params(g, 2, c2=0.01, id_mode="preassigned_unique")
+    with pytest.raises(ValueError, match="Y = 5, the distance-2 colouring needs Y = 7$"):
+        dvb2_params(g, 2, c2=0.01, id_mode="preassigned_unique")
+    params = dataclasses.replace(dvb2_params(g, 2, c2=0.01), id_mode="preassigned_unique")
     assert params.y_slots == 5
     asg = LevelAssignment([1] * 13 + [2] * 12, 2)
     with pytest.raises(ValueError, match="Y = 5, the distance-2 colouring needs Y = 7"):
@@ -166,6 +174,39 @@ def test_too_small_id_space_names_the_y_it_needs():
         with pytest.raises(ValueError, match=f"Y = {y}, .* needs Y = 7$"):
             assign_ids(g, y, "preassigned_unique", np.random.default_rng(0))
     assert assign_ids(g, 7, "preassigned_unique", np.random.default_rng(0)).max() == 7
+
+
+@pytest.mark.parametrize("n", [5, 9, 14])
+@pytest.mark.parametrize("topology", ["complete", "mesh2d", "erdos_renyi"])
+def test_dvb2_params_refuses_small_id_space_and_colours_once(topology, n):
+    spec = {
+        "complete": Complete(n),
+        "mesh2d": Mesh2D(*{5: (1, 5), 9: (3, 3), 14: (2, 7)}[n]),
+        "erdos_renyi": ErdosRenyi(n, default_edge_probability(n)),
+    }[topology]
+    g = build(spec, np.random.default_rng(n))
+    # random ids never colour the graph, in the factory or in a run
+    params = dvb2_params(g, 2, c2=0.01)
+    dvb2_run(g, LevelAssignment([1] * (n // 2) + [2] * (n - n // 2), 2), params, max_phases=1)
+    assert "_colours" not in vars(g)
+    adj = ~np.eye(n, dtype=bool) if topology == "complete" else g.adj.toarray()
+    needed = int(_dense_greedy_ids(adj, n).max())
+    for c2 in (1e-3, 0.3, 0.6, 1.0, C2_DEFAULT):
+        y = id_space(g.max_degree, c2)
+        if y < needed:
+            with pytest.raises(ValueError, match=f"Y = {y}, the .* needs Y = {needed}$"):
+                dvb2_params(g, 2, c2=c2, id_mode="preassigned_unique")
+            continue
+        assert dvb2_params(g, 2, c2=c2, id_mode="preassigned_unique").y_slots == y
+        # the factory coloured the graph; assign_ids reuses that array
+        colours = g.distance2_colouring()
+        assert assign_ids(g, y, "preassigned_unique", None) is colours
+        assert int(colours.max()) == needed and not colours.flags.writeable
+    # the smallest c2 gives Y = Delta + 1, which complete graphs and paths
+    # always fit and the 3x3 and 2x7 meshes do not
+    if topology != "erdos_renyi":
+        refused = id_space(g.max_degree, 1e-3) < needed
+        assert refused == (spec in (Mesh2D(3, 3), Mesh2D(2, 7)))
 
 
 def heard_ids(aut):
