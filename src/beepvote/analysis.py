@@ -284,39 +284,28 @@ def lower_bound_two_event(counts) -> float:
     """Lower bound on one-phase success for the strict plurality level.
 
     For each round horizon r it combines the chance that at least two
-    plurality nodes outlive round r with the chance that every other
-    level is down to at most one straggler by then (plus the boundary
-    term where the plurality itself is the single survivor), and takes
-    the best horizon r in 0..prop1_rounds(N, 1e-6).
+    plurality nodes outlive round r with the chance that the other nodes
+    are down to at most one straggler by then (plus the boundary term
+    where the plurality itself is the single survivor), and takes the
+    best horizon r in 0..prop1_rounds(N, 1e-6).  Every node outlives r
+    rounds independently with chance 2^-r, so the other levels enter
+    only through their total N - n_m: the bound of (34, 20, 6) is that
+    of (34, 26).
     """
     counts = _count_vector(counts)
     if counts.sum() < 1:
         raise ValueError("counts must include at least one node")
     top = counts.max()
-    winners = np.flatnonzero(counts == top)
-    if len(winners) != 1:
+    if np.count_nonzero(counts == top) != 1:
         raise ValueError("counts must have a strict plurality level")
-    m = int(winners[0])
-    r_max = prop1_rounds(int(counts.sum()), 1e-6)
-    n_m = int(counts[m])
-    others = np.delete(counts, m).astype(np.float64)
-    best = 0.0
-    for r in range(r_max + 1):
-        pr = SURVIVAL_PROB**r
-        q = 1.0 - pr
-        # P(>= 2 plurality survivors after r rounds)
-        p_two = 1.0 - (q**n_m + n_m * pr * q ** (n_m - 1))
-        # all other levels extinct, or exactly one straggler among them
-        all_dead = float(np.prod(q**others))
-        one_left = 0.0
-        for i, n_k in enumerate(others):
-            if n_k < 1:
-                continue  # empty level: covered by all_dead, and q**(n_k-1) blows up at r=0
-            rest = np.delete(others, i)
-            one_left += n_k * pr * q ** (n_k - 1) * float(np.prod(q**rest))
-        p_single_m = n_m * pr * q ** (n_m - 1) * all_dead
-        best = max(best, p_two * (all_dead + one_left) + p_single_m)
-    return best
+    n_m, rest = int(top), int(counts.sum() - top)
+    pr = SURVIVAL_PROB ** np.arange(prop1_rounds(n_m + rest, 1e-6) + 1)
+    q = 1.0 - pr  # 0 at r = 0, where 0**0 reads 1
+    p_single_m = n_m * pr * q ** (n_m - 1)
+    p_two = 1.0 - (q**n_m + p_single_m)  # >= 2 plurality survivors
+    all_dead = q**rest
+    one_left = rest * pr * q ** max(rest - 1, 0)  # 0 when rest = 0
+    return float(np.max(p_two * (all_dead + one_left) + p_single_m * all_dead))
 
 
 def lower_bound_closed(n_m: int, n_m2: int, level_count: int) -> float:

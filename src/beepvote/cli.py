@@ -118,36 +118,41 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_markov(args) -> int:
-    # solve every row before printing, so a failing row leaves stdout empty
-    rows = ["delta,counts,win_majority,draw"]
+def _print_delta_table(args, header: list[str], cells) -> int:
+    """Print header, then one row per delta: the delta, its counts and
+    cells(counts).  Every row is built before printing, so a failing row
+    leaves stdout empty."""
+    rows = list(header)
     for delta in args.deltas:
         counts = level_counts(args.nodes, args.levels, delta)
-        result = analysis.markov_success(counts)
-        majority = max(range(args.levels), key=lambda i: counts[i])
-        counts_text = "/".join(str(c) for c in counts)
-        rows.append(f"{delta:.6g},{counts_text},"
-                    f"{result.win_prob[majority]:.6g},{result.draw_prob:.6g}")
+        rows.append(f"{delta:.6g},{'/'.join(map(str, counts))},{cells(counts)}")
     print("\n".join(rows))
     return 0
+
+
+def _cmd_markov(args) -> int:
+    def cells(counts):
+        result = analysis.markov_success(counts)
+        majority = counts.index(max(counts))
+        return f"{result.win_prob[majority]:.6g},{result.draw_prob:.6g}"
+
+    return _print_delta_table(args, ["delta,counts,win_majority,draw"], cells)
 
 
 def _cmd_bounds(args) -> int:
-    # build every row before printing, so a failing row leaves stdout empty
     rounds = analysis.prop1_rounds(args.nodes, args.epsilon)
     ratio = analysis.corollary_ratio(args.levels, args.epsilon)
-    rows = [f"# corrosion rounds for all-dead with prob >= {1 - args.epsilon:g}: {rounds}",
-            f"# majority ratio threshold at epsilon={args.epsilon:g}: {ratio:.6g}",
-            "delta,counts,two_event_bound,closed_form_bound"]
-    for delta in args.deltas:
-        counts = level_counts(args.nodes, args.levels, delta)
+
+    def cells(counts):
         two = analysis.lower_bound_two_event(counts)
         ordered = sorted(counts, reverse=True)
         closed = analysis.lower_bound_closed(ordered[0], ordered[1], args.levels)
-        counts_text = "/".join(str(c) for c in counts)
-        rows.append(f"{delta:.6g},{counts_text},{two:.6g},{closed:.6g}")
-    print("\n".join(rows))
-    return 0
+        return f"{two:.6g},{closed:.6g}"
+
+    header = [f"# corrosion rounds for all-dead with prob >= {1 - args.epsilon:g}: {rounds}",
+              f"# majority ratio threshold at epsilon={args.epsilon:g}: {ratio:.6g}",
+              "delta,counts,two_event_bound,closed_form_bound"]
+    return _print_delta_table(args, header, cells)
 
 
 def _cmd_spots(args) -> int:

@@ -309,6 +309,8 @@ def sweep_points(config: ExperimentConfig):
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     points = sweep_points(config)
     # fork starts every worker at the first submit; more than one per point is waste
     workers = min(workers, len(points))

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import coo_array, csr_array
 
-# scipy.sparse.csgraph is imported where it is used, by the Erdos-Renyi build
-# and `spots`: it loads scipy.linalg, about 11 MB of RSS no other path needs
+# scipy.sparse.csgraph is imported where it is used, by `spots` alone: it
+# loads scipy.linalg, about 11 MB of RSS no other path needs
 
 ER_RETRY_LIMIT = 1000
 D_MODES = ("exact", "upper_bound_n")
@@ -162,11 +162,12 @@ def hop_bound(graph: Graph, d_mode: str) -> int:
     return max(1, graph.diameter if d_mode == "exact" else graph.node_count)
 
 
-def exact_diameter(adj: csr_array) -> int:
+def exact_diameter(adj: csr_array) -> int | None:
     """Hop diameter via BFS from every node, DIAMETER_BLOCK sources at a
     time: column j of `reach` marks the nodes within `hops` of source j and
     grows by one product `adj @ reach` per hop, so memory is O(N * block).
-    Raises on a disconnected graph."""
+    None when the graph is disconnected: some reach stops growing short of
+    every node, which the first block of sources already finds."""
     n = adj.shape[0]
     diameter = 0
     for start in range(0, n, DIAMETER_BLOCK):
@@ -177,7 +178,7 @@ def exact_diameter(adj: csr_array) -> int:
         while not reach.all():
             grown = reach | (adj @ reach)
             if np.array_equal(grown, reach):
-                raise ValueError("graph not connected")
+                return None
             reach, hops = grown, hops + 1
         diameter = max(diameter, hops)
     return diameter
@@ -191,7 +192,10 @@ def graph_from_edges(n: int, edges) -> Graph:
     if (u == v).any():
         raise ValueError("self-loops are not allowed")
     adj = _symmetric_csr(n, u, v)
-    return Graph(adj, exact_diameter(adj))
+    diameter = exact_diameter(adj)
+    if diameter is None:
+        raise ValueError("graph not connected")
+    return Graph(adj, diameter)
 
 
 def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
@@ -226,14 +230,13 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
             raise ValueError("edge probability must lie in [0, 1]")
         if rng is None:
             raise ValueError("an Erdos-Renyi graph draws from the caller's generator; pass rng")
-        from scipy.sparse.csgraph import connected_components
-
         iu = np.triu_indices(n, k=1)
         for _ in range(ER_RETRY_LIMIT):
             mask = rng.random(len(iu[0])) < p
             adj = _symmetric_csr(n, iu[0][mask], iu[1][mask])
-            if connected_components(adj, directed=False)[0] == 1:
-                return Graph(adj, exact_diameter(adj))
+            diameter = exact_diameter(adj)
+            if diameter is not None:
+                return Graph(adj, diameter)
         raise ValueError("connectivity retry limit exceeded")
 
     raise TypeError(f"unknown topology spec: {spec!r}")

@@ -92,6 +92,48 @@ def test_lower_bounds_lie_at_or_below_the_exact_chain():
     assert checked > 200
 
 
+def _two_event_by_level(counts):
+    """The two-event bound summed level by level: every other level
+    extinct, or exactly one straggler among them, at each horizon."""
+    counts = np.asarray(counts)
+    m = int(np.argmax(counts))
+    n_m = int(counts[m])
+    others = np.delete(counts, m).astype(np.float64)
+    best = 0.0
+    for r in range(prop1_rounds(int(counts.sum()), 1e-6) + 1):
+        pr = SURVIVAL_PROB**r
+        q = 1.0 - pr
+        p_two = 1.0 - (q**n_m + n_m * pr * q ** (n_m - 1))
+        all_dead = float(np.prod(q**others))
+        one_left = 0.0
+        for i, n_k in enumerate(others):
+            if n_k < 1:
+                continue  # empty level: covered by all_dead, and q**(n_k-1) blows up at r=0
+            rest = np.delete(others, i)
+            one_left += n_k * pr * q ** (n_k - 1) * float(np.prod(q**rest))
+        p_single_m = n_m * pr * q ** (n_m - 1) * all_dead
+        best = max(best, p_two * (all_dead + one_left) + p_single_m)
+    return best
+
+
+def test_two_event_bound_matches_the_per_level_sum():
+    wide = [
+        (9, 4, 0, 2), (9, 0, 4, 2, 0), (12, 3, 3, 3, 3), (40, 0, 0, 1), (1, 0, 0, 0),
+        (25, 24, 0, 1), (7, 6, 5, 4, 3), (30, 1, 1, 1, 0), (0, 0, 2, 1, 0),
+    ]
+    checked = 0
+    for counts in itertools.chain(_strided_counts(), wide):
+        assert abs(lower_bound_two_event(counts) - _two_event_by_level(counts)) <= 1e-15, counts
+        checked += 1
+    assert checked > 240
+
+
+def test_two_event_bound_reads_only_the_plurality_and_the_rest():
+    # the other levels' nodes die independently alike, so only their total counts
+    pooled = ((34, 26), (34, 20, 6), (34, 13, 13), (34, 13, 13, 0))
+    assert len({lower_bound_two_event(counts) for counts in pooled}) == 1
+
+
 def test_closed_bound_values():
     assert lower_bound_closed(75, 25, 2) == pytest.approx(0.455800, abs=1e-6)
     assert lower_bound_closed(4, 1, 2) == pytest.approx(0.318092, abs=1e-6)

@@ -56,12 +56,18 @@ def test_package_import_skips_scipy_stats():
     # a fresh interpreter, since this one may hold scipy.stats via a plugin;
     # importing it cost every beepvote process most of its start-up.
     # scipy.sparse.csgraph (and the scipy.linalg it loads, about 11 MB of
-    # RSS) waits for the first Erdos-Renyi build or spots call
+    # RSS) waits for the first spots call: an Erdos-Renyi build finds a
+    # disconnected draw by its diameter search, so a DVB2 trial on one
+    # loads neither
     src = str(Path(beepvote.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
+        "import numpy as np; "
         "import beepvote, beepvote.cli, beepvote.harness, beepvote.analysis, "
         "beepvote.dvb1, beepvote.dvb2; "
+        "from beepvote.harness import ExperimentConfig, simulate; "
+        "config = ExperimentConfig(algo='dvb2', topology=('erdos_renyi',), max_phases=1); "
+        "simulate(config, ('erdos_renyi', 16, 0.7), np.random.default_rng(0)); "
         "print(sorted(m for m in sys.modules "
         "if m.startswith(('scipy.stats', 'scipy.sparse.csgraph', 'scipy.linalg'))))"
     )
@@ -279,6 +285,18 @@ def test_unscorable_counts_exit_one_with_empty_stdout(argv, message, capsys):
     assert rc == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_workers_below_one_exits_one(workers, tmp_path, capsys):
+    # used to run the sweep serially without a word
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sizes = 8\ndeltas = 0.75\ntrials = 3\n")
+    rc = main(["sweep", "--config", str(config), "--workers", workers])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
 @pytest.mark.parametrize(

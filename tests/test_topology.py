@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import triu
 
 from beepvote import topology
 from beepvote.dvb2 import assign_ids, id_space
@@ -117,6 +118,50 @@ def test_erdos_renyi_requires_a_generator():
 def test_erdos_renyi_retry_exhaustion():
     with pytest.raises(ValueError):
         build(ErdosRenyi(3, 0.0), np.random.default_rng(0))
+
+
+def _symmetric_adjacency(n, edges):
+    return topology._symmetric_csr(n, *np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+
+
+def _reference_erdos_renyi(n, p, rng):
+    """The ER build with scipy's connectivity test and all-pairs diameter,
+    drawing the same uniforms per attempt: (edges, diameter, attempts)."""
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
+    iu = np.triu_indices(n, k=1)
+    for attempt in range(1, topology.ER_RETRY_LIMIT + 1):
+        mask = rng.random(len(iu[0])) < p
+        edges = list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+        adj = _symmetric_adjacency(n, edges)
+        if connected_components(adj, directed=False)[0] == 1:
+            diameter = int(shortest_path(adj, unweighted=True, directed=False).max())
+            return edges, diameter, attempt
+    raise AssertionError("no connected draw")
+
+
+def test_erdos_renyi_redraws_exactly_the_disconnected_draws():
+    # at n = 12, p = 0.15 most draws are disconnected, so builds redraw
+    # often; the diameter search must reject exactly the draws scipy does
+    attempts = 0
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = build(ErdosRenyi(12, 0.15), rng)
+        edges, diameter, tries = _reference_erdos_renyi(12, 0.15, ref_rng)
+        upper = triu(g.adj, format="coo")
+        assert list(zip(upper.row.tolist(), upper.col.tolist())) == edges, seed
+        assert g.diameter == diameter, seed
+        assert rng.random() == ref_rng.random(), seed  # both took the same draws
+        attempts += tries
+    assert attempts > 2 * 200
+
+
+def test_exact_diameter_is_none_when_disconnected():
+    assert exact_diameter(_symmetric_adjacency(4, [(0, 1), (2, 3)])) is None
+    assert exact_diameter(_symmetric_adjacency(3, [])) is None
+    path = [(i, i + 1) for i in range(299)]
+    assert exact_diameter(_symmetric_adjacency(301, path)) is None  # node 300 alone
+    assert exact_diameter(_symmetric_adjacency(300, path)) == 299
 
 
 def test_graph_from_edges_rejects_disconnected():
