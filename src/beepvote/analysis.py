@@ -9,19 +9,20 @@ phase is settled the first time the counts form a halting pattern:
            exactly one other level is down to a single survivor;
   draw:    no survivors anywhere.
 
-`halting` is that rule, vectorised; every function below reads it.  It
+`halting` is that rule, vectorised; every function below reads it.  A
+win with one straggler can still fail: see `MarkovResult`.  `halting`
 reads a level's count only as 0, 1 or "two or more", so `markov_success`
-computes the absorption probabilities by a forward sweep over counts
-capped at two, a chain of at most 3^K states, stopped once the mass
-still transient is provably below 2^-64; its transition weights are
-closed forms in the level's count and the round, for all rounds at once.
-`sample_success` estimates the same probabilities by simulation, as a
-cross-check that shares only `halting` with the exact solve and alone
-builds binomial tables (`binomial_table`): it keeps the ensemble as
-distinct alive-count states with a number of copies each, merged after
-each level thins, so one multinomial draw thins all copies of a state.
-Both refuse, with the same checks, counts whose chain or tables exceed
-MAX_MARKOV_STATES.
+computes the outcome probabilities by a forward sweep over counts capped
+at two, a chain of at most 3^K states, stopped once the mass still
+transient is provably below 2^-64; its transition weights are closed
+forms in the level's count and the round, taken in log space, so N up to
+10^6 solves (in about 1.6 s).  `sample_success` estimates the same
+probabilities by simulation, as a cross-check that shares only `halting`
+with the exact solve and alone builds binomial tables (`binomial_table`):
+it keeps the ensemble as distinct alive-count states with a number of
+copies each, merged after each level thins, so one multinomial draw thins
+all copies of a state.  Each function refuses, before allocating, the
+inputs too large for what it builds (MAX_MARKOV_STATES).
 The closed-form lower bounds trade tightness for speed and are useful
 for sizing experiments.
 """
@@ -35,15 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
-# markov_success and sample_success refuse, before allocating, counts
-# whose full grid of prod(n_k + 1) alive-count states is larger than this
-# (the sampler indexes states in it), or whose binomial tables
-# ((n_k + 1)^2 floats per level) hold more entries in sum: the tables take
-# at most 8 MB, and n_k <= 999 keeps markov_success's round-1 weights
-# C(n, a) / C(n, 2) finite.  A markov_success call under the cap peaks near
-# 127 MB of process RSS, the CLI's imports included, at (1,) * 12 + (2,) * 5,
-# whose 995,328 capped states are the most the cap admits; (99, 99, 99)
-# and (999,) stay under 70 MB (measured on one BLAS thread).
+# markov_success refuses counts whose capped chain of prod(min(n_k + 1, 3))
+# states or whose node total (its weights cost O(N) per round; 10^6 nodes
+# take about 1.6 s) exceeds this; sample_success, counts whose full grid of
+# prod(n_k + 1) states or whose binomial tables (8 MB at most) exceed it.
 MAX_MARKOV_STATES = 10**6
 # sample_success raises if some sample has not halted after this many rounds
 # (a safety net: N alive nodes outlive R rounds with probability <= N 2^-R)
@@ -86,30 +82,6 @@ def _count_vector(counts) -> np.ndarray:
     return counts
 
 
-def _checked_counts(counts, samples: int = 1) -> np.ndarray:
-    """The count vector, once the inputs markov_success and sample_success
-    share are checked: counts, samples >= 1, and a chain of at
-    most MAX_MARKOV_STATES states whose binomial tables hold at most as
-    many entries.  Raises ValueError before allocating either."""
-    counts = _count_vector(counts)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    shape = tuple(int(c) + 1 for c in counts)
-    state_count = math.prod(shape)
-    if state_count > MAX_MARKOV_STATES:
-        raise ValueError(
-            f"counts {tuple(int(c) for c in counts)} span {state_count} chain states, "
-            f"above the limit of {MAX_MARKOV_STATES}"
-        )
-    table_size = sum(s * s for s in shape)
-    if table_size > MAX_MARKOV_STATES:
-        raise ValueError(
-            f"counts {tuple(int(c) for c in counts)} need {table_size} binomial table "
-            f"entries, above the limit of {MAX_MARKOV_STATES}"
-        )
-    return counts
-
-
 def halting(alive) -> np.ndarray:
     """Halting rule along the last axis of alive-count vectors: the
     0-based winning level, K for a draw, or -1 for a transient state.
@@ -125,11 +97,19 @@ def halting(alive) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkovResult:
-    win_prob: np.ndarray  # per level, index 0 holding level 1
+    """Outcome probabilities of one phase; win_prob and fail_prob are per
+    level, index 0 holding level 1.  A phase that halts as a win for m
+    with one straggler alive off m fails instead when none of the c + 1
+    beepers at m outlives the next round: the dead nodes off m heard two
+    levels, keep their values and never hear m alone (unless the
+    straggler is the only node off m).  total() sums all outcomes."""
+
+    win_prob: np.ndarray
     draw_prob: float
+    fail_prob: np.ndarray
 
     def total(self) -> float:
-        return float(self.win_prob.sum() + self.draw_prob)
+        return float(self.win_prob.sum() + self.draw_prob + self.fail_prob.sum())
 
 
 def markov_success(counts) -> MarkovResult:
@@ -148,30 +128,50 @@ def markov_success(counts) -> MarkovResult:
     states.  Levels with no nodes are dropped and the rest ordered by
     count, so every order of the same counts takes the same float steps.
 
-    The sweep starts with all mass on the start state.  Each round it adds
-    the mass on halting states to their tally (an absorbing start is
-    tallied at round 0), then moves the rest one level at a time; the
-    tally is summed by outcome at the end.  A transient state has at least
-    two nodes alive, and a given pair outlives R rounds with probability
-    4^-R, so the mass still transient after R rounds is at most
-    C(N, 2) 4^-R for N = sum(n_k) nodes; R is the least round count that
-    makes this bound at most 2^-64.  Inputs are refused before anything is
-    allocated, by the check sample_success runs (`_checked_counts`).
+    The sweep starts with all mass on the start state.  Each round it
+    records the mass on halting states (an absorbing start at round 0),
+    then moves the rest one level at a time.  A win for m with a straggler
+    fails with chance 2^-(c + 1) for the c >= 2 nodes alive at m (unless
+    the straggler is the only node off m); given the chain, c at round r
+    is A_m(r) given A_m(r) >= 2, so that round's straggler mass fails in
+    the share steps_m[r][2, 0] / 2, and the rest wins.  A transient state
+    has at least two nodes alive, and a given pair outlives R rounds with
+    probability 4^-R, so the mass still transient after R rounds is at
+    most C(N, 2) 4^-R for N = sum(n_k) nodes; R is the least round count
+    that makes this bound at most 2^-64.  Counts whose capped chain or
+    node total exceeds MAX_MARKOV_STATES are refused before anything is
+    allocated.
     """
-    counts = _checked_counts(counts)
+    counts = _count_vector(counts)
+    nodes, capped = int(counts.sum()), math.prod(min(int(c) + 1, 3) for c in counts)
+    for size, what in ((capped, "span {} capped chain states"), (nodes, "hold {} nodes")):
+        if size > MAX_MARKOV_STATES:
+            raise ValueError(
+                f"counts {tuple(counts.tolist())} {what.format(size)}, "
+                f"above the limit of {MAX_MARKOV_STATES}"
+            )
     k = len(counts)
     # levels with no nodes never change the chain: keep the rest (or one)
     perm = np.argsort(counts, kind="stable")[-max(1, np.count_nonzero(counts)) :]
-    pairs = math.comb(int(counts.sum()), 2) << 64
+    pairs = math.comb(nodes, 2) << 64
     rounds = ((pairs - 1).bit_length() + 1) // 2  # least R with C(N, 2) 4^-R <= 2^-64
-    steps = [_capped_steps(int(n), rounds) for n in counts[perm]]
-    shape = tuple(len(s[0]) for s in steps)
-    kind = halting(np.moveaxis(np.indices(shape, dtype=np.int8), 0, -1)).ravel()
+    levels = counts[perm]
+    steps = [_capped_steps(int(n), rounds + 1) for n in levels]
+    grid = np.moveaxis(np.indices(tuple(len(s[0]) for s in steps), dtype=np.int8), 0, -1)
+    kind = halting(grid).ravel()
     stop = np.flatnonzero(kind >= 0)
     outcome = np.append(perm, k)[kind[stop]]  # the caller's level order, draw last
+    # a win with two levels alive leaves one straggler off the winner m.
+    # From round 1 on (at round 0 it is the only node off m) the phase
+    # fails if none of the c + 1 beepers outlives the next round: a share
+    # (1/2) E[2^-c] = steps_m[r][2, 0] / 2 of that round's mass
+    straggle = (grid.reshape(-1, len(levels))[stop] > 0).sum(axis=1) == 2
+    none_left = np.stack([s[1:, -1, 0] for s in steps], axis=1)  # [r - 1, level]
+    share = (1.0 - SURVIVAL_PROB) * none_left[:, kind[stop[straggle]]]
     mass = np.zeros(len(kind))
     mass[-1] = 1.0  # the start: every level at min(n_k, 2), the grid's last state
-    absorbed = mass[stop]
+    absorbed = np.empty((rounds + 1, len(stop)))  # halting mass by round
+    absorbed[0] = mass[stop]
     for r in range(rounds):
         mass[stop] = 0.0
         # moving the leading level appends it as the last axis, so one move
@@ -179,9 +179,13 @@ def markov_success(counts) -> MarkovResult:
         for step in steps:
             mass = mass.reshape(len(step[r]), -1).T @ step[r]
         mass = mass.ravel()
-        absorbed += mass[stop]
-    out = np.bincount(outcome, absorbed, minlength=k + 1)
-    return MarkovResult(win_prob=out[:k], draw_prob=float(out[k]))
+        absorbed[r + 1] = mass[stop]
+    failed = (absorbed[1:, straggle] * share).sum(axis=0)
+    tally = absorbed.sum(axis=0)
+    tally[straggle] -= failed
+    out = np.bincount(outcome, tally, minlength=k + 1)
+    fail = np.bincount(outcome[straggle], failed, minlength=k).astype(float)  # int if empty
+    return MarkovResult(win_prob=out[:k], draw_prob=float(out[k]), fail_prob=fail)
 
 
 def _capped_steps(n: int, rounds: int) -> np.ndarray:
@@ -189,20 +193,30 @@ def _capped_steps(n: int, rounds: int) -> np.ndarray:
     from round r to r + 1, where A(r) ~ Binomial(n, 2^-r) is one level's
     alive count.  Round 0 has A = n; for r >= 1 the "two or more" row
     weighs each a >= 2 by P(A(r) = a) / P(A(r) = 2) = C(n, a) / C(n, 2)
-    t^(a - 2), t = 1 / (2^r - 1) (one cumprod for all rounds), and splits
-    it as Binomial(a, 1/2) falls to 0, 1 or "two or more".  No term is
-    negative, so nothing cancels; n <= 999 keeps the weights finite."""
+    t^(a - 2), t = 1 / (2^r - 1), and splits it as Binomial(a, 1/2) falls
+    to 0, 1 or "two or more".  The weights are taken in log space (one
+    cumsum of log ratios, less each row's max), so they stay finite for
+    any n; rounds go in blocks of MAX_MARKOV_STATES // n rows.  No term is
+    negative, so nothing cancels."""
     steps = np.zeros((rounds, 3, 3))
     steps[:, 0, 0] = 1.0
     steps[:, 1, :2] = 1.0 - SURVIVAL_PROB, SURVIVAL_PROB
     if n >= 2:
         a = np.arange(2, n + 1)
         p0 = SURVIVAL_PROB**a  # P(Binomial(a, 1/2) = 0); P(... = 1) is a * p0
-        capped = np.column_stack([p0, a * p0, 1.0 - (1 + a) * p0])
-        ratio = np.outer(1.0 / (2.0 ** np.arange(1, rounds) - 1.0), (n + 1 - a) / a)
-        ratio[:, 0] = 1.0  # weights relative to a = 2; then P(A = a) / P(A = a - 1)
-        joint = np.vstack([capped[-1], np.cumprod(ratio, axis=1) @ capped])
-        steps[:, 2] = joint / joint.sum(axis=1, keepdims=True)
+        capped = np.array([p0, a * p0, 1.0 - (1 + a) * p0]).T
+        steps[0, 2] = capped[-1]
+        ratio = np.log((n + 1 - a) / a)  # log P(A = a) / P(A = a - 1), less log t
+        ratio[0] = 0.0  # weights relative to a = 2
+        log_binom = np.cumsum(ratio)
+        log_t = -np.log(2.0 ** np.arange(1, rounds) - 1.0)
+        block = MAX_MARKOV_STATES // n
+        for lo in range(0, rounds - 1, block):
+            weight = log_binom + log_t[lo : lo + block, None] * (a - 2)
+            weight -= weight.max(axis=1, keepdims=True)
+            # exp slows near underflow; below e^-700 a weight adds nothing to a sum >= 1
+            joint = np.exp(np.maximum(weight, -700.0, out=weight), out=weight) @ capped
+            steps[lo + 1 : lo + 1 + block, 2] = joint / joint.sum(axis=1, keepdims=True)
     s = min(n + 1, 3)
     return steps[:, :s, :s]
 
@@ -216,21 +230,32 @@ def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
     number of samples in each (`copies`); the histogram of independent
     chains is itself a Markov chain, so the estimate has the distribution
     of `samples` chains simulated one by one.  Each round tallies the
-    halting states, thins the rest one level at a time (levels thin
-    independently given the state) and merges equal states after each
-    level, so the next level thins distinct states only.  A state with
-    more copies than the level's support width draws how many copies keep
-    each survivor count in one multinomial over binomial_table rows; any
-    other is drawn copy by copy, so memory stays O(samples * K).  Inputs
-    are checked as markov_success checks them, plus samples >= 1; it
-    raises RuntimeError if some sample has not halted after
-    MAX_SAMPLE_ROUNDS rounds.
+    halting states, draws how many copies of a win with a straggler fail
+    (Binomial(copies, 2^-(c + 1)) for its exact c), thins the rest one
+    level at a time (levels thin independently given the state) and
+    merges equal states after each level, so the next level thins
+    distinct states only.  A state with more copies than the level's
+    support width draws how many copies keep each survivor count in one
+    multinomial over binomial_table rows; any other is drawn copy by copy,
+    so memory stays O(samples * K).  It refuses samples < 1 and, before
+    allocating, counts whose full grid of prod(n_k + 1) states or whose
+    binomial tables exceed MAX_MARKOV_STATES; it raises RuntimeError if
+    some sample has not halted after MAX_SAMPLE_ROUNDS rounds.
     """
     samples = operator.index(samples)
-    counts = _checked_counts(counts, samples)
+    counts = _count_vector(counts)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    grid, entries = math.prod(int(c) + 1 for c in counts), sum((int(c) + 1) ** 2 for c in counts)
+    for size, what in ((grid, "span {} chain states"), (entries, "need {} binomial table entries")):
+        if size > MAX_MARKOV_STATES:
+            raise ValueError(
+                f"counts {tuple(counts.tolist())} {what.format(size)}, "
+                f"above the limit of {MAX_MARKOV_STATES}"
+            )
+    shape = counts + 1
     # a state's index in the row-major grid of prod(n_k + 1) <= MAX_MARKOV_STATES
     # states; numpy's ravel_multi_index would stop at 64 levels
-    shape = counts + 1
     strides = np.array([math.prod(shape[d + 1 :]) for d in range(len(shape))], dtype=np.int64)
     k = len(counts)
     # columns reversed: numpy's multinomial gives its leftover to the last
@@ -240,10 +265,20 @@ def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
     states = counts[None, :]
     copies = np.array([samples], dtype=np.int64)
     tally = np.zeros(k + 1, dtype=np.int64)
+    failed = np.zeros(k, dtype=np.int64)
+    # per level: a straggler would be the only node off it; the draw, last, never fails
+    lone = np.append(counts.sum() - counts == 1, True)
     for _ in range(MAX_SAMPLE_ROUNDS):
         kind = halting(states)
         done = kind >= 0
         tally += np.bincount(kind[done], weights=copies[done], minlength=k + 1).astype(np.int64)
+        # a win with a straggler: each copy fails if none of the c + 1 beepers survives
+        straggle = np.flatnonzero(done)
+        straggle = straggle[((states[straggle] > 0).sum(axis=1) == 2) & ~lone[kind[straggle]]]
+        winner = kind[straggle]
+        none_left = (1.0 - SURVIVAL_PROB) ** (states[straggle, winner] + 1)
+        doomed = rng.binomial(copies[straggle], none_left)
+        failed += np.bincount(winner, doomed, minlength=k).astype(np.int64)
         states, copies = states[~done], copies[~done]
         if len(copies) == 0:
             break
@@ -254,7 +289,11 @@ def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
             states = flat[:, None] // strides % shape
     else:
         raise RuntimeError(f"absorption not reached within {MAX_SAMPLE_ROUNDS} rounds")
-    return MarkovResult(win_prob=tally[:k] / samples, draw_prob=float(tally[k] / samples))
+    return MarkovResult(
+        win_prob=(tally[:k] - failed) / samples,
+        draw_prob=float(tally[k] / samples),
+        fail_prob=failed / samples,
+    )
 
 
 def _thin_axis(states, copies, axis: int, table: np.ndarray, rng):

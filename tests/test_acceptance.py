@@ -125,7 +125,7 @@ def test_criterion_02_one_phase_curve_vs_oracle():
     t0 = time.time()
     graph = complete_graph(100)
     params = dvb1_params(graph, 2)
-    worst_dev = 0.0
+    worst_z = 0.0
     bounds_ok = True
     for i in range(9):
         delta = 0.55 + 0.05 * i
@@ -137,15 +137,16 @@ def test_criterion_02_one_phase_curve_vs_oracle():
         )
         sim = wins / 1000
         exact = markov_success(counts).win_prob[1]
-        worst_dev = max(worst_dev, abs(sim - exact))
+        # the binomial sigma of 1000 trials at the exact success probability
+        worst_z = max(worst_z, abs(sim - exact) / math.sqrt(exact * (1 - exact) / 1000))
         sigma = math.sqrt(max(sim * (1 - sim), 1e-9) / 1000)
         lb2 = lower_bound_two_event(counts)
         lbc = lower_bound_closed(counts[1], counts[0], 2)
         bounds_ok &= sim >= lb2 - 2 * sigma and sim >= lbc - 2 * sigma
     elapsed = time.time() - t0
-    ok = worst_dev <= 0.05 and bounds_ok and elapsed < 120
-    report(2, f"one-phase curve vs chain oracle (max dev {worst_dev:.4f})", ok)
-    assert worst_dev <= 0.05
+    ok = worst_z <= 3 and bounds_ok and elapsed < 120
+    report(2, f"one-phase curve vs chain oracle (max |z| {worst_z:.2f})", ok)
+    assert worst_z <= 3
     assert bounds_ok
     assert elapsed < 120
 
@@ -184,7 +185,7 @@ def test_criterion_04_ratio_recipe_consistency():
     report(4, f"ratio threshold {ratio:.4f}; one-phase at (65,35) {sim:.4f} vs {bar:.4f}", ok)
     assert threshold_ok
     # The 65:35 split clears the ratio threshold, yet its true one-phase
-    # success is 0.682 by the exact chain oracle, far below this target;
+    # success is 0.6565 by the exact chain oracle, far below this target;
     # the closed-form recipe overstates its guarantee.  Kept faithful.
     assert sim >= bar
 

@@ -209,24 +209,27 @@ def test_markov_tie_splits_in_thirds():
 
 def test_markov_frozen_values():
     res = markov_success((45, 55))
-    assert res.win_prob[1] == pytest.approx(0.539645, abs=1e-6)
+    assert res.win_prob[1] == pytest.approx(0.515340, abs=1e-6)
+    assert res.fail_prob[1] == pytest.approx(0.024305, abs=1e-6)
     res = markov_success((90, 10))
-    assert res.win_prob[0] == pytest.approx(0.965103, abs=1e-6)
-    assert res.win_prob[1] == pytest.approx(0.026200, abs=1e-6)
+    assert res.win_prob[0] == pytest.approx(0.957160, abs=1e-6)
+    assert res.win_prob[1] == pytest.approx(0.024848, abs=1e-6)
     assert res.draw_prob == pytest.approx(0.008697, abs=1e-6)
     res = markov_success((50, 33, 17))
-    assert res.win_prob[0] == pytest.approx(0.496726, abs=1e-6)
+    assert res.win_prob[0] == pytest.approx(0.474406, abs=1e-6)
     assert res.draw_prob == pytest.approx(0.109936, abs=1e-6)
 
 
 def test_markov_degenerate_start():
     # an absorbing start is tallied at round 0, with exactly the one-hot
-    # outcome halting gives it, and nothing is added to it later
-    for counts in [(1, 0), (2, 0), (7, 0), (0, 0), (0,), (1,), (6,), (0, 0, 3)]:
-        res = markov_success(counts)
-        probs = np.append(res.win_prob, res.draw_prob)
-        assert np.array_equal(probs, np.eye(len(counts) + 1)[halting(counts)])
-        assert res.total() == 1.0
+    # outcome halting gives it, and nothing is added to it later.  A
+    # straggler start such as (5, 1) never fails: the straggler is the
+    # only node off the winner.  The sampler agrees on every copy
+    for counts in [(1, 0), (2, 0), (7, 0), (0, 0), (0,), (1,), (6,), (0, 0, 3), (5, 1), (1, 0, 4)]:
+        for res in (markov_success(counts), sample_success(counts, samples=1000)):
+            probs = np.concatenate([res.win_prob, [res.draw_prob], res.fail_prob])
+            assert np.array_equal(probs, np.eye(2 * len(counts) + 1)[halting(counts)])
+            assert res.total() == 1.0
 
 
 def test_markov_probabilities_sum_to_one():
@@ -237,7 +240,7 @@ def test_markov_probabilities_sum_to_one():
         if sum(counts) == 0:
             counts = (1,) + counts[1:]
         res = markov_success(counts)
-        assert abs(sum(res.win_prob) + res.draw_prob - 1.0) < 1e-12
+        assert abs(sum(res.win_prob) + res.draw_prob + sum(res.fail_prob) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("p, max_ulps", [(SURVIVAL_PROB, 8)])
@@ -284,6 +287,44 @@ def test_capped_steps_match_the_exact_conditional_law():
     assert _capped_steps(1, 3).tolist() == [[[1.0, 0.0], [0.5, 0.5]]] * 3
 
 
+def test_capped_steps_match_the_exact_law_past_the_cumprod_range():
+    # at n = 1100 the round-1 weights C(n, a) / C(n, 2) pass the float
+    # range.  Exact row by thinning: A(r + 1) ~ Binomial(n, p / 2), less
+    # the paths with A(r) <= 1, given A(r) >= 2 (p = 2^-r); 1.3e-16 measured
+    n, rounds = 1100, 40
+    steps = _capped_steps(n, rounds)
+    for r in range(rounds):
+        p = Fraction(1, 2**r)
+
+        def pmf(a, q):
+            return math.comb(n, a) * q**a * (1 - q) ** (n - a)
+
+        low = [pmf(0, p), pmf(1, p)]  # A(r) = 0 or 1
+        row = [pmf(0, p / 2) - low[0] - low[1] / 2, pmf(1, p / 2) - low[1] / 2]
+        row = [x / (1 - sum(low)) for x in row]
+        row.append(1 - sum(row))
+        for got, exact in zip(steps[r, 2], row):
+            assert abs(Fraction(got) - exact) <= 3 * Fraction(2) ** -53, r
+
+
+def _cumprod_steps(n, rounds):
+    """The "two or more" rows as one cumprod of count ratios, in linear
+    space: finite only for n <= 999 or so."""
+    a = np.arange(2, n + 1)
+    p0 = SURVIVAL_PROB**a
+    capped = np.column_stack([p0, a * p0, 1.0 - (1 + a) * p0])
+    ratio = np.outer(1.0 / (2.0 ** np.arange(1, rounds) - 1.0), (n + 1 - a) / a)
+    ratio[:, 0] = 1.0
+    joint = np.vstack([capped[-1], np.cumprod(ratio, axis=1) @ capped])
+    return joint / joint.sum(axis=1, keepdims=True)
+
+
+def test_log_weights_match_the_cumprod_weights():
+    # 6.7e-16 measured over every n <= 999 at 45 rounds
+    for n in range(2, 1000):
+        assert np.abs(_capped_steps(n, 45)[:, 2] - _cumprod_steps(n, 45)).max() <= 1e-15, n
+
+
 def test_markov_builds_no_binomial_table(monkeypatch):
     def refuse(n):
         raise AssertionError("markov_success built a binomial table")
@@ -295,25 +336,48 @@ def test_markov_builds_no_binomial_table(monkeypatch):
         sample_success((3, 2), samples=10)
 
 
-def test_markov_table_guard_refuses_before_allocating():
-    # 999,999 states pass the state-count guard, but the one table would
-    # hold 999,999^2 floats (about 7 TiB)
-    assert 999_999 <= MAX_MARKOV_STATES
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((MAX_MARKOV_STATES + 1,), "hold 1000001 nodes"),
+        ((500_001, 0, 500_000), "hold 1000001 nodes"),
+        ((2,) * 13, "span 1594323 capped chain states"),
+        ((1,) * 20, "span 1048576 capped chain states"),
+        ((10**9,) * 40, "span 12157665459056928801 capped chain states"),
+    ],
+)
+def test_markov_guard_refuses_before_allocating(counts, message):
+    # the node total bounds the O(N)-per-round weights, the capped chain
+    # of prod(min(n_k + 1, 3)) states the sweep; nothing is built first
+    tracemalloc.start()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="binomial table entries"):
-        markov_success((0, 999_998))
+    try:
+        with pytest.raises(ValueError, match=message):
+            markov_success(counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
-    # the largest single axis the cap admits still solves, and so do 15
-    # and 16 levels of one node (2^16 states)
-    assert markov_success((999,)).total() == 1.0
-    assert markov_success((1,) * 15 + (0,) * 5).total() == pytest.approx(1.0)
-    assert abs(markov_success((1,) * 16).total() - 1.0) <= 1e-12
+    assert peak < 10**6
+
+
+def test_markov_solves_inputs_only_the_sampler_refuses():
+    # the sampler's full grid and binomial tables bound neither the sweep
+    # nor its weights: (1000, 1000) spans 1,002,001 grid states, (999, 1)
+    # needs 1,000,004 table entries, and (3000, 7000) passes the old n <= 999
+    # ceiling of the round-1 weights; each is a chain of 9 or 6 capped states
+    for counts in [(1000, 1000), (999, 1), (3000, 7000)]:
+        with pytest.raises(ValueError, match="above the limit"):
+            sample_success(counts, samples=1)
+        res = markov_success(counts)
+        assert np.isfinite(res.win_prob).all() and abs(res.total() - 1.0) <= 1e-12
 
 
 def test_markov_binary_symmetry():
     a = markov_success((30, 70))
     b = markov_success((70, 30))
     assert a.win_prob[0] == pytest.approx(b.win_prob[1], abs=1e-12)
+    assert a.fail_prob[0] == pytest.approx(b.fail_prob[1], abs=1e-12)
     assert a.draw_prob == pytest.approx(b.draw_prob, abs=1e-12)
 
 
@@ -332,7 +396,8 @@ def test_sampler_chi_square_fits_exact_chain(counts):
     # outcome tallies over 8 seeds against markov_success: the summed
     # Pearson statistic over the outcomes the exact chain allows is
     # chi-square with 8 (cells - 1) degrees of freedom, and an outcome it
-    # gives probability 0 (an empty level winning) is never sampled.  The
+    # gives probability 0 (an empty level winning, or a level of fewer
+    # than two nodes, or of all but one, failing) is never sampled.  The
     # small counts draw nearly every row by multinomial; (40, 30, 20)
     # spreads its samples so thinly over states that most rows hold fewer
     # copies than the level's width and are drawn copy by copy.  The four
@@ -340,15 +405,16 @@ def test_sampler_chi_square_fits_exact_chain(counts):
     # each of four levels thins
     samples, seeds = 20_000, range(8)
     exact = markov_success(counts)
-    p = np.append(exact.win_prob, exact.draw_prob)
+    p = np.concatenate([exact.win_prob, [exact.draw_prob], exact.fail_prob])
     cells = p > 0
-    assert cells.sum() == 1 + np.count_nonzero(counts)
+    can_fail = (np.array(counts) >= 2) & (sum(counts) - np.array(counts) >= 2)
+    assert cells.sum() == 1 + np.count_nonzero(counts) + can_fail.sum()
     expected = samples * p[cells]
     assert (expected > 5).all()
     statistic = 0.0
     for seed in seeds:
         res = sample_success(counts, samples=samples, seed=seed)
-        observed = samples * np.append(res.win_prob, res.draw_prob)
+        observed = samples * np.concatenate([res.win_prob, [res.draw_prob], res.fail_prob])
         assert not observed[~cells].any()
         statistic += float((((observed[cells] - expected) ** 2) / expected).sum())
     assert chi2.sf(statistic, len(seeds) * (cells.sum() - 1)) > 1e-3
@@ -358,7 +424,7 @@ def test_sampler_chi_square_fits_exact_chain(counts):
 @pytest.mark.parametrize("counts", [(5, 3), (2, 1, 1), (3, 0)])
 def test_sampler_probabilities_are_multiples_of_one_over_samples(counts, samples):
     res = sample_success(counts, samples=samples, seed=11)
-    probs = np.append(res.win_prob, res.draw_prob)
+    probs = np.concatenate([res.win_prob, [res.draw_prob], res.fail_prob])
     hits = np.rint(probs * samples)
     assert np.array_equal(hits / samples, probs)
     assert hits.sum() == samples
@@ -367,7 +433,7 @@ def test_sampler_probabilities_are_multiples_of_one_over_samples(counts, samples
 def test_sampler_same_seed_same_result():
     def run(seed):
         res = sample_success((12, 9, 7), samples=5_000, seed=seed)
-        return np.append(res.win_prob, res.draw_prob)
+        return np.concatenate([res.win_prob, [res.draw_prob], res.fail_prob])
 
     assert np.array_equal(run(42), run(42))
     seq = (4, 2)
@@ -394,15 +460,36 @@ def test_sampler_rejects_bad_inputs_before_sampling():
 
 
 @pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((1000, 1000), "span 1002001 chain states"),
+        ((1,) * 20, "span 1048576 chain states"),
+        ((0, 999_998), "need 999998000002 binomial table entries"),
+        ((999, 1), "need 1000004 binomial table entries"),
+    ],
+)
+def test_sampler_guard_keeps_its_messages(counts, message):
+    # the full grid and the binomial tables are the sampler's own limits
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        sample_success(counts, samples=1)
+    assert str(err.value) == f"counts {counts} {message}, above the limit of {MAX_MARKOV_STATES}"
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
     "counts",
     [(5, 3), (0,), (0, 0), (999,), (998, 0), (1,) * 16, (0,) * 80 + (2, 3), (2.0, 3.0)]
-    + [(1000, 1000), (0, 999_998), (999, 1), (1,) * 20, (), (5, -1), ((1, 2),), (2.5, 3)],
+    + [(2,) * 10, (1,) * 17, (-1,), (np.inf, 3), (), (5, -1), ((1, 2),), (2.5, 3)],
 )
 def test_markov_and_sampler_refuse_the_same_inputs(counts):
-    # one shared check: either both refuse with the same message, or both
-    # solve (the sampler on one sample, checking only that it runs).  The
-    # two once split on (1,) * 16, which a second solve guard refused, and
-    # on 82 levels, past numpy's 64 dimensions in the sampler's state index
+    # the count checks are shared: either both refuse with the same
+    # message, or both solve (the sampler on one sample, checking only
+    # that it runs).  Each function's size guard is its own (see the two
+    # guard tests); these inputs lie within both, up to 10 levels of two
+    # nodes, where the capped chain is the sampler's full grid.  The two
+    # once split on (1,) * 16, which a second solve guard refused, and on
+    # 82 levels, past numpy's 64 dimensions in the sampler's state index
     errors = []
     for solve in (markov_success, functools.partial(sample_success, samples=1)):
         try:
@@ -443,17 +530,25 @@ def test_sampler_memory_is_linear_in_samples():
 
 
 def _sum_ordered_dp(counts, p, rule=_halting_by_rule):
-    """Reference absorption solver in exact rational arithmetic: the same
-    recursion, with its own halting rule unless given one, visiting states
-    in ascending total order, at survival probability p."""
+    """Reference solver in exact rational arithmetic: the same recursion,
+    with its own halting rule unless given one, visiting states in
+    ascending total order, at survival probability p.  It returns the win
+    probability per level, the draw probability, then the fail probability
+    per level: a win for m with one straggler off m fails when none of
+    its c + 1 beepers survives, chance (1 - p)^(c + 1), unless the
+    straggler is the only node off m."""
     k = len(counts)
     value = {}
     for state in sorted(itertools.product(*(range(c + 1) for c in counts)), key=sum):
         kind = rule(state)
         if kind >= 0:
-            value[state] = [Fraction(int(i == kind)) for i in range(k + 1)]
+            value[state] = [Fraction(int(i == kind)) for i in range(2 * k + 1)]
+            alive = sum(a > 0 for a in state)
+            if alive == 2 and sum(counts) - counts[kind] > 1:
+                fail = (1 - p) ** (state[kind] + 1)
+                value[state][kind], value[state][k + 1 + kind] = 1 - fail, fail
             continue
-        acc = [Fraction(0)] * (k + 1)
+        acc = [Fraction(0)] * (2 * k + 1)
         for target in itertools.product(*(range(a + 1) for a in state)):
             if target == state:
                 continue  # the self-loop, folded in below
@@ -479,7 +574,7 @@ def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
     """
     res = markov_success(counts)
     ref = _sum_ordered_dp(counts, Fraction(p))
-    got = [Fraction(x) for x in (*res.win_prob, res.draw_prob)]
+    got = [Fraction(x) for x in (*res.win_prob, res.draw_prob, *res.fail_prob)]
     assert max(abs(g - r) for g, r in zip(got, ref)) <= Fraction(1, 10**15)
     assert sum(ref) == 1
 
@@ -487,21 +582,21 @@ def test_markov_matches_sum_ordered_dp_bit_for_bit(counts, p):
 def test_markov_matches_rational_chain_on_every_small_count():
     """Every count vector with K in {1, 2, 3} and at most 7 nodes, K = 4
     and at most 6, or K = 5 and at most 5: the capped-count sweep lies
-    within 1e-15 of the full chain, halting rule included, solved state by
-    state in exact rationals."""
+    within 1e-15 of the full chain, halting rule and straggler failure
+    included, solved state by state in exact rationals."""
     for k, most in ((1, 7), (2, 7), (3, 7), (4, 6), (5, 5)):
         for counts in itertools.product(range(most + 1), repeat=k):
             if sum(counts) > most:
                 continue
             res = markov_success(counts)
             ref = _sum_ordered_dp(counts, Fraction(1, 2), rule=halting)
-            got = [Fraction(x) for x in (*res.win_prob, res.draw_prob)]
+            got = [Fraction(x) for x in (*res.win_prob, res.draw_prob, *res.fail_prob)]
             assert max(abs(g - r) for g, r in zip(got, ref)) <= Fraction(1, 10**15), counts
 
 
 def test_markov_level_order_does_not_matter():
     # the solve sorts the levels by count; any order of the same counts
-    # gives the permuted win probabilities and the same draw probability
+    # gives the permuted win and fail probabilities and the same draw
     rng = np.random.default_rng(22)
     draws = [tuple(int(c) for c in rng.integers(0, 31, size=3)) for _ in range(5)]
     for counts in draws + [(12, 12, 0), (9, 9, 4), (30, 30, 30)]:
@@ -509,4 +604,5 @@ def test_markov_level_order_does_not_matter():
         for perm in itertools.permutations(range(3)):
             res = markov_success(tuple(counts[i] for i in perm))
             assert np.abs(res.win_prob - ref.win_prob[list(perm)]).max() <= 1e-15
+            assert np.abs(res.fail_prob - ref.fail_prob[list(perm)]).max() <= 1e-15
             assert res.draw_prob == ref.draw_prob

@@ -21,35 +21,33 @@ def test_markov_command(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "delta,counts,win_majority,draw"
     assert lines[1].startswith("0.9,10/90,")
-    assert "0.965103" in lines[1]
+    assert "0.95716" in lines[1]
     assert lines[2].startswith("0.55,45/55,")
-    assert "0.539645" in lines[2]
+    assert "0.51534" in lines[2]
 
 
-def test_markov_state_count_guard_exits_one(capsys):
-    # (567, 333, 100) spans about 19M chain states; the oracle must refuse
-    # before allocating, not after
+def test_markov_node_guard_exits_one(capsys):
+    # (350000, 650001) holds one node past the oracle's limit, whose
+    # weights cost O(N) per round; it must refuse before allocating
     start = time.perf_counter()
-    rc = main(["markov", "--nodes", "1000", "--levels", "3", "--deltas", "0.1"])
+    rc = main(["markov", "--nodes", "1000001", "--deltas", "0.65"])
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert rc == 1
-    assert err.startswith("error:")
+    assert err == "error: counts (350000, 650001) hold 1000001 nodes, above the limit of 1000000\n"
     assert out == ""
     assert elapsed < 1.0
 
 
-def test_markov_table_guard_exits_one(capsys):
-    # (0, 999998) passes the state-count guard, but its binomial table
-    # would need about 7 TiB; the oracle must refuse before allocating
-    start = time.perf_counter()
-    rc = main(["markov", "--nodes", "999998", "--deltas", "1.0"])
-    elapsed = time.perf_counter() - start
-    out, err = capsys.readouterr()
-    assert rc == 1
-    assert err.startswith("error:")
-    assert out == ""
-    assert elapsed < 1.0
+def test_markov_solves_past_the_sampler_limits(capsys):
+    # (567, 333, 100) spans about 19M full-grid states and (0, 999998) a
+    # 7 TiB binomial table, which only the sampler builds: the exact
+    # chain holds 27 and 3 capped states
+    assert main(["markov", "--nodes", "1000", "--levels", "3", "--deltas", "0.1"]) == 0
+    assert main(["markov", "--nodes", "999998", "--deltas", "1.0"]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert out[1].startswith("0.1,567/333/100,")
+    assert out[3] == "1,0/999998,1,0"
 
 
 def test_package_import_skips_scipy_stats():

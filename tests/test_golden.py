@@ -240,9 +240,9 @@ final_value=mixed
 """,
     "markov --nodes 60 --levels 3 --deltas 0.0 0.15 0.3": """\
 delta,counts,win_majority,draw
-0,40/20/0,0.706249,0.0520838
-0.15,31/20/9,0.517791,0.106636
-0.3,22/20/18,0.329081,0.130936
+0,40/20/0,0.680306,0.0520838
+0.15,31/20/9,0.494557,0.106636
+0.3,22/20/18,0.314218,0.130936
 """,
     "bounds --nodes 50 --levels 3 --deltas 0.05 0.25 --epsilon 0.05": """\
 # corrosion rounds for all-dead with prob >= 0.95: 10
