@@ -1,6 +1,6 @@
 """Analytic toolkit for one corrosion phase.
 
-Everything here reasons about the alive-count process: starting from
+`markov_success` reasons about the alive-count process: starting from
 per-level counts (n_1, ..., n_K), every alive node independently stays
 alive with probability 1/2 (SURVIVAL_PROB, as in DVB1) each round.  The
 phase is settled the first time the counts form a halting pattern:
@@ -9,22 +9,19 @@ phase is settled the first time the counts form a halting pattern:
            exactly one other level is down to a single survivor;
   draw:    no survivors anywhere.
 
-`halting` is that rule, vectorised; every function below reads it.  A
-win with one straggler can still fail: see `MarkovResult`.  `halting`
-reads a level's count only as 0, 1 or "two or more", so `markov_success`
-computes the outcome probabilities by a forward sweep over counts capped
-at two, a chain of at most 3^K states, stopped once the mass still
-transient is provably below 2^-64; its transition weights are closed
-forms in the level's count and the round, taken in log space, so N up to
-10^6 solves (in about 1.6 s).  `sample_success` estimates the same
-probabilities by simulation, as a cross-check that shares only `halting`
-with the exact solve and alone builds binomial tables (`binomial_table`):
-it keeps the ensemble as distinct alive-count states with a number of
-copies each, merged after each level thins, so one multinomial draw thins
-all copies of a state.  Each function refuses, before allocating, the
-inputs too large for what it builds (MAX_MARKOV_STATES).
-The closed-form lower bounds trade tightness for speed and are useful
-for sizing experiments.
+`halting` is that rule, vectorised.  A win with one straggler can still
+fail: see `MarkovResult`.  `halting` reads a level's count only as 0, 1
+or "two or more", so `markov_success` computes the outcome probabilities
+by a forward sweep over counts capped at two, a chain of at most 3^K
+states, stopped once the mass still transient is provably below 2^-64;
+its transition weights are closed forms in the level's count and the
+round, taken in log space, so N up to 10^6 solves (in about 1.6 s).
+`sample_success` estimates the same probabilities by simulating the
+protocol's own per-level value and alive counts on the complete graph
+(`_round_moves`), never `halting`, so it observes the straggler failure
+rather than deriving it.  Each function refuses, before allocating, the
+inputs too large for what it builds.  The closed-form lower bounds trade
+tightness for speed and are useful for sizing experiments.
 """
 
 from __future__ import annotations
@@ -36,12 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SURVIVAL_PROB = 0.5  # chance that a beeping node may beep again next round
-# markov_success refuses counts whose capped chain of prod(min(n_k + 1, 3))
-# states or whose node total (its weights cost O(N) per round; 10^6 nodes
-# take about 1.6 s) exceeds this; sample_success, counts whose full grid of
-# prod(n_k + 1) states or whose binomial tables (8 MB at most) exceed it.
+# markov_success refuses counts whose capped chain of prod(min(n_k + 1, 3)) states
+# or whose node total (weights cost O(N) per round; 10^6 take about 1.6 s) exceeds this
 MAX_MARKOV_STATES = 10**6
-# sample_success raises if some sample has not halted after this many rounds
+# sample_success raises if some sample has not ended after this many rounds
 # (a safety net: N alive nodes outlive R rounds with probability <= N 2^-R)
 MAX_SAMPLE_ROUNDS = 10_000
 
@@ -56,20 +51,6 @@ def prop1_rounds(n: int, epsilon: float) -> int:
     return math.ceil(math.log2(n / epsilon))
 
 
-def binomial_table(n: int) -> np.ndarray:
-    """(n + 1, n + 1) table of P(Binomial(a, 1/2) = j) at [a, j], 0 for j > a.
-
-    Row a is half of row(a - 1) plus half of it shifted one column right:
-    n vector steps, every term non-negative, so no cancellation."""
-    table = np.zeros((n + 1, n + 1))
-    table[0, 0] = 1.0
-    for a in range(1, n + 1):
-        prev = table[a - 1, :a]
-        table[a, :a] = (1.0 - SURVIVAL_PROB) * prev
-        table[a, 1 : a + 1] += SURVIVAL_PROB * prev
-    return table
-
-
 def _count_vector(counts) -> np.ndarray:
     raw = np.asarray(counts)  # integer dtypes need no check
     if raw.dtype.kind not in "biu" and not (np.isfinite(raw) & (np.trunc(raw) == raw)).all():
@@ -80,6 +61,10 @@ def _count_vector(counts) -> np.ndarray:
     if (counts < 0).any():
         raise ValueError("counts must be non-negative")
     return counts
+
+
+def _occupied(counts: np.ndarray) -> np.ndarray:  # an empty level never beeps: drop it
+    return np.argsort(counts, kind="stable")[-max(1, np.count_nonzero(counts)) :]
 
 
 def halting(alive) -> np.ndarray:
@@ -128,19 +113,19 @@ def markov_success(counts) -> MarkovResult:
     states.  Levels with no nodes are dropped and the rest ordered by
     count, so every order of the same counts takes the same float steps.
 
-    The sweep starts with all mass on the start state.  Each round it
-    records the mass on halting states (an absorbing start at round 0),
-    then moves the rest one level at a time.  A win for m with a straggler
-    fails with chance 2^-(c + 1) for the c >= 2 nodes alive at m (unless
-    the straggler is the only node off m); given the chain, c at round r
-    is A_m(r) given A_m(r) >= 2, so that round's straggler mass fails in
-    the share steps_m[r][2, 0] / 2, and the rest wins.  A transient state
-    has at least two nodes alive, and a given pair outlives R rounds with
-    probability 4^-R, so the mass still transient after R rounds is at
-    most C(N, 2) 4^-R for N = sum(n_k) nodes; R is the least round count
-    that makes this bound at most 2^-64.  Counts whose capped chain or
-    node total exceeds MAX_MARKOV_STATES are refused before anything is
-    allocated.
+    An absorbing start returns its one-hot outcome before any step is
+    built; any other starts the sweep with all mass on it.  Each round
+    records the mass on halting states, then moves the rest one level at
+    a time.  A win for m with a straggler fails with chance 2^-(c + 1)
+    for the c >= 2 nodes alive at m (unless the straggler is the only
+    node off m); given the chain, c at round r is A_m(r) given A_m(r) >=
+    2, so that round's straggler mass fails in the share steps_m[r][2, 0]
+    / 2, and the rest wins.  A transient state has at least two nodes
+    alive, and a given pair outlives R rounds with probability 4^-R, so
+    the mass still transient after R rounds is at most C(N, 2) 4^-R for
+    N = sum(n_k) nodes; R is the least round count that makes this bound
+    at most 2^-64.  Counts whose capped chain or node total exceeds
+    MAX_MARKOV_STATES are refused before anything is allocated.
     """
     counts = _count_vector(counts)
     nodes, capped = int(counts.sum()), math.prod(min(int(c) + 1, 3) for c in counts)
@@ -150,17 +135,18 @@ def markov_success(counts) -> MarkovResult:
                 f"counts {tuple(counts.tolist())} {what.format(size)}, "
                 f"above the limit of {MAX_MARKOV_STATES}"
             )
-    k = len(counts)
-    # levels with no nodes never change the chain: keep the rest (or one)
-    perm = np.argsort(counts, kind="stable")[-max(1, np.count_nonzero(counts)) :]
-    pairs = math.comb(nodes, 2) << 64
-    rounds = ((pairs - 1).bit_length() + 1) // 2  # least R with C(N, 2) 4^-R <= 2^-64
+    k, perm = len(counts), _occupied(counts)
     levels = counts[perm]
-    steps = [_capped_steps(int(n), rounds + 1) for n in levels]
-    grid = np.moveaxis(np.indices(tuple(len(s[0]) for s in steps), dtype=np.int8), 0, -1)
+    grid = np.moveaxis(np.indices([min(n + 1, 3) for n in levels.tolist()], dtype=np.int8), 0, -1)
     kind = halting(grid).ravel()
     stop = np.flatnonzero(kind >= 0)
     outcome = np.append(perm, k)[kind[stop]]  # the caller's level order, draw last
+    if kind[-1] >= 0:  # an absorbing start: the grid's last state, every level at min(n_k, 2)
+        out = np.eye(2 * k + 1)[outcome[-1]]
+        return MarkovResult(win_prob=out[:k], draw_prob=float(out[k]), fail_prob=out[k + 1 :])
+    pairs = math.comb(nodes, 2) << 64
+    rounds = ((pairs - 1).bit_length() + 1) // 2  # least R with C(N, 2) 4^-R <= 2^-64
+    steps = [_capped_steps(int(n), rounds + 1) for n in levels]
     # a win with two levels alive leaves one straggler off the winner m.
     # From round 1 on (at round 0 it is the only node off m) the phase
     # fails if none of the c + 1 beepers outlives the next round: a share
@@ -169,7 +155,7 @@ def markov_success(counts) -> MarkovResult:
     none_left = np.stack([s[1:, -1, 0] for s in steps], axis=1)  # [r - 1, level]
     share = (1.0 - SURVIVAL_PROB) * none_left[:, kind[stop[straggle]]]
     mass = np.zeros(len(kind))
-    mass[-1] = 1.0  # the start: every level at min(n_k, 2), the grid's last state
+    mass[-1] = 1.0  # the start
     absorbed = np.empty((rounds + 1, len(stop)))  # halting mass by round
     absorbed[0] = mass[stop]
     for r in range(rounds):
@@ -221,102 +207,114 @@ def _capped_steps(n: int, rounds: int) -> np.ndarray:
     return steps[:, :s, :s]
 
 
-def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
-    """Monte-Carlo estimate of the same absorption probabilities, used to
-    cross-check markov_success: it simulates the thinning process, shares
-    only `halting` with the exact solve and alone calls `binomial_table`.
+def _round_moves(values, alive):
+    """One DVB1 round on the complete graph before its coins, as (values, alive,
+    ended) for rows of per-level value and alive counts.  A node hears each level
+    with an alive node other than itself and adopts a level heard alone: if at
+    most one level beeps, all adopt it (or the values stand) and the phase ends;
+    if two, a level's lone beeper moves to the other (two lone ones swap)."""
+    beeping = alive > 0
+    heard = beeping.sum(axis=1, keepdims=True)
+    lone = (alive == 1) & (heard == 2)
+    shift = beeping * lone.sum(axis=1, keepdims=True) - 2 * lone
+    values = np.where(heard == 1, beeping * values.sum(axis=1, keepdims=True), values + shift)
+    return values, alive + shift, heard[:, 0] <= 1
 
-    The ensemble is kept as its distinct alive-count states plus the
-    number of samples in each (`copies`); the histogram of independent
-    chains is itself a Markov chain, so the estimate has the distribution
-    of `samples` chains simulated one by one.  Each round tallies the
-    halting states, draws how many copies of a win with a straggler fail
-    (Binomial(copies, 2^-(c + 1)) for its exact c), thins the rest one
-    level at a time (levels thin independently given the state) and
-    merges equal states after each level, so the next level thins
-    distinct states only.  A state with more copies than the level's
-    support width draws how many copies keep each survivor count in one
-    multinomial over binomial_table rows; any other is drawn copy by copy,
-    so memory stays O(samples * K).  It refuses samples < 1 and, before
-    allocating, counts whose full grid of prod(n_k + 1) states or whose
-    binomial tables exceed MAX_MARKOV_STATES; it raises RuntimeError if
-    some sample has not halted after MAX_SAMPLE_ROUNDS rounds.
+
+def sample_success(counts, samples: int = 10**6, seed=0) -> MarkovResult:
+    """Monte-Carlo estimate of the same outcome probabilities, used to
+    cross-check markov_success: it simulates the protocol's own per-level
+    value and alive counts (v_k, a_k) on the complete graph, never
+    `halting`.  Each round applies `_round_moves` and then thins every a_k
+    as Binomial(a_k, 1/2), until `_round_moves` ends the phase; a sample
+    then scores as a win for m if unanimous on m, a draw if its values
+    are the start's, else a fail for the level that gained a node.  A
+    phase moves at most one node (after that, one level beeps and the
+    next round ends it), so a state is one int64 key of the digits
+    v_k - n_k + 1 < 3 and a_k < n_k + 2 over the levels with nodes.  The
+    ensemble is its distinct keys with their number of samples
+    (`copies`), merged as each level thins (`_thin`), in O(samples * K)
+    memory at any N; the histogram of independent chains is itself a
+    Markov chain, so the estimate has the law of `samples` separate runs.
+    It refuses samples < 1 and, before sampling, counts whose keys pass
+    int64; it raises RuntimeError if some sample has not ended after
+    MAX_SAMPLE_ROUNDS rounds.
     """
     samples = operator.index(samples)
     counts = _count_vector(counts)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    grid, entries = math.prod(int(c) + 1 for c in counts), sum((int(c) + 1) ** 2 for c in counts)
-    for size, what in ((grid, "span {} chain states"), (entries, "need {} binomial table entries")):
-        if size > MAX_MARKOV_STATES:
-            raise ValueError(
-                f"counts {tuple(counts.tolist())} {what.format(size)}, "
-                f"above the limit of {MAX_MARKOV_STATES}"
-            )
-    shape = counts + 1
-    # a state's index in the row-major grid of prod(n_k + 1) <= MAX_MARKOV_STATES
-    # states; numpy's ravel_multi_index would stop at 64 levels
-    strides = np.array([math.prod(shape[d + 1 :]) for d in range(len(shape))], dtype=np.int64)
-    k = len(counts)
-    # columns reversed: numpy's multinomial gives its leftover to the last
-    # column, which must be "0 survivors"; the zero padding then comes first
-    tables = [binomial_table(int(n_i))[:, ::-1] for n_i in counts]
+    k, perm = len(counts), _occupied(counts)
+    start = counts[perm]
+    radix = [3] * len(start) + [int(n) + 2 for n in start]
+    if math.prod(radix) > np.iinfo(np.int64).max:
+        raise ValueError(f"counts {tuple(counts.tolist())} need sampler keys past int64")
+    strides = np.array([math.prod(radix[d + 1 :]) for d in range(len(radix))], dtype=np.int64)
+    radix = np.array(radix, dtype=np.int64)
+    offset = np.concatenate([start - 1, np.zeros_like(start)])
+    # log j! up to the widest multinomial row _thin can draw, then +inf
+    top = min(int(start.max()) + 2, 2 * samples)
+    log_fact = np.append(np.cumsum(np.log(np.maximum(np.arange(top), 1))), np.full(top, np.inf))
     rng = np.random.default_rng(seed)
-    states = counts[None, :]
+    keys = (np.concatenate([start, start]) - offset)[None] @ strides
     copies = np.array([samples], dtype=np.int64)
-    tally = np.zeros(k + 1, dtype=np.int64)
-    failed = np.zeros(k, dtype=np.int64)
-    # per level: a straggler would be the only node off it; the draw, last, never fails
-    lone = np.append(counts.sum() - counts == 1, True)
+    ended_rows = []  # (values, copies) of the samples whose phase has ended
     for _ in range(MAX_SAMPLE_ROUNDS):
-        kind = halting(states)
-        done = kind >= 0
-        tally += np.bincount(kind[done], weights=copies[done], minlength=k + 1).astype(np.int64)
-        # a win with a straggler: each copy fails if none of the c + 1 beepers survives
-        straggle = np.flatnonzero(done)
-        straggle = straggle[((states[straggle] > 0).sum(axis=1) == 2) & ~lone[kind[straggle]]]
-        winner = kind[straggle]
-        none_left = (1.0 - SURVIVAL_PROB) ** (states[straggle, winner] + 1)
-        doomed = rng.binomial(copies[straggle], none_left)
-        failed += np.bincount(winner, doomed, minlength=k).astype(np.int64)
-        states, copies = states[~done], copies[~done]
+        state = keys[:, None] // strides % radix + offset
+        values, alive, ended = _round_moves(state[:, : len(start)], state[:, len(start) :])
+        ended_rows.append((values[ended], copies[ended]))
+        copies = copies[~ended]
         if len(copies) == 0:
             break
-        for axis in range(k):
-            states, copies = _thin_axis(states, copies, axis, tables[axis], rng)
-            flat, where = np.unique(states @ strides, return_inverse=True)
-            copies = np.bincount(where, weights=copies).astype(np.int64)
-            states = flat[:, None] // strides % shape
+        keys = (np.concatenate([values, alive], axis=1)[~ended] - offset) @ strides
+        for level in range(len(start), len(radix)):
+            keys, copies = _thin(keys, copies, strides[level], radix[level], log_fact, rng)
     else:
         raise RuntimeError(f"absorption not reached within {MAX_SAMPLE_ROUNDS} rounds")
-    return MarkovResult(
-        win_prob=(tally[:k] - failed) / samples,
-        draw_prob=float(tally[k] / samples),
-        fail_prob=failed / samples,
-    )
+    values, copies = (np.concatenate(part) for part in zip(*ended_rows))
+    nodes = int(start.sum())
+    fail = len(start) + 1 + (values - start).argmax(axis=1)
+    outcome = np.where((values == start).all(axis=1), len(start), fail)
+    outcome = np.where((values == nodes).any(axis=1) & (nodes > 0), values.argmax(axis=1), outcome)
+    cells = np.concatenate([perm, [k], k + 1 + perm])  # wins, draw, fails in the caller's order
+    tally = np.bincount(cells[outcome], copies, minlength=2 * k + 1) / samples
+    return MarkovResult(win_prob=tally[:k], draw_prob=float(tally[k]), fail_prob=tally[k + 1 :])
 
 
-def _thin_axis(states, copies, axis: int, table: np.ndarray, rng):
-    """One round's survivors at one level for every copy of every state,
-    as (states, copies) rows; equal rows are not merged.  `table` is a
-    binomial_table with its columns reversed."""
-    alive = states[:, axis]
-    width = int(alive.max()) + 1
-    bulk = copies > width
-    # the multinomial draw holds rows * width < samples entries, the
-    # per-copy draw one entry per copy: O(samples) either way
+def _thin(keys, copies, stride, radix, log_fact, rng):
+    """One round's coins at one level for every copy of every key, equal keys
+    merged.  A row is crowded when its copies pass half its a + 1 survivor
+    counts; `width` is the widest crowded row's, and the rows with more
+    than width / 2 copies draw all their copies in one multinomial (rows *
+    width < 2 * samples entries).  Any other row is drawn copy by copy."""
+    alive = keys // stride % radix
+    keys = keys - stride * alive
+    crowded = 2 * copies > alive + 1
+    width = int(alive[crowded].max(initial=0)) + 1
+    bulk = crowded & (2 * copies > width)
     rows = np.flatnonzero(bulk)
-    drawn = rng.multinomial(copies[rows], table[alive[rows], -width:])
+    seen = np.bincount(alive[rows], minlength=width) > 0
+    pmf = _survivor_pmf(np.flatnonzero(seen), width, log_fact)
+    drawn = rng.multinomial(copies[rows], pmf[np.cumsum(seen)[alive[rows]] - 1])
     row, col = np.nonzero(drawn)
-    bulk_states = states[rows[row]]
-    bulk_states[:, axis] = width - 1 - col
     each = np.repeat(np.flatnonzero(~bulk), copies[~bulk])
-    single_states = states[each]
-    single_states[:, axis] = rng.binomial(single_states[:, axis], SURVIVAL_PROB)
-    return (
-        np.concatenate([bulk_states, single_states]),
-        np.concatenate([drawn[row, col], np.ones(len(each), dtype=np.int64)]),
-    )
+    survivors = np.concatenate([width - 1 - col, rng.binomial(alive[each], SURVIVAL_PROB)])
+    keys = keys[np.concatenate([rows[row], each])] + stride * survivors
+    keys, where = np.unique(keys, return_inverse=True)
+    copies = np.concatenate([drawn[row, col], np.ones(len(each), dtype=np.int64)])
+    return keys, np.bincount(where, weights=copies).astype(np.int64)
+
+
+def _survivor_pmf(alive, width: int, log_fact) -> np.ndarray:
+    """Rows of P(Binomial(a, 1/2) = j) for each a in `alive`, with columns
+    j = width - 1 down to 0: numpy's multinomial gives its leftover to the
+    last column, "0 survivors".  Terms are log C(a, j) - a log 2 from
+    log_fact (log j!, then +inf), so for j > a the negative index a - j
+    lands in the +inf tail and weighs 0."""
+    j = np.arange(width - 1, -1, -1)
+    log_pmf = (log_fact[alive] - alive * math.log(2.0))[:, None] - log_fact[j]
+    pmf = np.exp(log_pmf - log_fact[alive[:, None] - j])
+    return pmf / pmf.sum(axis=1, keepdims=True)
 
 
 def lower_bound_two_event(counts) -> float:

@@ -113,6 +113,7 @@ def test_criterion_01_markov_oracle_exactness():
         mc = sample_success(counts, samples=10**6, seed=(MASTER, 1, i))
         agree &= bool(np.max(np.abs(exact.win_prob - mc.win_prob)) < 0.005)
         agree &= abs(exact.draw_prob - mc.draw_prob) < 0.005
+        agree &= bool(np.max(np.abs(exact.fail_prob - mc.fail_prob)) < 0.005)
     elapsed = time.time() - t0
     ok = exact_thirds and agree and elapsed < 10
     report(1, "exact chain oracle vs tie split and Monte-Carlo", ok)

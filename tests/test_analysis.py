@@ -20,7 +20,7 @@ from beepvote.analysis import (
     MAX_MARKOV_STATES,
     SURVIVAL_PROB,
     _capped_steps,
-    binomial_table,
+    _survivor_pmf,
     corollary_ratio,
     halting,
     lower_bound_closed,
@@ -243,25 +243,25 @@ def test_markov_probabilities_sum_to_one():
         assert abs(sum(res.win_prob) + res.draw_prob + sum(res.fail_prob) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p, max_ulps", [(SURVIVAL_PROB, 8)])
-def test_binomial_table_matches_exact_rationals(p, max_ulps):
-    # at n = 60 the recurrence is off by at most 0.8 ulps, and
-    # scipy.stats.binom.pmf, which it replaced, by 35
-    n = 60
-    table = binomial_table(n)
-    assert table.shape == (n + 1, n + 1)
-    exact_p = Fraction(p)
-    p_pow = [exact_p**j for j in range(n + 1)]
-    q_pow = [(1 - exact_p) ** j for j in range(n + 1)]
+@pytest.mark.parametrize("width, step, rel", [(61, 1, 1e-13), (1201, 100, 1e-10)])
+def test_survivor_pmf_matches_exact_rationals(width, step, rel):
+    # the sampler's multinomial rows, from log j! as sample_success builds
+    # it: 2e-14 relative measured at a <= 60 and 6e-12 at a <= 1200, where
+    # 2^-a underflows; j > a weighs exactly 0 and every row sums to 1
+    top = width + 1
+    log_fact = np.append(np.cumsum(np.log(np.maximum(np.arange(top), 1))), np.full(top, np.inf))
+    alive = np.arange(0, width, step)
+    pmf = _survivor_pmf(alive, width, log_fact)
+    assert pmf.shape == (len(alive), width)
     worst = 0.0
-    for a in range(n + 1):
+    for row, a in zip(pmf, alive.tolist()):
+        assert not row[: width - 1 - a].any()  # columns j = width - 1 down to 0
         for j in range(a + 1):
-            exact = math.comb(a, j) * p_pow[j] * q_pow[a - j]
+            exact = Fraction(math.comb(a, j), 2**a)
             if exact > Fraction(1e-250):
-                worst = max(worst, float(abs(Fraction(table[a, j]) - exact) / exact))
-    assert worst <= max_ulps * 2.0**-52
-    assert np.abs(table.sum(axis=1) - 1.0).max() <= 1e-15
-    assert not np.triu(table, k=1).any()
+                worst = max(worst, float(abs(Fraction(row[width - 1 - j]) - exact) / exact))
+    assert worst <= rel
+    assert np.abs(pmf.sum(axis=1) - 1.0).max() <= 1e-15
 
 
 def test_capped_steps_match_the_exact_conditional_law():
@@ -325,15 +325,37 @@ def test_log_weights_match_the_cumprod_weights():
         assert np.abs(_capped_steps(n, 45)[:, 2] - _cumprod_steps(n, 45)).max() <= 1e-15, n
 
 
-def test_markov_builds_no_binomial_table(monkeypatch):
-    def refuse(n):
-        raise AssertionError("markov_success built a binomial table")
+def test_sampler_never_reads_halting(monkeypatch):
+    # the sampler simulates the protocol's own value and alive counts, so
+    # the halting rule it cross-checks is never one of its inputs
+    def refuse(alive):
+        raise AssertionError("halting was read")
 
-    monkeypatch.setattr(analysis, "binomial_table", refuse)
-    for counts in [(35, 65), (22, 20, 18), (300, 700), (2, 1, 1), (999,)]:
-        assert markov_success(counts).total() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(AssertionError, match="binomial table"):
-        sample_success((3, 2), samples=10)
+    monkeypatch.setattr(analysis, "halting", refuse)
+    for counts in [(35, 65), (22, 20, 18), (2, 1, 1), (5, 1), (7, 0), (0, 0), (1, 1)]:
+        assert sample_success(counts, samples=1000).total() == pytest.approx(1.0)
+    with pytest.raises(AssertionError, match="halting was read"):
+        markov_success((3, 2))
+
+
+def test_markov_answers_an_absorbing_start_before_building_steps(monkeypatch):
+    # an absorbing start is its one-hot halting outcome, so no weights are
+    # built: (0, 999998) once spent 1.27 s of CPU on them
+    def refuse(n, rounds):
+        raise AssertionError("markov_success built capped steps")
+
+    expected = {counts: markov_success(counts) for counts in [(5, 1), (0, 0, 3), (1, 0)]}
+    monkeypatch.setattr(analysis, "_capped_steps", refuse)
+    for counts, ref in expected.items():
+        res = markov_success(counts)
+        for got, want in zip(vars(res).values(), vars(ref).values()):
+            assert np.array_equal(got, want)
+    for counts in [(0, 999_998), (300_000, 0), (0,), (10**6,)]:
+        res = markov_success(counts)
+        probs = np.concatenate([res.win_prob, [res.draw_prob], res.fail_prob])
+        assert np.array_equal(probs, np.eye(2 * len(counts) + 1)[halting(counts)])
+    with pytest.raises(AssertionError, match="capped steps"):
+        markov_success((3, 2))
 
 
 @pytest.mark.parametrize(
@@ -361,16 +383,34 @@ def test_markov_guard_refuses_before_allocating(counts, message):
     assert peak < 10**6
 
 
-def test_markov_solves_inputs_only_the_sampler_refuses():
-    # the sampler's full grid and binomial tables bound neither the sweep
-    # nor its weights: (1000, 1000) spans 1,002,001 grid states, (999, 1)
-    # needs 1,000,004 table entries, and (3000, 7000) passes the old n <= 999
-    # ceiling of the round-1 weights; each is a chain of 9 or 6 capped states
-    for counts in [(1000, 1000), (999, 1), (3000, 7000)]:
-        with pytest.raises(ValueError, match="above the limit"):
-            sample_success(counts, samples=1)
-        res = markov_success(counts)
-        assert np.isfinite(res.win_prob).all() and abs(res.total() - 1.0) <= 1e-12
+@pytest.mark.parametrize(
+    "counts", [(1000, 1000), (999, 1), (0, 999_998), (10**6, 10**6), (3000, 7000)]
+)
+def test_sampler_reaches_any_node_count(counts):
+    # the sampler once refused these: (1000, 1000) spans 1,002,001 states
+    # of the full alive-count grid, (999, 1) needs 1,000,004 binomial table
+    # entries and (0, 999998) a 7 TiB table.  Now each takes well under 2 s
+    # (about 0.1 s measured for (10^6, 10^6)), within a memory bar linear
+    # in samples * K alone (110 bytes per sample and level measured), and
+    # agrees with the exact chain within 5 sigma wherever that solves;
+    # (3000, 7000) is past the n <= 999 ceiling the chain's weights once had
+    samples = 10**4
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        res = sample_success(counts, samples=samples, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 200 * samples * len(counts)
+    assert res.total() == pytest.approx(1.0)
+    if sum(counts) <= MAX_MARKOV_STATES:
+        exact = markov_success(counts)
+        assert abs(exact.total() - 1.0) <= 1e-12
+        p = np.concatenate([exact.win_prob, [exact.draw_prob], exact.fail_prob])
+        got = np.concatenate([res.win_prob, [res.draw_prob], res.fail_prob])
+        assert (np.abs(got - p) <= 5 * np.sqrt(p * (1 - p) / samples) + 1e-12).all()
 
 
 def test_markov_binary_symmetry():
@@ -450,31 +490,30 @@ def test_sampler_rejects_bad_inputs_before_sampling():
         sample_success((5, -1))
     with pytest.raises(ValueError, match="non-empty"):
         sample_success(())
-    with pytest.raises(ValueError, match="chain states"):
-        sample_success((1000, 1000))
-    with pytest.raises(ValueError, match="binomial table entries"):
-        sample_success((0, 999_998))
+    with pytest.raises(ValueError, match="past int64"):
+        sample_success((10**9,) * 3)
     with pytest.raises(TypeError):
         sample_success((5, 3), samples=2.5)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize(
-    "counts, message",
-    [
-        ((1000, 1000), "span 1002001 chain states"),
-        ((1,) * 20, "span 1048576 chain states"),
-        ((0, 999_998), "need 999998000002 binomial table entries"),
-        ((999, 1), "need 1000004 binomial table entries"),
-    ],
-)
-def test_sampler_guard_keeps_its_messages(counts, message):
-    # the full grid and the binomial tables are the sampler's own limits
+@pytest.mark.parametrize("counts", [(10**9,) * 3, (1,) * 20, (2,) * 18 + (0,) * 9])
+def test_sampler_refuses_keys_past_int64(counts):
+    # a state key has the digits 3 (n_k + 2) over the levels with nodes:
+    # 9^20 and 12^18 pass int64, and the refusal comes before any sampling.
+    # 9^19 fits, and empty levels add no digit
+    tracemalloc.start()
     start = time.perf_counter()
-    with pytest.raises(ValueError) as err:
-        sample_success(counts, samples=1)
-    assert str(err.value) == f"counts {counts} {message}, above the limit of {MAX_MARKOV_STATES}"
+    try:
+        with pytest.raises(ValueError) as err:
+            sample_success(counts, samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"counts {counts} need sampler keys past int64"
     assert time.perf_counter() - start < 1.0
+    assert peak < 10**6
+    assert sample_success((1,) * 19 + (0,) * 60, samples=10).total() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -485,11 +524,11 @@ def test_sampler_guard_keeps_its_messages(counts, message):
 def test_markov_and_sampler_refuse_the_same_inputs(counts):
     # the count checks are shared: either both refuse with the same
     # message, or both solve (the sampler on one sample, checking only
-    # that it runs).  Each function's size guard is its own (see the two
-    # guard tests); these inputs lie within both, up to 10 levels of two
-    # nodes, where the capped chain is the sampler's full grid.  The two
-    # once split on (1,) * 16, which a second solve guard refused, and on
-    # 82 levels, past numpy's 64 dimensions in the sampler's state index
+    # that it runs).  Each function's size guard is its own (the markov
+    # guard test, and the sampler's int64 key test); these inputs lie
+    # within both.  The two once split on (1,) * 16, which a second solve
+    # guard refused, and on 82 levels, past numpy's 64 dimensions in the
+    # sampler's state index; the sampler now drops the 80 empty levels
     errors = []
     for solve in (markov_success, functools.partial(sample_success, samples=1)):
         try:
@@ -516,17 +555,16 @@ def test_whole_float_counts_solve_as_integers():
 
 
 def test_sampler_memory_is_linear_in_samples():
-    # beyond the binomial tables, at most 96 bytes per sample and level
-    # (about 41 measured); rows with few copies are drawn copy by copy
+    # at most 96 bytes per sample and level (about 35 measured); rows with
+    # few copies are drawn copy by copy, and no table is built
     counts, samples = (300, 700), 10**5
-    tables = sum((c + 1) ** 2 for c in counts) * 8
     tracemalloc.start()
     try:
         assert sample_success(counts, samples=samples, seed=1).total() == pytest.approx(1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < tables + 96 * samples * len(counts)
+    assert peak < 96 * samples * len(counts)
 
 
 def _sum_ordered_dp(counts, p, rule=_halting_by_rule):

@@ -40,9 +40,9 @@ def test_markov_node_guard_exits_one(capsys):
 
 
 def test_markov_solves_past_the_sampler_limits(capsys):
-    # (567, 333, 100) spans about 19M full-grid states and (0, 999998) a
-    # 7 TiB binomial table, which only the sampler builds: the exact
-    # chain holds 27 and 3 capped states
+    # (567, 333, 100) spans about 19M full-grid states, and the exact chain
+    # holds 27 capped ones; (0, 999998) is an absorbing start, answered
+    # before any weights are built (it once spent 1.3 s building them)
     assert main(["markov", "--nodes", "1000", "--levels", "3", "--deltas", "0.1"]) == 0
     assert main(["markov", "--nodes", "999998", "--deltas", "1.0"]) == 0
     out = capsys.readouterr().out.split("\n")

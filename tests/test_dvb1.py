@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beepvote.analysis import SURVIVAL_PROB, lower_bound_two_event
+from beepvote.analysis import SURVIVAL_PROB, _round_moves, lower_bound_two_event
 from beepvote.dvb1 import (
     Dvb1Automaton,
     Dvb1Params,
@@ -246,6 +246,37 @@ def assert_phase_matches_reference(kind, n, k, c1, seed):
     assert np.array_equal(fast.values, ref.values)
     assert np.array_equal(fast.allowed, ref.allowed)
     assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 14), k=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**16))
+def test_lumped_round_matches_the_automaton_on_complete_graphs(n, k, seed):
+    """The sampler's round map on per-level (value, alive) counts, against
+    the automaton round by round: the values it gives are exact, each alive
+    count only thins from the one it gives, and the phase stops in the
+    round the map ends, or in the round that leaves nobody alive."""
+    graph = build(Complete(n))
+    values = np.random.default_rng(seed).integers(1, k + 1, size=n)
+    aut = Dvb1Automaton(
+        graph, dvb1_params(graph, k), LevelAssignment(values, k), np.random.default_rng(seed), 1
+    )
+    gen = aut.phase()
+    event = next(gen)
+    for j in range(aut.params.rounds_per_phase):
+        before = np.bincount(aut.values - 1, minlength=k), event.beeps.sum(axis=1)
+        mapped, alive, ended = (x[0] for x in _round_moves(*(c[None] for c in before)))
+        survivors = aut.allowed.copy()  # a round's coins are drawn before its beeps go out
+        try:
+            event = gen.send(graph.activity(event.beeps))
+        except StopIteration:
+            event = None
+        left = np.bincount(aut.values[survivors] - 1, minlength=k)
+        assert np.array_equal(np.bincount(aut.values - 1, minlength=k), mapped)
+        assert (left <= alive).all()
+        stops = bool(ended or not left.any())
+        assert isinstance(event, SlotRequest) != (stops or j == aut.params.rounds_per_phase - 1)
+        if not isinstance(event, SlotRequest):
+            break
 
 
 @pytest.mark.parametrize(
