@@ -125,10 +125,14 @@ class Dvb1Automaton(PhasedVoting):
         survival coin only silences its own node, so it cannot change who
         beeps in a later slot of the same round.  Coins are drawn for the
         beepers in level order, and in node order within a level, as a
-        slot-by-slot run draws them.  The reply rows are the per-level hear
-        flags, decoded with one integer product: tally row 0 counts the
-        levels a node heard and row 1 sums them, so where exactly one was
-        heard the sum is that level, and the node adopts it.  Once nobody
+        slot-by-slot run draws them: the beepers are the flat indices of
+        the (K, N) beep block, level * N + node, so index // N is the
+        level row and index % N the node.  The reply rows are the
+        per-level hear flags, decoded with one float64 product: tally row
+        0 counts the levels a node heard and row 1 sums them, so where
+        exactly one was heard the sum is that level, and the node adopts
+        it.  Both sums are whole numbers at most K(K+1)/2, which float64
+        holds exactly.  Once nobody
         survives a round, or its beeps hold at most one level m, the
         later rounds change no value: every survivor holds m, and its
         neighbors heard only m this round and adopted m.  They only draw
@@ -139,24 +143,25 @@ class Dvb1Automaton(PhasedVoting):
         or None if some node could still beep when the phase ended.
         """
         values = self.values
+        n = self.graph.node_count
         level_count = self.params.level_count
         rounds = self.params.rounds_per_phase
         death = 1.0 - SURVIVAL_PROB
-        tally = np.stack([np.ones(level_count, dtype=np.int64), np.arange(1, level_count + 1)])
-        levels = tally[1][:, None]
-        self.allowed = allowed = np.ones(self.graph.node_count, dtype=bool)
+        tally = np.stack([np.ones(level_count), np.arange(1.0, level_count + 1)])
+        levels = np.arange(1, level_count + 1)[:, None]
+        self.allowed = allowed = np.ones(n, dtype=bool)
         for j in range(rounds):
             beeps = (values == levels) & allowed
-            rows, beepers = np.nonzero(beeps)  # level order, then node order
+            beepers = np.flatnonzero(beeps)  # level order, then node order
             dying = self.rng.random(len(beepers)) < death
-            allowed[beepers[dying]] = False
+            allowed[beepers[dying] % n] = False
             flags = yield SlotRequest(beeps)
-            heard, level = tally @ flags.view(np.uint8)
-            np.copyto(values, level, where=heard == 1)
+            heard, level = tally @ flags
+            np.copyto(values, level, where=heard == 1, casting="unsafe")
             # every allowed node beeps, so nobody survived iff every beeper
-            # died; rows ascend, so one level beeped iff the first and the
-            # last beeper share a row
-            if dying.all() or rows[0] == rows[-1]:
+            # died; the indices ascend, so one level beeped iff the first
+            # and the last beeper share a level row
+            if dying.all() or beepers[0] // n == beepers[-1] // n:
                 break
         beep_count = 0
         done = j + 1  # rounds whose coins are drawn

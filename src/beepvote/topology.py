@@ -12,12 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
 
-# scipy.sparse.csgraph is imported where it is used, by `spots` alone: it
-# loads scipy.linalg, about 11 MB of RSS no other path needs
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
+
+# scipy is imported where it is used: scipy.sparse by the first mesh,
+# Erdos-Renyi or edge-list build (`_symmetric_csr`), and
+# scipy.sparse.csgraph, which loads scipy.linalg, by `spots` on such a
+# graph alone.  A complete graph stores no adjacency, so complete-graph
+# runs and the oracle never load scipy.
 
 ER_RETRY_LIMIT = 1000
 D_MODES = ("exact", "upper_bound_n")
@@ -128,8 +134,9 @@ class CompleteGraph(Graph):
         return self.n - 1
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
-        """Some other node beeped: the row's beep count exceeds one's own."""
-        return (beeps.sum(axis=-1, keepdims=True) - beeps) > 0
+        """Some other node beeped: the row's beep count exceeds one's own
+        beep (0 or 1), one comparison against the bool row."""
+        return beeps.sum(axis=-1, keepdims=True) > beeps
 
     @cached_property
     def _colours(self) -> np.ndarray:
@@ -149,6 +156,8 @@ def _freeze(adj: csr_array) -> csr_array:
 
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> csr_array:
     """Bool CSR holding the undirected edges (u[k], v[k])."""
+    from scipy.sparse import csr_array
+
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
     return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
 
@@ -297,6 +306,7 @@ def spots(graph: Graph, values: np.ndarray) -> list[list[int]]:
     if isinstance(graph, CompleteGraph):  # every pair is adjacent: one spot per value
         _, labels = np.unique(values, return_inverse=True)
     else:
+        from scipy.sparse import coo_array
         from scipy.sparse.csgraph import connected_components
 
         edges = graph.adj.tocoo()

@@ -73,6 +73,25 @@ def test_package_import_skips_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_complete_graph_runs_and_the_oracle_load_no_scipy_sparse():
+    # a complete graph stores no adjacency, so its trials (both protocols)
+    # and the exact chain never import scipy.sparse; the first mesh build
+    # in the same process does
+    src = str(Path(beepvote.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from beepvote import analysis, harness, topology; "
+        "runs = [harness.run_trial(harness.ExperimentConfig(algo=algo), 0, "
+        "('complete', 64, 0.7), 0) for algo in ('dvb1', 'dvb2')]; "
+        "analysis.markov_success((35, 65)); "
+        "print(all(r.terminated for r in runs), 'scipy.sparse' in sys.modules); "
+        "g = topology.build(topology.Mesh2D(3, 4)); "
+        "print(g.diameter, 'scipy.sparse' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split("\n")[:2] == ["True False", "5 True"]
+
+
 def test_analysis_import_loads_no_scipy():
     # dvb1 takes SURVIVAL_PROB from analysis, never the other way round, so
     # the oracle alone loads numpy and no simulator module or scipy at all

@@ -4,6 +4,8 @@ Statistical assertions run fixed seeds; bounds get an explicit Monte-Carlo
 allowance so they test the claim, not the noise.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,13 +126,21 @@ def test_value_changes_obey_flags():
     # was flagged, and only to that level; silent rounds change nothing.
     # The adoption runs when the generator resumes, so each completed
     # round is checked right before the next event (or at exhaustion).
-    g = graph_from_edges(8, RING)
-    rng = np.random.default_rng(22)
+    # K = 3 and 5 put three or more levels in one round's block, so the
+    # float decode and the flat beeper indices are checked past K = 2.
+    for g, k in itertools.product((graph_from_edges(8, RING), build(Complete(7))), (2, 3, 5)):
+        check_value_changes(g, k, np.random.default_rng(22))
+
+
+def check_value_changes(g, k, rng):
+    n = g.node_count
     for _ in range(5):
-        aut, gen = binary_phase(g, rng.integers(1, 3, size=8), rng)
+        assignment = LevelAssignment(rng.integers(1, k + 1, size=n), k)
+        aut = Dvb1Automaton(g, dvb1_params(g, k), assignment, rng, 1)
+        gen = aut.phase()
         values = aut.values  # the phase updates it in place
         prev = values.copy()
-        flags = np.zeros((8, 2), dtype=bool)
+        flags = np.zeros((n, k), dtype=bool)
         pending = None
         slot = 0
         reply = None
@@ -156,9 +166,9 @@ def test_value_changes_obey_flags():
                 reply = g.activity(event.beeps)
             acts = [None if r is None else reply[r] for r in slot_rows(event)]
             for act in acts:
-                flags[:, slot % 2] = False if act is None else act
+                flags[:, slot % k] = False if act is None else act
                 slot += 1
-                if slot % 2 == 0:
+                if slot % k == 0:
                     pending = flags.copy()
                     flags[:] = False
         if pending is not None:

@@ -50,7 +50,7 @@ def test_single_node():
 
 
 def test_complete_graph_closed_forms_match_its_csr_form():
-    for n in (1, 2, 3, 8):
+    for n in (1, 2, 3, 8, 50):
         g, ref = build(Complete(n)), graph_from_edges(n, np.argwhere(~np.eye(n, dtype=bool)))
         assert type(g) is not type(ref)
         assert (g.node_count, g.max_degree, g.diameter) == (
@@ -66,6 +66,18 @@ def test_complete_graph_closed_forms_match_its_csr_form():
         for seed in range(3):
             values = np.random.default_rng(seed).integers(1, 4, size=n)
             assert spots(g, values) == spots(ref, values)
+            # the channel on (S, N) blocks and on the 1-D vector engine.step
+            # sends: rows with no beeper, one beeper, every node beeping,
+            # and random densities
+            rng = np.random.default_rng(seed)
+            block = rng.random((6, n)) < rng.random((6, 1))
+            block[0] = False
+            block[1] = np.arange(n) == rng.integers(n)
+            block[2] = True
+            for beeps in (block, *block):
+                closed, csr = g.activity(beeps), ref.activity(beeps)
+                assert closed.dtype == csr.dtype == bool
+                assert np.array_equal(closed, csr)
 
 
 def test_mesh_diameter_and_degrees():
