@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,8 +148,7 @@ class Dvb1Automaton(PhasedVoting):
         level_count = self.params.level_count
         rounds = self.params.rounds_per_phase
         death = 1.0 - SURVIVAL_PROB
-        tally = np.stack([np.ones(level_count), np.arange(1.0, level_count + 1)])
-        levels = np.arange(1, level_count + 1)[:, None]
+        tally, levels = self._tally_and_levels
         self.allowed = allowed = np.ones(n, dtype=bool)
         for j in range(rounds):
             beeps = (values == levels) & allowed
@@ -163,17 +163,26 @@ class Dvb1Automaton(PhasedVoting):
             # and the last beeper share a level row
             if dying.all() or beepers[0] // n == beepers[-1] // n:
                 break
+        alive = np.flatnonzero(allowed)
         beep_count = 0
         done = j + 1  # rounds whose coins are drawn
-        while done < rounds and allowed.any():
-            (beepers,) = np.nonzero(allowed)
-            beep_count += len(beepers)
-            allowed[beepers[self.rng.random(len(beepers)) < death]] = False
+        while done < rounds and len(alive):
+            beep_count += len(alive)
+            alive = alive[self.rng.random(len(alive)) >= death]
             done += 1
+        allowed[:] = False
+        allowed[alive] = True
         remaining = (rounds - j - 1) * level_count
         if remaining:
             yield FastForward(remaining, beep_count)
-        return None if allowed.any() else done
+        return None if len(alive) else done
+
+    @cached_property
+    def _tally_and_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The decode's tally rows [1, ..., 1] and [1, ..., K], and the (K, 1)
+        column 1..K that a round's values are compared with; built once."""
+        k = self.params.level_count
+        return np.stack([np.ones(k), np.arange(1.0, k + 1)]), np.arange(1, k + 1)[:, None]
 
 
 def dvb1_run(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,10 +20,12 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 # scipy is imported where it is used: scipy.sparse by the first mesh,
-# Erdos-Renyi or edge-list build (`_symmetric_csr`), and
-# scipy.sparse.csgraph, which loads scipy.linalg, by `spots` on such a
-# graph alone.  A complete graph stores no adjacency, so complete-graph
-# runs and the oracle never load scipy.
+# Erdos-Renyi or edge-list build (`_symmetric_csr`); its compiled kernel
+# module scipy.sparse._sparsetools, which that import has already loaded,
+# by the first CSR product (`_csr_matvecs`, from `exact_diameter` during
+# that build); and scipy.sparse.csgraph, which loads scipy.linalg, by
+# `spots` on such a graph alone.  A complete graph stores no adjacency,
+# so complete-graph runs and the oracle never load scipy.
 
 ER_RETRY_LIMIT = 1000
 D_MODES = ("exact", "upper_bound_n")
@@ -86,8 +88,11 @@ class Graph:
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """The channel rule, row by row: activity[i] iff some neighbor of i
-        beeped.  The bool CSR product sums with logical OR."""
-        return (self.adj @ beeps.T).T
+        beeped.  beeps is an (N,) vector or an (S, N) block; the reply is a
+        new C-contiguous bool array of the same shape, whatever the input's
+        layout.  The bool CSR product sums with logical OR, and the
+        adjacency is symmetric, so row s is adj @ beeps[s]."""
+        return np.ascontiguousarray(_or_product(self.adj, beeps.T).T)
 
     def distance2_colouring(self) -> np.ndarray:
         """Greedy colours from 1 in node order, each the least not held within
@@ -162,6 +167,26 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> csr_array:
     return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
 
 
+@cache
+def _csr_matvecs():
+    """scipy's compiled CSR kernel for adj @ (N, S) blocks, the one that
+    `adj @ x` ends in; a private scipy API, pinned by the tests."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    return csr_matvecs
+
+
+def _or_product(adj: csr_array, x: np.ndarray) -> np.ndarray:
+    """adj @ x for a bool (N,) or (N, S) x, as a new C-contiguous bool array
+    of x's shape: the compiled kernel on the stored arrays, without the
+    Python dispatch of `adj @ x` (shape checks, copies, a strided result)."""
+    x = np.ascontiguousarray(x, dtype=bool)
+    out = np.zeros(x.shape, dtype=bool)
+    n = adj.shape[0]
+    _csr_matvecs()(n, n, x.size // n, adj.indptr, adj.indices, adj.data, x, out)
+    return out
+
+
 def hop_bound(graph: Graph, d_mode: str) -> int:
     """The hop bound a protocol schedules its relay waves for: the exact
     diameter, or N when only the trivial upper bound is assumed; at
@@ -185,7 +210,7 @@ def exact_diameter(adj: csr_array) -> int | None:
         reach[sources, np.arange(len(sources))] = True
         hops = 0
         while not reach.all():
-            grown = reach | (adj @ reach)
+            grown = reach | _or_product(adj, reach)
             if np.array_equal(grown, reach):
                 return None
             reach, hops = grown, hops + 1

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from beepvote.analysis import SURVIVAL_PROB, _round_moves, lower_bound_two_event
 from beepvote.dvb1 import (
+    C1_DEFAULT,
     Dvb1Automaton,
     Dvb1Params,
     dvb1_params,
@@ -22,7 +23,15 @@ from beepvote.dvb1 import (
 )
 from beepvote.engine import FastForward, SlotRequest, drive_schedule
 from beepvote.harness import make_assignment
-from beepvote.topology import Complete, LevelAssignment, Mesh2D, build, graph_from_edges
+from beepvote.topology import (
+    Complete,
+    ErdosRenyi,
+    LevelAssignment,
+    Mesh2D,
+    build,
+    default_edge_probability,
+    graph_from_edges,
+)
 
 
 def slot_rows(event):
@@ -203,6 +212,10 @@ def round_by_round_phase(aut):
 def phase_graph(kind, n, seed):
     if kind == "mesh":
         return build(Mesh2D(3, 4))
+    if kind == "mesh16":  # the dvb1_mesh benchmark's graph
+        return build(Mesh2D(16, 16))
+    if kind == "er40":
+        return build(ErdosRenyi(40, default_edge_probability(40)), np.random.default_rng(seed))
     if kind == "complete":
         return build(Complete(n))
     rng = np.random.default_rng(seed)
@@ -240,22 +253,56 @@ def test_phase_matches_round_by_round_reference_at_more_levels(kind, n, k, c1, s
     assert_phase_matches_reference(kind, n, k, c1, seed)
 
 
-def assert_phase_matches_reference(kind, n, k, c1, seed):
+def assert_phase_matches_reference(kind, n, k, c1, seed, settled=0.0):
+    """A share `settled` of the nodes, on average, starts on level 1 and the
+    rest on uniform levels.  Returns the beeps the fast phase accounted for
+    without the channel."""
     graph = phase_graph(kind, n, seed)
     params = dvb1_params(graph, k, c1=c1)
-    values = np.random.default_rng(seed).integers(1, k + 1, size=graph.node_count)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, k + 1, size=graph.node_count)
+    values[rng.random(graph.node_count) < settled] = 1
     runs = []
     for phase in (Dvb1Automaton.phase, round_by_round_phase):
         aut = Dvb1Automaton(
             graph, params, LevelAssignment(values, k), np.random.default_rng(seed), 1
         )
-        slots, beeps, dead_round = drive_schedule(graph, phase(aut))
-        runs.append((aut, slots, beeps, dead_round))
-    (fast, *fast_counts), (ref, *ref_counts) = runs
+        events = []
+        slots, beeps, dead_round = drive_schedule(graph, recorded(phase(aut), events))
+        runs.append((aut, events, slots, beeps, dead_round))
+    (fast, fast_events, *fast_counts), (ref, _, *ref_counts) = runs
     assert fast_counts == ref_counts
     assert np.array_equal(fast.values, ref.values)
     assert np.array_equal(fast.allowed, ref.allowed)
     assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+    return sum(e.beep_count for e in fast_events if isinstance(e, FastForward))
+
+
+def recorded(gen, events):
+    """gen, appending each event it yields to events."""
+    reply = None
+    while True:
+        try:
+            event = gen.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        events.append(event)
+        reply = yield event
+
+
+@pytest.mark.parametrize("kind", ["mesh16", "er40"])
+def test_phase_matches_round_by_round_reference_on_the_workload_graphs(kind):
+    """The survivor fast-forward against the reference at the benchmark's
+    scale; the hypothesis tests above reach only 3x4 meshes and 14 nodes.
+    Near-settled starts, like a run's later phases, stop the channel after
+    a round or two and leave the survivor loop many steps."""
+    for settled in (0.0, 0.95, 1.0):
+        forwarded = [
+            assert_phase_matches_reference(kind, None, k, C1_DEFAULT, seed, settled)
+            for k in (2, 3)
+            for seed in range(4)
+        ]
+        assert settled == 0.0 or min(forwarded) > 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -111,7 +111,7 @@ def test_channel_rule_on_both_storage_forms():
         blocks[-1][2] = False  # an all-silent row inside a block
         for beeps in vectors + blocks:
             # the engine sends silent rows and S = 0 blocks as they are,
-            # and DVB1 reads the bool reply through a uint8 view
+            # and the reply's rows feed DVB1's float tally @ flags product
             activity = g.activity(beeps)
             assert activity.dtype == bool and activity.shape == beeps.shape
             assert np.array_equal(activity, _heard_by_rule(neighbors, beeps))

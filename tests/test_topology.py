@@ -113,6 +113,35 @@ def test_mesh_row_major_edges():
     assert not g.adj[2, 3]
 
 
+def test_csr_channel_matches_scipys_product_and_the_rule():
+    # Graph.activity calls scipy's private compiled kernel; this pins it to
+    # the public operator and to the per-node rule, on every input layout
+    rng = np.random.default_rng(29)
+    graphs = [
+        build(Mesh2D(3, 4)),
+        build(Mesh2D(16, 16)),
+        build(ErdosRenyi(40, default_edge_probability(40)), rng),
+        graph_from_edges(1, []),
+        graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    ]
+    for g in graphs:
+        n = g.node_count
+        near = [g.adj.indices[g.adj.indptr[i] : g.adj.indptr[i + 1]] for i in range(n)]
+        inputs = [rng.random(n) < 0.3, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        inputs += [rng.random((s, n)) < rng.random((s, 1)) for s in (0, 1, 2, 33)]
+        block = rng.random((6, n)) < 0.3
+        inputs += [np.asfortranarray(block), block[::2]]
+        for beeps in inputs:
+            before = beeps.copy()
+            activity = g.activity(beeps)
+            assert activity.dtype == bool and activity.shape == beeps.shape
+            assert activity.flags.c_contiguous
+            assert np.array_equal(beeps, before)
+            assert np.array_equal(activity, (g.adj @ beeps.T).T)
+            rule = [[row[near[i]].any() for i in range(n)] for row in beeps.reshape(-1, n)]
+            assert np.array_equal(activity, np.array(rule, dtype=bool).reshape(beeps.shape))
+
+
 def test_erdos_renyi_connected_with_default_probability():
     for seed in range(5):
         g = build(ErdosRenyi(40, default_edge_probability(40)), np.random.default_rng(seed))
