@@ -51,7 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"default {BINARY_DELTA_DEFAULT} at --levels 2, required at 3")
         p.add_argument("--seed", type=int, default=0)
 
+    def delta_table(p):
+        p.add_argument("--nodes", type=int, default=100)
+        p.add_argument("--levels", type=int, choices=LEVELS, default=2)
+        p.add_argument("--deltas", type=float, nargs="+", required=True)
+
     p_run = sub.add_parser("run", help="run one trial and print its outcome")
+    p_run.set_defaults(func=_cmd_run)
     common(p_run)
     p_run.add_argument("--algo", choices=ALGOS, default="dvb1")
     p_run.add_argument("--c1", type=float, default=C1_DEFAULT)
@@ -62,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", default=None, help="write a per-slot log to this file")
 
     p_sweep = sub.add_parser("sweep", help="run a config-file sweep")
+    p_sweep.set_defaults(func=_cmd_sweep)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", default=None, help="write the rows here, not to stdout")
@@ -70,17 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_markov = sub.add_parser(
         "markov", help="exact one-phase success on the fully connected graph"
     )
-    p_markov.add_argument("--nodes", type=int, default=100)
-    p_markov.add_argument("--levels", type=int, choices=LEVELS, default=2)
-    p_markov.add_argument("--deltas", type=float, nargs="+", required=True)
+    p_markov.set_defaults(func=_cmd_markov)
+    delta_table(p_markov)
 
     p_bounds = sub.add_parser("bounds", help="analytic lower-bound tables")
-    p_bounds.add_argument("--nodes", type=int, default=100)
-    p_bounds.add_argument("--levels", type=int, choices=LEVELS, default=2)
-    p_bounds.add_argument("--deltas", type=float, nargs="+", required=True)
+    p_bounds.set_defaults(func=_cmd_bounds)
+    delta_table(p_bounds)
     p_bounds.add_argument("--epsilon", type=float, default=0.1)
 
     p_spots = sub.add_parser("spots", help="print same-value connected components")
+    p_spots.set_defaults(func=_cmd_spots)
     common(p_spots)
 
     return parser
@@ -166,15 +172,6 @@ def _cmd_spots(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "markov": _cmd_markov,
-    "bounds": _cmd_bounds,
-    "spots": _cmd_spots,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -182,7 +179,7 @@ def main(argv=None) -> int:
             if args.levels == 3:
                 raise ValueError("--levels 3 has no default delta; pass --delta in [0, 1/3)")
             args.delta = BINARY_DELTA_DEFAULT
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1

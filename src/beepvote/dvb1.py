@@ -78,7 +78,7 @@ def dvb1_params(
     if not (math.isfinite(c1) and c1 > 0):
         raise ValueError("c1 must be positive and finite")
     n = graph.node_count
-    scaled = c1 * math.log2(n) if n > 1 else 1.0
+    scaled = c1 * math.log2(n)
     if not math.isfinite(scaled):
         raise ValueError(f"c1 * log2(N) is not finite at c1={c1:g}, N={n}")
     rounds = max(1, math.ceil(scaled))
@@ -103,8 +103,9 @@ def termination_detection(
     graph: Graph, values, level_count: int, d_sched: int
 ) -> TerminationOutcome:
     """Run one standalone termination check and report the per-node flags
-    along with exact slot, beep, and hear counts."""
-    values = np.asarray(values, dtype=np.int64)
+    along with exact slot, beep, and hear counts.  values must be whole
+    levels in 1..level_count, one per node, or it raises ValueError."""
+    values = LevelAssignment(values, level_count).values
     if values.shape != (graph.node_count,):
         raise ValueError("values length must match node count")
     wave = termination_wave(values, level_count, max(1, d_sched))

@@ -211,12 +211,13 @@ class Dvb2Automaton(PhasedVoting):
         activity = yield SlotRequest(beeps, slots, stage_len)
         return slots, activity & ~beeps
 
-    def _exchange(self, senders, blocks, sets, vals, listeners, listen_block):
+    def _exchange(self, senders, blocks, sets, vals, listen_block):
         """One value-set transfer over Y blocks of 2K slots: senders[r]
         beeps slot k-1 of block blocks[r] for each level k in level row
-        sets[r], then slot K + vals[r] - 1; listener i decodes block
-        listen_block[i].  Returns the (N, K) level rows heard and the
-        last value heard (0 where none was)."""
+        sets[r], then slot K + vals[r] - 1; node i decodes block
+        listen_block[i], and a listen block of 0 means it does not listen.
+        Returns the (N, K) level rows heard and the last value heard (0
+        where none was)."""
         k_levels = self.params.level_count
         width = 2 * k_levels
         base = (blocks - 1) * width
@@ -225,7 +226,7 @@ class Dvb2Automaton(PhasedVoting):
         nodes = np.concatenate([senders[rows], senders])
         slots, heard = yield from self._send(offsets, nodes, self.params.y_slots * width)
         block, col = np.divmod(slots, width)
-        got = heard & listeners & (listen_block == block[:, None] + 1)
+        got = heard & (listen_block == block[:, None] + 1)
         # (N, 2K): node i heard column c of the block it listens to
         heard_cols = got.T @ (col[:, None] == np.arange(width))
         recv_val = (heard_cols[:, k_levels:] * np.arange(1, k_levels + 1)).max(axis=1)
@@ -267,7 +268,6 @@ class Dvb2Automaton(PhasedVoting):
         first = np.cumsum(heard_count[invitees]) - heard_count[invitees]
         chosen = np.zeros(n, dtype=np.int64)
         chosen[invitees] = j1[slot[first + rng.integers(0, heard_count[invitees])]] + 1
-        invitee = chosen > 0
         slots, heard = yield from self._send(chosen[invitees] - 1, invitees, y)
         accepted = (heard & inviter & (ids == slots[:, None] + 1)).any(axis=0)
 
@@ -276,8 +276,7 @@ class Dvb2Automaton(PhasedVoting):
         # result goes back the other way
         inviters = np.flatnonzero(accepted)
         recv_set, recv_val = yield from self._exchange(
-            inviters, ids[inviters], self.value_sets[inviters], self.values[inviters],
-            invitee, chosen,
+            inviters, ids[inviters], self.value_sets[inviters], self.values[inviters], chosen
         )
         unheard = invitees[recv_val[invitees] == 0]
         if len(unheard):  # the chosen inviter always transmits
@@ -289,7 +288,7 @@ class Dvb2Automaton(PhasedVoting):
         self.value_sets[invitees] = s1
         self.values[invitees] = m1
         recv_set, recv_val = yield from self._exchange(
-            invitees, chosen[invitees], s2, m2, accepted, ids
+            invitees, chosen[invitees], s2, m2, np.where(accepted, ids, 0)
         )
         self.value_sets[inviters] = recv_set[inviters]
         took = accepted & (recv_val > 0)

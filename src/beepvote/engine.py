@@ -233,9 +233,9 @@ class PhasedVoting:
     `schedule()` runs `setup()` once, then voting phases, each a
     `phase()` generator that updates `values` (the per-node reported
     levels) in place.  After every params.check_interval phases a
-    termination wave checks `values`, and a silent wave ends the run.
-    Past max_phases phases the run stops with status
-    "max_phases_exceeded".  params is a PhaseParams.
+    termination wave checks `values`; a silent wave ends the run, and the
+    schedule returns "completed", or "max_phases_exceeded" past
+    max_phases phases.  params is a PhaseParams.
     """
 
     def __init__(
@@ -256,7 +256,6 @@ class PhasedVoting:
         self.max_phases = max_phases
         self.values = np.array(assignment.values, dtype=np.int64)
         self.plurality = assignment.plurality_level()
-        self.status = "completed"
         self._phases = 0
         self._consensus: int | None = 0 if self._unanimous() else None
 
@@ -283,14 +282,14 @@ class PhasedVoting:
                 wave = termination_wave(self.values, params.level_count, params.d_sched)
                 flags, _ = yield from wave
                 if flags.all():
-                    return
+                    return "completed"
                 # a detected difference floods every node within d_sched
                 # hops, so split flags mean d_sched is below the diameter
                 if flags.any():
                     raise RuntimeError(
                         "termination flags disagree: d_sched does not cover the graph"
                     )
-        self.status = "max_phases_exceeded"
+        return "max_phases_exceeded"
 
     def phases_elapsed(self) -> int:
         return self._phases
@@ -317,13 +316,13 @@ def run(
 ) -> tuple[int, int, str]:
     """Drive an automaton until its schedule ends.
 
-    Returns (slots, beeps, status), status being the automaton's own.
-    Only `schedule()` and `status` are read.  slot_budget is the run's
+    Returns (slots, beeps, status), status being what the schedule
+    returned.  Only `schedule()` is read.  slot_budget is the run's
     exact longest length, `slot_budget(params, max_phases)`; a schedule
     that took more slots ran a phase or a check past its fixed length,
     and raises RuntimeError.
     """
-    slots, beeps, _ = drive_schedule(graph, automaton.schedule(), trace)
+    slots, beeps, status = drive_schedule(graph, automaton.schedule(), trace)
     if slots > slot_budget:
         raise RuntimeError(f"the schedule took {slots} slots, past its budget of {slot_budget}")
-    return slots, beeps, automaton.status
+    return slots, beeps, status

@@ -246,15 +246,13 @@ def simulate(config: ExperimentConfig, point, rng: np.random.Generator, trace=No
     assignment = make_assignment(n, config.levels, delta, rng)
     if config.algo == "dvb1":
         params = dvb1_params(graph, config.levels, c1=config.c1, d_mode=config.d_mode)
-        return dvb1_run(
-            graph, assignment, params, seed=rng, max_phases=config.max_phases, trace=trace
+        run_algo = dvb1_run
+    else:
+        params = dvb2_params(
+            graph, config.levels, c2=config.c2, id_mode=config.id_mode, d_mode=config.d_mode
         )
-    params = dvb2_params(
-        graph, config.levels, c2=config.c2, id_mode=config.id_mode, d_mode=config.d_mode
-    )
-    return dvb2_run(
-        graph, assignment, params, seed=rng, max_phases=config.max_phases, trace=trace
-    )
+        run_algo = dvb2_run
+    return run_algo(graph, assignment, params, seed=rng, max_phases=config.max_phases, trace=trace)
 
 
 def run_trial(config: ExperimentConfig, point_index: int, point, trial_index: int):

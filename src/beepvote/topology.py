@@ -88,10 +88,12 @@ class Graph:
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """The channel rule, row by row: activity[i] iff some neighbor of i
-        beeped.  beeps is an (N,) vector or an (S, N) block; the reply is a
-        new C-contiguous bool array of the same shape, whatever the input's
-        layout.  The bool CSR product sums with logical OR, and the
-        adjacency is symmetric, so row s is adj @ beeps[s]."""
+        beeped.  beeps is an (N,) vector or an (S, N) block, and any other
+        last axis raises ValueError; the reply is a new C-contiguous bool
+        array of the same shape, whatever the input's layout.  The bool CSR
+        product sums with logical OR, and the adjacency is symmetric, so
+        row s is adj @ beeps[s]."""
+        _check_width(beeps, self.node_count)
         return np.ascontiguousarray(_or_product(self.adj, beeps.T).T)
 
     def distance2_colouring(self) -> np.ndarray:
@@ -140,7 +142,9 @@ class CompleteGraph(Graph):
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """Some other node beeped: the row's beep count exceeds one's own
-        beep (0 or 1), one comparison against the bool row."""
+        beep (0 or 1), one comparison against the bool row.  A last axis
+        other than N raises ValueError, as in `Graph.activity`."""
+        _check_width(beeps, self.n)
         return beeps.sum(axis=-1, keepdims=True) > beeps
 
     @cached_property
@@ -149,6 +153,11 @@ class CompleteGraph(Graph):
         colours = np.arange(1, self.n + 1, dtype=np.int64)
         colours.setflags(write=False)
         return colours
+
+
+def _check_width(beeps: np.ndarray, n: int) -> None:
+    if beeps.shape[-1:] != (n,):
+        raise ValueError(f"beeps of shape {beeps.shape} must end in an axis of N = {n} nodes")
 
 
 def _freeze(adj: csr_array) -> csr_array:

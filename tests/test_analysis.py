@@ -61,8 +61,10 @@ def test_two_event_bound_unopposed():
 
 
 def test_two_event_bound_rejects_tie():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counts must have a strict plurality level"):
         lower_bound_two_event((50, 50))
+    with pytest.raises(ValueError, match="counts must include at least one node"):
+        lower_bound_two_event((0, 0))
 
 
 def _strided_counts():
@@ -152,14 +154,26 @@ def test_closed_bound_monotone_in_majority():
 
 
 def test_closed_bound_singular_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plurality count must exceed the runner-up count"):
         lower_bound_closed(1, 1, 2)
+    with pytest.raises(ValueError, match="level count must be >= 2"):
+        lower_bound_closed(3, 1, 1)
+    # n_m > n_m2 = 1, but the float product rounds sqrt(n_m * n_m2) to 1
+    with pytest.raises(ValueError, match=r"sqrt\(n_m \* n_m2\) must exceed 1"):
+        lower_bound_closed(1 + 2**-52, 1, 2)
 
 
 def test_corollary_ratio_values():
     assert corollary_ratio(2, 0.1) == pytest.approx(1.856445, abs=1e-6)
     assert corollary_ratio(3, 0.1) == pytest.approx(2.822976, abs=1e-6)
     assert corollary_ratio(3, 0.1) > corollary_ratio(2, 0.1)
+
+
+def test_corollary_ratio_domain():
+    with pytest.raises(ValueError, match="level count must be >= 2"):
+        corollary_ratio(1, 0.1)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        corollary_ratio(2, 1.0)
 
 
 def test_corollary_ratio_finite_near_one():
@@ -495,6 +509,13 @@ def test_sampler_rejects_bad_inputs_before_sampling():
     with pytest.raises(TypeError):
         sample_success((5, 3), samples=2.5)
     assert time.perf_counter() - start < 1.0
+
+
+def test_sampler_raises_past_its_round_cap(monkeypatch):
+    # two levels beep in the first round, so no sample ends within one round
+    monkeypatch.setattr(analysis, "MAX_SAMPLE_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="absorption not reached within 1 rounds"):
+        sample_success((5, 3), samples=10)
 
 
 @pytest.mark.parametrize("counts", [(10**9,) * 3, (1,) * 20, (2,) * 18 + (0,) * 9])

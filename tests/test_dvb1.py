@@ -474,6 +474,18 @@ def test_termination_flag_unanimous_on_star():
     assert not out.terminated
 
 
+def test_termination_refuses_values_that_are_not_levels():
+    # np.asarray(values, int64) used to truncate 1.5 to 1 and report the
+    # path terminated, and to run an out-of-range [7, 7, 7] with 0 beeps
+    g = build(Mesh2D(1, 3))
+    with pytest.raises(ValueError, match="levels must be whole numbers"):
+        termination_detection(g, [1.5, 1, 1], 2, g.diameter)
+    with pytest.raises(ValueError, match=r"levels must lie in 1\.\.level_count"):
+        termination_detection(g, [7, 7, 7], 2, g.diameter)
+    with pytest.raises(ValueError, match="values length must match node count"):
+        termination_detection(g, [1, 1], 2, g.diameter)
+
+
 def test_split_termination_flags_raise():
     # a relay wave of d_sched = 1 hop cannot flood an 11-hop path, so the
     # check leaves some flags set and others cleared; that is an error,

@@ -151,6 +151,11 @@ def test_unique_ids_match_dense_greedy_reference():
         _dense_greedy_ids(adj, 29)
 
 
+def test_assign_ids_refuses_an_unknown_id_mode():
+    with pytest.raises(ValueError, match=r"id_mode must be one of \('random', 'preassigned_"):
+        assign_ids(build(Complete(3)), 5, "sequential", np.random.default_rng(0))
+
+
 def test_unique_ids_need_enough_space():
     g = build(Complete(5))
     with pytest.raises(ValueError):
@@ -278,8 +283,7 @@ class PerNodeDvb2(Dvb2Automaton):
 
         inviters = np.flatnonzero(accepted)
         recv_set, recv_val = yield from self._exchange(
-            inviters, ids[inviters], self.value_sets[inviters], self.values[inviters],
-            invitee, chosen,
+            inviters, ids[inviters], self.value_sets[inviters], self.values[inviters], chosen
         )
         s1, s2, m1, m2 = dmvr(
             self.value_sets[invitees], recv_set[invitees],
@@ -288,7 +292,7 @@ class PerNodeDvb2(Dvb2Automaton):
         self.value_sets[invitees] = s1
         self.values[invitees] = m1
         recv_set, recv_val = yield from self._exchange(
-            invitees, chosen[invitees], s2, m2, accepted, ids
+            invitees, chosen[invitees], s2, m2, np.where(accepted, ids, 0)
         )
         self.value_sets[inviters] = recv_set[inviters]
         took = accepted & (recv_val > 0)

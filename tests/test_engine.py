@@ -246,6 +246,29 @@ def test_phase_params_reject_zero_schedule_constants(params_cls, field):
         params_cls(**{**PARAMS_KWARGS[params_cls], field: 0})
 
 
+@pytest.mark.parametrize(
+    "params_cls, field, value, message",
+    [
+        (Dvb1Params, "rounds_per_phase", 0, "rounds per phase must be >= 1"),
+        (Dvb2Params, "y_slots", 0, "id space must be >= 1"),
+        (Dvb2Params, "id_mode", "sequential", r"id_mode must be one of \('random', "),
+    ],
+)
+def test_protocol_params_refuse_their_own_bad_fields(params_cls, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        params_cls(**{**PARAMS_KWARGS[params_cls], field: value})
+
+
+def test_automaton_refuses_an_assignment_that_does_not_fit():
+    g = build(Complete(4))
+    params = dvb1_params(g, 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="assignment length must match node count"):
+        Dvb1Automaton(g, params, LevelAssignment([1, 2, 2], 2), rng, 1)
+    with pytest.raises(ValueError, match="assignment and params disagree on level count"):
+        Dvb1Automaton(g, params, LevelAssignment([1, 2, 2, 3], 3), rng, 1)
+
+
 @pytest.mark.parametrize("params_cls", [Dvb1Params, Dvb2Params])
 def test_check_interval_is_not_a_params_field(params_cls):
     with pytest.raises(TypeError):

@@ -19,6 +19,7 @@ from beepvote.harness import (
     parse_config,
     render,
     run_sweep,
+    run_trial,
     topology_spec,
     wilson_interval,
 )
@@ -192,6 +193,14 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError, match="topology must name at least one graph"):
         ExperimentConfig(topology=())
+    with pytest.raises(ValueError, match="sizes must be positive"):
+        ExperimentConfig(sizes=(0,))
+    with pytest.raises(ValueError, match=r"d_mode must be one of \('exact', 'upper_bound_n'\)"):
+        ExperimentConfig(d_mode="guess")
+    with pytest.raises(ValueError, match=r"id_mode must be one of \('random', "):
+        ExperimentConfig(id_mode="sequential")
+    with pytest.raises(ValueError, match="max_phases must be >= 1"):
+        ExperimentConfig(max_phases=0)
 
 
 @pytest.mark.parametrize("key", ["c1", "c2"])
@@ -278,6 +287,16 @@ def test_emit_unwritable_path(tmp_path):
         emit([ROW], "csv", str(tmp_path / "missing" / "rows.csv"))
 
 
+def test_emit_without_a_path_writes_stdout(capsys):
+    emit([ROW], "json", None)
+    assert capsys.readouterr().out == render([ROW], "json")
+
+
+def test_render_refuses_other_formats():
+    with pytest.raises(ValueError, match="format must be csv or json"):
+        render([ROW], "tsv")
+
+
 SWEEP = ExperimentConfig(
     algo="dvb1",
     topology=("complete",),
@@ -343,3 +362,35 @@ def test_single_trial_rate_is_zero_or_one():
     cfg = ExperimentConfig(sizes=(8,), deltas=(0.75,), trials=1, master_seed=3)
     (row,) = run_sweep(cfg)
     assert row.success_rate in (0.0, 1.0)
+
+
+def test_sweep_counts_errored_trials_and_scores_only_the_rest():
+    # with preassigned ids, an ER draw whose distance-2 colouring needs more
+    # than Y colours raises in its trial: the row counts it in errors, and
+    # the rate, the means and the interval cover the completed trials alone
+    point = ("erdos_renyi", 12, 0.75)
+    cfg = ExperimentConfig(
+        algo="dvb2", topology=(point[0],), sizes=(point[1],), deltas=(point[2],),
+        trials=8, master_seed=1, c2=0.4, id_mode="preassigned_unique", max_phases=3,
+    )
+    (row,) = run_sweep(cfg)
+    done = []
+    for t in range(cfg.trials):
+        try:
+            done.append(run_trial(cfg, 0, point, t))
+        except ValueError as exc:
+            assert "id space too small for locally unique ids" in str(exc)
+    assert row.errors == cfg.trials - len(done) == 4
+    assert row.trials == cfg.trials
+    wins = sum(bool(r.success) for r in done)
+    phases = [r.phases_elapsed if r.consensus_phase is None else r.consensus_phase for r in done]
+    assert row.success_rate == wins / len(done)
+    assert row.mean_phases == pytest.approx(np.mean(phases), rel=1e-12)
+    assert row.mean_slots == pytest.approx(np.mean([r.slots_elapsed for r in done]), rel=1e-12)
+    assert row.mean_beeps == pytest.approx(np.mean([r.total_beeps for r in done]), rel=1e-12)
+    assert (row.ci95_lo, row.ci95_hi) == wilson_interval(wins, len(done))
+    # every trial errors: the row reads zeros and the uninformative interval
+    (row,) = run_sweep(replace(cfg, c2=0.01, trials=6))
+    assert row.errors == row.trials == 6
+    assert (row.success_rate, row.mean_phases, row.mean_slots, row.mean_beeps) == (0, 0, 0, 0)
+    assert (row.ci95_lo, row.ci95_hi) == (0.0, 1.0)

@@ -17,6 +17,7 @@ from beepvote.topology import (
     default_edge_probability,
     exact_diameter,
     graph_from_edges,
+    hop_bound,
     spots,
 )
 
@@ -142,6 +143,20 @@ def test_csr_channel_matches_scipys_product_and_the_rule():
             assert np.array_equal(activity, np.array(rule, dtype=bool).reshape(beeps.shape))
 
 
+def test_channel_refuses_blocks_whose_width_is_not_the_node_count():
+    # the compiled kernel reads x.size // N vectors and never checks the last
+    # axis, so a short block read all False and a long one came back unrefused
+    graphs = [
+        build(Mesh2D(3, 3)),
+        build(ErdosRenyi(9, default_edge_probability(9)), np.random.default_rng(0)),
+        build(Complete(9)),
+    ]
+    for g in graphs:
+        for shape in ((8,), (10,), (1, 8), (2, 10)):
+            with pytest.raises(ValueError, match="must end in an axis of N = 9 nodes"):
+                g.activity(np.ones(shape, dtype=bool))
+
+
 def test_erdos_renyi_connected_with_default_probability():
     for seed in range(5):
         g = build(ErdosRenyi(40, default_edge_probability(40)), np.random.default_rng(seed))
@@ -222,6 +237,37 @@ def test_exact_diameter_matches_all_pairs_shortest_paths():
     for g in graphs:
         dist = shortest_path(g.adj, unweighted=True, directed=False)
         assert exact_diameter(g.adj) == int(dist.max())
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (Complete(0), "node count must be >= 1"),
+        (Mesh2D(0, 3), "mesh dimensions must be >= 1"),
+        (ErdosRenyi(0, 0.5), "node count must be >= 1"),
+        (ErdosRenyi(5, -0.1), r"edge probability must lie in \[0, 1\]"),
+        (ErdosRenyi(5, 1.5), r"edge probability must lie in \[0, 1\]"),
+    ],
+)
+def test_build_refuses_empty_graphs_and_bad_probabilities(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build(spec, np.random.default_rng(0))
+
+
+def test_build_refuses_an_unknown_spec():
+    with pytest.raises(TypeError, match="unknown topology spec: 'ring'"):
+        build("ring")
+
+
+def test_hop_bound_refuses_an_unknown_d_mode():
+    with pytest.raises(ValueError, match=r"d_mode must be one of \('exact', 'upper_bound_n'\)"):
+        hop_bound(build(Complete(3)), "diameter")
+
+
+def test_spots_refuse_values_of_the_wrong_length():
+    for g in (build(Complete(4)), build(Mesh2D(2, 2))):
+        with pytest.raises(ValueError, match="values length must match node count"):
+            spots(g, [1, 1, 2])
 
 
 def test_graph_from_edges_rejects_no_nodes_and_self_loops():
@@ -351,6 +397,11 @@ def test_assignment_validates_levels():
         with pytest.raises(ValueError, match="levels must be whole numbers"):
             LevelAssignment(values, 2)
     assert LevelAssignment(np.array([1.0, 2.0, 2.0]), 2).values.tolist() == [1, 2, 2]
+    with pytest.raises(ValueError, match="level count must be >= 1"):
+        LevelAssignment([1, 1], 0)
+    for values in ([[1, 2], [2, 1]], []):
+        with pytest.raises(ValueError, match="values must be a non-empty 1D array"):
+            LevelAssignment(values, 2)
 
 
 def test_assignment_counts_and_plurality():
