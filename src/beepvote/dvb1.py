@@ -104,11 +104,14 @@ def termination_detection(
 ) -> TerminationOutcome:
     """Run one standalone termination check and report the per-node flags
     along with exact slot, beep, and hear counts.  values must be whole
-    levels in 1..level_count, one per node, or it raises ValueError."""
+    levels in 1..level_count, one per node, and d_sched >= 1, or it raises
+    ValueError; a d_sched below the diameter can return split flags."""
+    if d_sched < 1:
+        raise ValueError("d_sched must be >= 1")
     values = LevelAssignment(values, level_count).values
     if values.shape != (graph.node_count,):
         raise ValueError("values length must match node count")
-    wave = termination_wave(values, level_count, max(1, d_sched))
+    wave = termination_wave(values, level_count, d_sched)
     slots, beeps, (flags, heard_events) = drive_schedule(graph, wave)
     return TerminationOutcome(
         flags=tuple(flags.tolist()), slots=slots, beeps=beeps, heard_events=heard_events

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -314,6 +313,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     workers = min(workers, len(points))
     if workers <= 1:
         return [run_point(config, i, p) for i, p in enumerate(points)]
+    # imported here: concurrent.futures.process costs every import of this module
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_point, [config] * len(points), range(len(points)), points))
 

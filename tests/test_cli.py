@@ -56,7 +56,8 @@ def test_package_import_skips_scipy_stats():
     # scipy.sparse.csgraph (and the scipy.linalg it loads, about 11 MB of
     # RSS) waits for the first spots call: an Erdos-Renyi build finds a
     # disconnected draw by its diameter search, so a DVB2 trial on one
-    # loads neither
+    # loads neither.  concurrent.futures.process waits for a sweep that
+    # runs its points in worker processes
     src = str(Path(beepvote.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
@@ -67,7 +68,8 @@ def test_package_import_skips_scipy_stats():
         "config = ExperimentConfig(algo='dvb2', topology=('erdos_renyi',), max_phases=1); "
         "simulate(config, ('erdos_renyi', 16, 0.7), np.random.default_rng(0)); "
         "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.stats', 'scipy.sparse.csgraph', 'scipy.linalg'))))"
+        "if m.startswith(('scipy.stats', 'scipy.sparse.csgraph', 'scipy.linalg', "
+        "'concurrent.futures.process'))))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

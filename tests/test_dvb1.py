@@ -486,6 +486,25 @@ def test_termination_refuses_values_that_are_not_levels():
         termination_detection(g, [1, 1], 2, g.diameter)
 
 
+def test_termination_refuses_a_hop_bound_below_one():
+    # max(1, d_sched) used to run 0 and -3 silently as one relay hop
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    for d_sched in (0, -3):
+        with pytest.raises(ValueError, match="d_sched must be >= 1"):
+            termination_detection(g, [1, 1, 1, 1, 2], 2, d_sched)
+
+
+def test_termination_below_the_diameter_can_split_the_flags():
+    # one relay hop on the 4-hop path: node 4 (level 2) hears node 3's
+    # level-1 beep and clears, its one relay beep clears node 3, and the
+    # wave ends before the difference reaches nodes 0-2
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    out = termination_detection(g, [1, 1, 1, 1, 2], 2, 1)
+    assert out.flags == (True, True, True, False, False)
+    assert out.slots == 2
+    assert not out.terminated
+
+
 def test_split_termination_flags_raise():
     # a relay wave of d_sched = 1 hop cannot flood an 11-hop path, so the
     # check leaves some flags set and others cleared; that is an error,

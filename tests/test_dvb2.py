@@ -17,7 +17,7 @@ from beepvote.dvb2 import (
     dvb2_run,
     id_space,
 )
-from beepvote.engine import FastForward, drive_schedule, run, slot_budget
+from beepvote.engine import FastForward, drive_schedule, run, slot_budget, step
 from beepvote.topology import (
     Complete,
     ErdosRenyi,
@@ -245,6 +245,142 @@ def test_discovery_merges_equal_ids():
     drive_schedule(path3, aut.setup())
     assert aut.known.tolist() == [7, 5, 5]
     assert aut.known_ptr.tolist() == [0, 1, 2, 3]
+
+
+def stage_automaton(graph, k, y, ids):
+    """A DVB2 automaton whose stage helpers run on graph with K = k, Y = y
+    and the given ids."""
+    n = graph.node_count
+    params = Dvb2Params(level_count=k, d_sched=hop_bound(graph, "exact"), y_slots=y)
+    aut = Dvb2Automaton(graph, params, LevelAssignment([1] * n, k), np.random.default_rng(0), 1)
+    aut.ids = np.asarray(ids, dtype=np.int64)
+    return aut
+
+
+def slot_by_slot(graph, stage_len, beepers):
+    """Reference stage: every slot 0..stage_len-1 in turn, one engine.step
+    for each slot in which beepers(slot) (a set of nodes) is not empty.
+    Returns the beeping slots, their heard rows, and the stage's slot and
+    beep counts."""
+    slots, rows, beeps = [], [], 0
+    for slot in range(stage_len):
+        nodes = beepers(slot)
+        if nodes:
+            vector = np.isin(np.arange(graph.node_count), list(nodes))
+            slots.append(slot)
+            rows.append(step(graph, vector))
+            beeps += len(nodes)
+    return slots, rows, stage_len, beeps
+
+
+def reference_send(graph, offsets, nodes, stage_len):
+    return slot_by_slot(
+        graph, stage_len, lambda slot: {int(i) for o, i in zip(offsets, nodes) if o == slot}
+    )
+
+
+def reference_exchange(graph, k, y, senders, blocks, sets, vals, listen_block):
+    """Reference transfer: slot c of block b carries sender r's beep when
+    blocks[r] == b and either c < K and sets[r, c], or c == K + vals[r] - 1;
+    a node listening on block b records each column it hears there.
+    Returns (recv_set, recv_val, slot count, beep count)."""
+    width = 2 * k
+
+    def beepers(slot):
+        b, c = divmod(slot, width)
+        return {
+            int(s) for s, blk, row, v in zip(senders, blocks, sets, vals)
+            if blk == b + 1 and (row[c] if c < k else v == c - k + 1)
+        }
+
+    slots, rows, length, beeps = slot_by_slot(graph, y * width, beepers)
+    n = graph.node_count
+    recv_set = np.zeros((n, k), dtype=bool)
+    recv_val = np.zeros(n, dtype=np.int64)
+    for slot, heard in zip(slots, rows):
+        b, c = divmod(slot, width)
+        for i in np.flatnonzero(heard & (listen_block == b + 1)):
+            if c < k:
+                recv_set[i, c] = True
+            else:
+                recv_val[i] = max(recv_val[i], c - k + 1)
+    return recv_set, recv_val, length, beeps
+
+
+def stage_graphs():
+    return [
+        build(Mesh2D(3, 3)),
+        build(ErdosRenyi(12, default_edge_probability(12)), np.random.default_rng(12)),
+    ]
+
+
+@pytest.mark.parametrize("graph", stage_graphs(), ids=["mesh3x3", "er12"])
+def test_send_matches_a_slot_by_slot_stage(graph):
+    """_send's sorted dedupe gives the beeping slots, the heard rows and
+    the slot and beep counts one engine.step per beeping slot does: with
+    ids in {1, 2} most slots are shared, and the same (offset, node) pair
+    may come twice, which is one beep."""
+    n = graph.node_count
+    rng = np.random.default_rng(620)
+    cases = [
+        (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 5),  # nobody sends
+        (np.array([3, 3, 3]), np.array([0, 1, 1]), 4),  # one slot, a repeated pair
+        (np.array([2, 0, 2, 1]), np.array([4, 4, 5, 3]), 3),  # every slot, unsorted
+    ]
+    for m in range(1, 25):
+        length = int(rng.integers(1, 6))
+        cases.append((rng.integers(0, length, size=m), rng.integers(0, n, size=m), length))
+    ids = rng.integers(1, 3, size=n)  # ids in {1, 2}: discovery's slots collide
+    cases.append((ids - 1, np.arange(n), 2))
+    aut = stage_automaton(graph, 2, 2, ids)
+    for offsets, nodes, length in cases:
+        slot_count, beep_count, (slots, heard) = drive_schedule(
+            graph, aut._send(offsets, nodes, length)
+        )
+        want_slots, rows, length, beeps = reference_send(graph, offsets, nodes, length)
+        assert slots.tolist() == want_slots
+        assert heard.shape == (len(want_slots), n)
+        assert all(np.array_equal(got, want) for got, want in zip(heard, rows))
+        assert (slot_count, beep_count) == (length, beeps)
+        if not len(offsets):
+            assert (slot_count, beep_count) == (5, 0)
+
+
+@pytest.mark.parametrize("graph", stage_graphs(), ids=["mesh3x3", "er12"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exchange_matches_a_slot_by_slot_transfer(graph, k):
+    """_exchange's scatter decode gives each listener the level columns
+    and the largest value it heard on its block, as a slot-by-slot
+    transfer does.  Blocks are ids in {1, 2}, so several senders share a
+    block and their beeps merge; listeners pick any block, or none."""
+    n = graph.node_count
+    y = 2
+    rng = np.random.default_rng(621 + k)
+    ids = rng.integers(1, y + 1, size=n)
+    aut = stage_automaton(graph, k, y, ids)
+    cases = [(np.zeros(0, dtype=np.int64), rng.integers(0, y + 1, size=n))]  # nobody sends
+    both = np.flatnonzero(ids == ids[0])[:2]  # two senders in one block
+    assert len(both) == 2
+    cases.append((both, np.full(n, ids[0])))
+    for _ in range(30):
+        senders = np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9))
+        cases.append((senders, rng.integers(0, y + 1, size=n)))
+    for senders, listen_block in cases:
+        sets = rng.random((len(senders), k)) < 0.5
+        vals = rng.integers(1, k + 1, size=len(senders))
+        blocks = ids[senders]
+        slot_count, beep_count, (recv_set, recv_val) = drive_schedule(
+            graph, aut._exchange(senders, blocks, sets, vals, listen_block)
+        )
+        want_set, want_val, length, beeps = reference_exchange(
+            graph, k, y, senders, blocks, sets, vals, listen_block
+        )
+        assert np.array_equal(recv_set, want_set)
+        assert recv_val.tolist() == want_val.tolist()
+        assert (slot_count, beep_count) == (length, beeps)
+        if not len(senders):
+            assert (slot_count, beep_count) == (y * 2 * k, 0)
+            assert not recv_set.any() and not recv_val.any()
 
 
 class PerNodeDvb2(Dvb2Automaton):

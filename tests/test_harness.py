@@ -1,12 +1,12 @@
 """Sweep plumbing: assignments, config parsing, output formats, determinism."""
 
+import concurrent.futures
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from beepvote import harness
 from beepvote.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -352,7 +352,8 @@ def test_sweep_workers_capped_at_point_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     rows = run_sweep(SWEEP, workers=5000)
     assert sizes == [2]
     assert rows == run_sweep(SWEEP, workers=1)
