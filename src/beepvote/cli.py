@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--d-mode", choices=D_MODES, default="exact")
     p_run.add_argument("--id-mode", choices=ID_MODES, default="random")
     p_run.add_argument("--max-phases", type=int, default=None)
-    p_run.add_argument("--trace", default=None, help="write a per-slot log to this file")
+    p_run.add_argument("--trace", default=None, help="file for one JSON line per engine event")
 
     p_sweep = sub.add_parser("sweep", help="run a config-file sweep")
     p_sweep.set_defaults(func=_cmd_sweep)

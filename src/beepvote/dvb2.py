@@ -213,15 +213,17 @@ class Dvb2Automaton(PhasedVoting):
         self.known_ptr = np.zeros(graph.node_count + 1, dtype=np.int64)
 
     def _send(self, offsets, nodes, stage_len):
-        """Run one block of stage_len slots in which node nodes[i] beeps in
-        slot offsets[i] (both int arrays).  Returns (slots, heard): the
+        """Run one stage of stage_len slots in which node nodes[i] beeps in
+        slot offsets[i] (both int arrays).  The engine gets it as one block:
+        the S beeping slots as rows, the rest as the silent tail, which
+        changes no count or observation.  Returns (slots, heard): the
         distinct offsets that carried a beep, ascending, and the (S, N)
         listeners' observation in those slots, activity & ~beeps."""
         ranked = np.sort(offsets)
         slots = np.concatenate([ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]])
         beeps = np.zeros((len(slots), self.graph.node_count), dtype=bool)
         beeps[slots.searchsorted(offsets), nodes] = True
-        activity = yield SlotRequest(beeps, slots, stage_len)
+        activity = yield SlotRequest(beeps, length=stage_len)
         return slots, activity > beeps  # activity & ~beeps, in one pass
 
     def _exchange(self, senders, blocks, sets, vals, listen_block):

@@ -10,7 +10,8 @@ observation, `heard = activity & ~beeps`.
 
 `drive_schedule` runs a slot-event generator: one that yields
 `SlotRequest` and `FastForward` events.  A SlotRequest is one open-loop
-block, its (S, N) boolean beep rows (True = beep) fixed before it starts.
+block, its (S, N) boolean beep rows (True = beep) fixed before it starts:
+row r is slot r of the block, and any slots past row S-1 are silent.
 All of its rows go to the channel in one `Graph.activity` call, silent
 rows too (their activity is all false, so nothing needs to pick them
 out).  The engine replies, via `send`, with the (S, N) bool activity
@@ -24,7 +25,8 @@ or the beepers and the absence of state changes are provably known.  The
 engine only adds the declared slot and beep counts, and counts a block's
 silent slots the same way, so metrics match a naive slot-by-slot
 execution bit for bit.  Every event adds its length and its beep total
-in one step; a trace, when one is written, only describes the slots.
+in one step, and a trace, when one is written, gets one JSON line per
+event with the same numbers: nothing in the engine walks nodes or slots.
 
 A run has one stopping rule, its phase cap: every phase has a fixed
 length and every termination check a bounded one, so `slot_budget` is
@@ -41,8 +43,9 @@ builds the run's TrialResult from them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -51,9 +54,8 @@ from .topology import Graph, LevelAssignment
 
 @dataclass(frozen=True)
 class SlotRequest:
-    beeps: np.ndarray  # (S, N) bool, True = beep; row r beeps in slot offsets[r]
-    offsets: Sequence[int] | None = None  # increasing; None: 0..S-1
-    length: int | None = None  # block length in slots; None: S
+    beeps: np.ndarray  # (S, N) bool, True = beep; row r beeps in slot r
+    length: int | None = None  # block length in slots, S rows then a silent tail; None: S
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,9 @@ def drive_schedule(graph: Graph, gen, trace: IO[str] | None = None) -> tuple[int
     on StopIteration.  Every event adds its length and its beep total in
     one step; a block sends all its rows, silent ones included, to the
     channel in one call and replies with the activity rows.  trace, if
-    given, gets one line per fast-forwarded stretch (a FastForward, a
-    block's silent gap or silent row) and one per node per beeping slot.
+    given, gets one JSON line per event: "event" ("block" or
+    "fast_forward"), "slot" (its first), "slots", "beeps", and for a block
+    "heard", the number of (slot, node) pairs in which a listener heard.
     """
     slots = beeps = 0
     reply = None
@@ -114,40 +117,19 @@ def drive_schedule(graph: Graph, gen, trace: IO[str] | None = None) -> tuple[int
         if isinstance(event, FastForward):
             length, beep_count, reply = event.slots, event.beep_count, None
             if trace is not None:
-                _trace_skip(trace, slots, length, beep_count)
+                line = dict(event="fast_forward", slot=slots, slots=length, beeps=beep_count)
+                print(json.dumps(line), file=trace)
         else:
             rows = event.beeps
             reply = graph.activity(rows)
             length = len(rows) if event.length is None else int(event.length)
             beep_count = int(np.count_nonzero(rows))
             if trace is not None:
-                _trace_block(trace, slots, event, reply, length)
+                line = dict(event="block", slot=slots, slots=length, beeps=beep_count)
+                line["heard"] = int(np.count_nonzero(reply > rows))  # activity & ~beeps
+                print(json.dumps(line), file=trace)
         slots += length
         beeps += beep_count
-
-
-def _trace_skip(trace: IO[str], start: int, count: int, beep_count: int = 0) -> None:
-    if count:
-        trace.write(f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n")
-
-
-def _trace_block(trace: IO[str], start: int, event: SlotRequest, reply, length) -> None:
-    """The trace lines of a block that starts at slot start; a row in
-    which nobody beeps is traced as a one-slot fast-forward."""
-    rows = event.beeps
-    slot = start  # the first slot without a line
-    for r, offset in enumerate(range(len(rows)) if event.offsets is None else event.offsets):
-        at = start + int(offset)
-        _trace_skip(trace, slot, at - slot)
-        if rows[r].any():
-            heard = reply[r] & ~rows[r]
-            for i, beeped in enumerate(rows[r]):
-                action = "beep" if beeped else "listen"
-                trace.write(f"slot={at} node={i} action={action} heard={int(heard[i])}\n")
-        else:
-            _trace_skip(trace, at, 1)
-        slot = at + 1
-    _trace_skip(trace, slot, start + length - slot)
 
 
 @dataclass(frozen=True)

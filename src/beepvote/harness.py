@@ -239,7 +239,7 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 def simulate(config: ExperimentConfig, point, rng: np.random.Generator, trace=None):
     """Build the point's graph, draw its level assignment and run
     config.algo on them, every draw from rng in that order; returns a
-    TrialResult.  trace, if given, receives the per-slot log."""
+    TrialResult.  trace, if given, receives one JSON line per engine event."""
     name, n, delta = point
     graph = build(topology_spec(name, n), rng)
     assignment = make_assignment(n, config.levels, delta, rng)

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from beepvote import analysis
@@ -92,6 +94,23 @@ def test_lower_bounds_lie_at_or_below_the_exact_chain():
             assert lower_bound_closed(ordered[0], ordered[1], len(counts)) <= exact + 1e-12, counts
         checked += 1
     assert checked > 200
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    counts=st.sampled_from([2, 3]).flatmap(
+        lambda k: st.lists(st.integers(0, 1000 // k), min_size=k, max_size=k)
+    )
+)
+def test_lower_bounds_never_exceed_the_exact_chain(counts):
+    """Both lower bounds stay at or below the exact one-phase success on
+    random count vectors with a strict plurality, K = 2 and 3, N <= 1000."""
+    ordered = sorted(counts, reverse=True)
+    assume(ordered[0] > ordered[1])
+    exact = markov_success(counts).win_prob[int(np.argmax(counts))]
+    assert lower_bound_two_event(counts) <= exact + 1e-12
+    if ordered[1] >= 1:  # the closed form needs a runner-up
+        assert lower_bound_closed(ordered[0], ordered[1], len(counts)) <= exact + 1e-12
 
 
 def _two_event_by_level(counts):

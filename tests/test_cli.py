@@ -148,10 +148,7 @@ def test_run_trace_file(tmp_path, capsys):
     assert path.read_text().strip()
 
 
-TRACE_LINE = re.compile(
-    r"slots (\d+)\.\.\.(\d+) fast-forward beeps=(\d+)"
-    r"|slot=(\d+) node=(\d+) action=(beep|listen) heard=[01]"
-)
+TRACE_KEYS = {"event", "slot", "slots", "beeps"}
 
 
 @pytest.mark.parametrize(
@@ -167,9 +164,10 @@ TRACE_LINE = re.compile(
     ],
 )
 def test_trace_tiles_the_run(argv, all_cleared, tmp_path, capsys):
-    """The trace's fast-forward ranges and per-slot lines cover slots
-    0..slots-1 once each, in order, and their beeps add up to the run's
-    total.  The DVB1 runs at the default c1 fast-forward the ends of their
+    """The trace is one JSON line per engine event, with exactly its keys
+    ("heard" on blocks only).  The events cover slots 0..slots-1 once
+    each, in order, and their slots and beeps add up to the run's totals.
+    The DVB1 runs at the default c1 fast-forward the ends of their
     corrosion phases with the survivors' beeps; all_cleared runs hit the
     termination wave's fast-forward over relay slots in which every node
     beeps."""
@@ -177,26 +175,17 @@ def test_trace_tiles_the_run(argv, all_cleared, tmp_path, capsys):
     assert main(argv.split() + ["--trace", str(path)]) == 0
     summary = re.search(r"slots=(\d+) beeps=(\d+)", capsys.readouterr().out)
     n = int(argv.split("--nodes ")[1].split()[0])
-    slot = beeps = 0
-    cleared_lines = 0
-    lines = path.read_text().splitlines()
-    i = 0
-    while i < len(lines):
-        m = TRACE_LINE.fullmatch(lines[i])
-        assert m, lines[i]
-        if m[1] is not None:  # a fast-forwarded range
-            first, last, ff_beeps = int(m[1]), int(m[2]), int(m[3])
-            assert first == slot and last >= first
-            slot, beeps = last + 1, beeps + ff_beeps
-            cleared_lines += ff_beeps == (last - first + 1) * n > 0
-            i += 1
-            continue
-        nodes = [TRACE_LINE.fullmatch(line) for line in lines[i : i + n]]
-        assert [(int(m[4]), int(m[5])) for m in nodes] == [(slot, j) for j in range(n)]
-        beeps += sum(m[6] == "beep" for m in nodes)
-        slot, i = slot + 1, i + n
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    slot = beeps = cleared = 0
+    for line in lines:
+        block = line["event"] == "block"
+        assert line["event"] in ("block", "fast_forward")
+        assert set(line) == TRACE_KEYS | ({"heard"} if block else set())
+        assert line["slot"] == slot and line["slots"] >= 0
+        slot, beeps = slot + line["slots"], beeps + line["beeps"]
+        cleared += not block and line["beeps"] == line["slots"] * n > 0
     assert (slot, beeps) == (int(summary[1]), int(summary[2]))
-    assert (cleared_lines > 0) == all_cleared
+    assert (cleared > 0) == all_cleared
 
 
 def test_spots_command(capsys):

@@ -39,11 +39,8 @@ def slot_rows(event):
     None for a silent slot."""
     if isinstance(event, FastForward):
         return [None] * event.slots
-    offsets = range(len(event.beeps)) if event.offsets is None else event.offsets
-    rows = [None] * (len(event.beeps) if event.length is None else event.length)
-    for r, offset in enumerate(offsets):
-        rows[offset] = r
-    return rows
+    rows = list(range(len(event.beeps)))
+    return rows + [None] * (0 if event.length is None else event.length - len(rows))
 
 
 def binary_phase(graph, values, rng):

@@ -595,8 +595,9 @@ def test_phase_slot_budget_exact():
 
 def test_acceptance_rate_on_two_nodes():
     # with one inviter and one listener (probability 1/2 per phase) the
-    # handshake always completes, so the acceptance stage carries one
-    # beep; termination slots interleave after every phase here
+    # handshake always completes, so the acceptance stage, the block at
+    # phase offset Y^2, carries one beep; termination slots interleave
+    # after every phase here
     g = build(Complete(2))
     params = dvb2_params(g, 2, id_mode="preassigned_unique")
     aut = Dvb2Automaton(g, params, LevelAssignment([1, 2], 2),
@@ -604,7 +605,7 @@ def test_acceptance_rate_on_two_nodes():
     y = params.y_slots
     phase_len = params.slots_per_phase
     cycle = phase_len + (params.level_count - 1) * (params.d_sched + 1)
-    acc_lo, acc_hi = y * y, y * y + y
+    acc_at = y * y
     gen = aut.schedule()
     reply = None
     slot = 0
@@ -621,11 +622,8 @@ def test_acceptance_rate_on_two_nodes():
             reply = None
             continue
         beeps = event.beeps
-        offsets = range(len(beeps)) if event.offsets is None else event.offsets
-        for r, offset in enumerate(offsets):
-            at = slot + offset
-            if at >= y and acc_lo <= (at - y) % cycle < acc_hi:
-                acc_beeps += int(beeps[r].sum())
+        if slot >= y and (slot - y) % cycle == acc_at:
+            acc_beeps += int(beeps.sum())
         slot += len(beeps) if event.length is None else event.length
         reply = g.activity(beeps)
     rate = acc_beeps / ((slot - y) // cycle)

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -132,13 +133,15 @@ def test_silent_block_replies_all_false_with_no_beeps(graph):
     replies = []
 
     def silent_block():
-        replies.append((yield SlotRequest(np.zeros((3, n), dtype=bool), [0, 2, 5], 7)))
+        replies.append((yield SlotRequest(np.zeros((3, n), dtype=bool), 7)))
 
     trace = io.StringIO()
     assert drive_schedule(graph, silent_block(), trace) == (7, 0, None)
     (reply,) = replies
     assert reply.dtype == bool and reply.shape == (3, n) and not reply.any()
-    assert "action=" not in trace.getvalue()
+    assert json.loads(trace.getvalue()) == {
+        "event": "block", "slot": 0, "slots": 7, "beeps": 0, "heard": 0
+    }
 
 
 def test_identical_seeds_identical_results():
@@ -283,59 +286,38 @@ def test_check_interval_is_d_sched(factory, d_mode):
     assert params.check_interval == params.d_sched == hop_bound(g, d_mode)
 
 
-def fast_forward_line(start, count, beep_count=0):
-    return f"slots {start}...{start + count - 1} fast-forward beeps={beep_count}\n"
-
-
 def naive_drive(graph, gen):
-    """Slot-by-slot reference for drive_schedule: every block is expanded
-    into single slots, with one channel call per beeping slot.  A silent
-    stretch of a block (a gap, or a row in which nobody beeps) gets one
-    trace line when it ends, as a FastForward does.  Returns (slots,
-    beeps, value, trace text)."""
-    trace = io.StringIO()
+    """Slot-by-slot reference for drive_schedule: a block's rows are
+    slots 0..S-1 and its silent tail follows, with one channel call per
+    beeping slot.  Returns (slots, beeps, value, records), one (first
+    slot, slots, beeps, heard) record per event, heard None for a
+    FastForward."""
+    records = []
     slots = beeps = 0
     reply = None
     while True:
         try:
             event = gen.send(reply)
         except StopIteration as stop:
-            return slots, beeps, stop.value, trace.getvalue()
+            return slots, beeps, stop.value, records
         if isinstance(event, FastForward):
-            if event.slots:
-                trace.write(fast_forward_line(slots, event.slots, event.beep_count))
+            records.append((slots, event.slots, event.beep_count, None))
             slots += event.slots
             beeps += event.beep_count
             reply = None
             continue
-        offsets = range(len(event.beeps)) if event.offsets is None else event.offsets
-        row_at = {int(offset): r for r, offset in enumerate(offsets)}
         length = len(event.beeps) if event.length is None else event.length
         reply = np.zeros(event.beeps.shape, dtype=bool)
-        gap = 0
+        first, block_beeps, heard = slots, 0, 0
         for t in range(length):
-            if t not in row_at:
-                gap += 1
-                slots += 1
-                continue
-            if gap:
-                trace.write(fast_forward_line(slots - gap, gap))
-                gap = 0
-            r = row_at[t]
-            mask = event.beeps[r]
-            if not mask.any():
-                trace.write(fast_forward_line(slots, 1))
-                slots += 1
-                continue
-            reply[r] = graph.activity(mask)
-            heard = reply[r] & ~mask
-            for i in range(graph.node_count):
-                action = "beep" if mask[i] else "listen"
-                trace.write(f"slot={slots} node={i} action={action} heard={int(heard[i])}\n")
+            if t < len(event.beeps) and event.beeps[t].any():
+                mask = event.beeps[t]
+                reply[t] = graph.activity(mask)
+                heard += int((reply[t] & ~mask).sum())
+                block_beeps += int(mask.sum())
             slots += 1
-            beeps += int(mask.sum())
-        if gap:
-            trace.write(fast_forward_line(slots - gap, gap))
+        records.append((first, length, block_beeps, heard))
+        beeps += block_beeps
 
 
 def random_graph(n, p, rng):
@@ -388,13 +370,17 @@ def test_drive_schedule_matches_slot_by_slot_reference(kind, k, n, p, seed):
     graph = random_graph(n, p, np.random.default_rng(seed))
     make = schedule_factory(kind, graph, k, seed)
     ref_owner, ref_gen = make()
-    ref_slots, ref_beeps, ref_value, ref_trace = naive_drive(graph, ref_gen)
+    ref_slots, ref_beeps, ref_value, ref_records = naive_drive(graph, ref_gen)
     for trace in (io.StringIO(), None):
         owner, gen = make()
         slots, beeps, value = drive_schedule(graph, gen, trace)
         assert type(slots) is int and type(beeps) is int
         assert (slots, beeps) == (ref_slots, ref_beeps)
         if trace is not None:
-            assert trace.getvalue() == ref_trace
+            lines = [json.loads(line) for line in trace.getvalue().splitlines()]
+            assert [
+                (line["slot"], line["slots"], line["beeps"], line.get("heard")) for line in lines
+            ] == ref_records
+            assert all((line["event"] == "block") == ("heard" in line) for line in lines)
         assert np.array_equal(value, ref_value)
         assert np.array_equal(owner.values, ref_owner.values)

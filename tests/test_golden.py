@@ -2,8 +2,9 @@
 
 Sweep CSV rows for both protocols over every d_mode and id_mode (DVB2
 under a 40-phase cap), DVB2 rows with a tiny id space (c2 = 0.01, so
-Y = Delta + 1 and random ids often collide inside a neighborhood), the stdout of each `beepvote` subcommand, and the
-per-slot trace files of one run per protocol.  The expected text was
+Y = Delta + 1 and random ids often collide inside a neighborhood), the
+stdout of each `beepvote` subcommand, and the trace files (one JSON line
+per engine event) of one run per protocol.  The expected text was
 recorded from a known-good build.  A pure refactor must reproduce it
 exactly; a deliberate behaviour change re-records it and says why.
 """
@@ -261,12 +262,12 @@ spot 2: level=3 size=2 nodes=2 8
 # argv -> (trace lines, sha256 of the trace file)
 TRACE_DIGESTS = {
     "run --nodes 6 --delta 0.7 --seed 1": (
-        21,
-        "0d37488a9366ab336f1cd2453b3e6a76faf33189bb53bbac5cc18528871f4138",
+        4,
+        "e466ea4471575dab1ae8ad4244ce948f8c61e691672fbdc4a868d0f4535c7eaa",
     ),
     "run --algo dvb2 --topology mesh2d --nodes 4 --delta 0.75 --seed 2 --max-phases 3": (
-        134,
-        "ad5552b824f4e170e5932bc850432dcabab3f0a01db692757d8d9959accf5928",
+        16,
+        "2fddc6abfbd60b0377123fbc6098fb1bfc034a7c7fdbf1a454819c09c6f53e80",
     ),
 }
 
