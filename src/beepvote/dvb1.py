@@ -92,7 +92,6 @@ class TerminationOutcome:
     flags: tuple
     slots: int
     beeps: int
-    heard_events: int
 
     @property
     def terminated(self) -> bool:
@@ -103,7 +102,8 @@ def termination_detection(
     graph: Graph, values, level_count: int, d_sched: int
 ) -> TerminationOutcome:
     """Run one standalone termination check and report the per-node flags
-    along with exact slot, beep, and hear counts.  values must be whole
+    along with its exact slot and beep counts; a check heard a beep
+    somewhere exactly when it is not `terminated`.  values must be whole
     levels in 1..level_count, one per node, and d_sched >= 1, or it raises
     ValueError; a d_sched below the diameter can return split flags."""
     if d_sched < 1:
@@ -112,10 +112,8 @@ def termination_detection(
     if values.shape != (graph.node_count,):
         raise ValueError("values length must match node count")
     wave = termination_wave(values, level_count, d_sched)
-    slots, beeps, (flags, heard_events) = drive_schedule(graph, wave)
-    return TerminationOutcome(
-        flags=tuple(flags.tolist()), slots=slots, beeps=beeps, heard_events=heard_events
-    )
+    slots, beeps, flags = drive_schedule(graph, wave)
+    return TerminationOutcome(flags=tuple(flags.tolist()), slots=slots, beeps=beeps)
 
 
 class Dvb1Automaton(PhasedVoting):

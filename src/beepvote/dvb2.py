@@ -144,7 +144,7 @@ def assign_ids(
         return rng.integers(1, y_slots + 1, size=graph.node_count).astype(np.int64)
     if id_mode != "preassigned_unique":
         raise ValueError(f"id_mode must be one of {ID_MODES}")
-    ids = graph.distance2_colouring()
+    ids = graph.distance2_colouring
     if ids.max() > y_slots:
         raise ValueError(
             f"id space too small for locally unique ids: Y = {y_slots}, "

@@ -158,8 +158,8 @@ class PhaseParams:
 
 
 def termination_wave(values: np.ndarray, level_count: int, d_sched: int):
-    """Slot events of one termination check over values; returns
-    (flags, heard_events).
+    """Slot events of one termination check over values; returns the
+    per-node terminated flags.
 
     Period k (k = 1..K-1): level-k holders beep in slot 1; a listener
     with a different value that hears them clears its terminated flag.
@@ -171,16 +171,13 @@ def termination_wave(values: np.ndarray, level_count: int, d_sched: int):
     """
     n = len(values)
     term = np.ones(n, dtype=bool)
-    heard_events = 0
     for k in range(1, level_count):
         beeps = values == k
         if not beeps.any():
             yield FastForward(d_sched + 1)
             continue
         (activity,) = yield SlotRequest(beeps[None])
-        hears = activity & ~beeps
-        heard_events += int(hears.sum())
-        term &= ~hears
+        term &= beeps | ~activity  # a listener that heard clears its flag
         for d in range(d_sched):
             frontier = ~term
             cleared = int(frontier.sum())
@@ -189,12 +186,10 @@ def termination_wave(values: np.ndarray, level_count: int, d_sched: int):
                 yield FastForward(rest, rest * n if cleared == n else 0)
                 break
             (activity,) = yield SlotRequest(frontier[None])
-            hears = activity & term
-            heard_events += int(hears.sum())
-            term &= ~hears
+            term &= ~activity  # the beepers are cleared already
         if not term.all():
             break
-    return term, heard_events
+    return term
 
 
 def slot_budget(params: PhaseParams, max_phases: int) -> int:
@@ -232,6 +227,8 @@ class PhasedVoting:
             raise ValueError("assignment length must match node count")
         if assignment.level_count != params.level_count:
             raise ValueError("assignment and params disagree on level count")
+        if max_phases < 1:
+            raise ValueError("max_phases must be >= 1")
         self.graph = graph
         self.params = params
         self.rng = rng
@@ -262,7 +259,7 @@ class PhasedVoting:
                 self._consensus = self._phases
             if self._phases % params.check_interval == 0:
                 wave = termination_wave(self.values, params.level_count, params.d_sched)
-                flags, _ = yield from wave
+                flags = yield from wave
                 if flags.all():
                     return "completed"
                 # a detected difference floods every node within d_sched

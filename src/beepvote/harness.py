@@ -190,7 +190,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def mesh_shape(n: int) -> tuple[int, int]:
     """Most-square factorization rows*cols == n (a path if n is prime)."""
-    rows = int(math.isqrt(n))
+    if n < 1:
+        raise ValueError("node count must be >= 1")
+    rows = math.isqrt(n)
     while n % rows:
         rows -= 1
     return rows, n // rows

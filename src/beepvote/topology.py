@@ -70,6 +70,8 @@ class Graph:
     Attributes:
         adj: (N, N) boolean CSR adjacency, symmetric, zero diagonal.
         diameter: exact hop diameter (0 for a single node).
+        node_count, max_degree: N and the largest degree, stored when the
+            graph is built.
     """
 
     adj: csr_array
@@ -77,14 +79,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         _freeze(self.adj)
-
-    @property
-    def node_count(self) -> int:
-        return self.adj.shape[0]
-
-    @cached_property
-    def max_degree(self) -> int:
-        return int(np.diff(self.adj.indptr).max(initial=0))
+        object.__setattr__(self, "node_count", self.adj.shape[0])
+        object.__setattr__(self, "max_degree", int(np.diff(self.adj.indptr).max(initial=0)))
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """The channel rule, row by row: activity[i] iff some neighbor of i
@@ -96,14 +92,11 @@ class Graph:
         _check_width(beeps, self.node_count)
         return np.ascontiguousarray(_or_product(self.adj, beeps.T).T)
 
+    @cached_property
     def distance2_colouring(self) -> np.ndarray:
         """Greedy colours from 1 in node order, each the least not held within
         two hops, so every closed neighborhood holds pairwise distinct colours.
-        The graph is coloured once; every call returns that read-only array."""
-        return self._colours
-
-    @cached_property
-    def _colours(self) -> np.ndarray:
+        A read-only array, computed on first read."""
         within_two = self.adj + self.adj @ self.adj
         ptr, near = within_two.indptr, within_two.indices
         colours = np.zeros(self.node_count, dtype=np.int64)
@@ -118,39 +111,32 @@ class Graph:
 
 
 class CompleteGraph(Graph):
-    """The complete graph on n nodes, stored as n alone.
+    """The complete graph on n nodes, stored as its node count, diameter
+    and maximum degree alone.
 
-    The channel rule, the maximum degree, the distance-2 colouring and
-    the spots are closed forms, so no adjacency matrix is ever built and
-    `adj` is not set.
+    The channel rule, the distance-2 colouring and the spots are closed
+    forms, so no adjacency matrix is ever built and `adj` is not set.
     """
 
     def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "diameter", min(n - 1, 1))
+        object.__setattr__(self, "max_degree", n - 1)
 
     def __repr__(self) -> str:  # the dataclass repr would read adj
-        return f"CompleteGraph(n={self.n})"
-
-    @property
-    def node_count(self) -> int:
-        return self.n
-
-    @property
-    def max_degree(self) -> int:
-        return self.n - 1
+        return f"CompleteGraph(n={self.node_count})"
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """Some other node beeped: the row's beep count exceeds one's own
         beep (0 or 1), one comparison against the bool row.  A last axis
         other than N raises ValueError, as in `Graph.activity`."""
-        _check_width(beeps, self.n)
+        _check_width(beeps, self.node_count)
         return beeps.sum(axis=-1, keepdims=True) > beeps
 
     @cached_property
-    def _colours(self) -> np.ndarray:
+    def distance2_colouring(self) -> np.ndarray:
         """Every pair is adjacent, so node i takes colour i + 1."""
-        colours = np.arange(1, self.n + 1, dtype=np.int64)
+        colours = np.arange(1, self.node_count + 1, dtype=np.int64)
         colours.setflags(write=False)
         return colours
 

@@ -239,6 +239,15 @@ def test_ternary_without_delta_exits_one(command, capsys):
     assert err == "error: --levels 3 has no default delta; pass --delta in [0, 1/3)\n"
 
 
+def test_zero_node_mesh_exits_one(capsys):
+    # the mesh's shape is refused before any graph is built
+    rc = main(["spots", "--topology", "mesh2d", "--nodes", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: node count must be >= 1\n"
+
+
 def test_missing_config_exits_one(capsys):
     rc = main(["sweep", "--config", "/nonexistent/sweep.cfg"])
     err = capsys.readouterr().err

@@ -193,7 +193,7 @@ def test_dvb2_params_refuses_small_id_space_and_colours_once(topology, n):
     # random ids never colour the graph, in the factory or in a run
     params = dvb2_params(g, 2, c2=0.01)
     dvb2_run(g, LevelAssignment([1] * (n // 2) + [2] * (n - n // 2), 2), params, max_phases=1)
-    assert "_colours" not in vars(g)
+    assert "distance2_colouring" not in vars(g)
     adj = ~np.eye(n, dtype=bool) if topology == "complete" else g.adj.toarray()
     needed = int(_dense_greedy_ids(adj, n).max())
     for c2 in (1e-3, 0.3, 0.6, 1.0, C2_DEFAULT):
@@ -204,7 +204,7 @@ def test_dvb2_params_refuses_small_id_space_and_colours_once(topology, n):
             continue
         assert dvb2_params(g, 2, c2=c2, id_mode="preassigned_unique").y_slots == y
         # the factory coloured the graph; assign_ids reuses that array
-        colours = g.distance2_colouring()
+        colours = g.distance2_colouring
         assert assign_ids(g, y, "preassigned_unique", None) is colours
         assert int(colours.max()) == needed and not colours.flags.writeable
     # the smallest c2 gives Y = Delta + 1, which complete graphs and paths

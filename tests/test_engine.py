@@ -236,6 +236,16 @@ def test_terminated_iff_completed(protocol_run):
     assert statuses == {"completed", "max_phases_exceeded"}
 
 
+@pytest.mark.parametrize("max_phases", [0, -5])
+@pytest.mark.parametrize("protocol_run", [dvb1_run, dvb2_run])
+def test_runs_refuse_a_phase_cap_below_one(protocol_run, max_phases):
+    g = build(Complete(10))
+    params = (dvb1_params if protocol_run is dvb1_run else dvb2_params)(g, 2)
+    asg = make_assignment(10, 2, 0.7, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^max_phases must be >= 1$"):
+        protocol_run(g, asg, params, seed=0, max_phases=max_phases)
+
+
 PARAMS_KWARGS = {
     Dvb1Params: dict(level_count=2, d_sched=3, rounds_per_phase=4),
     Dvb2Params: dict(level_count=2, d_sched=3, y_slots=5),
@@ -334,7 +344,7 @@ def schedule_factory(kind, graph, k, seed):
     asg = LevelAssignment(values, k)
     if kind == "wave":
         def wave():
-            flags, _ = yield from termination_wave(asg.values, k, 1 + seed % n)
+            flags = yield from termination_wave(asg.values, k, 1 + seed % n)
             return flags
 
         return lambda: (asg, wave())
@@ -384,3 +394,28 @@ def test_drive_schedule_matches_slot_by_slot_reference(kind, k, n, p, seed):
             assert all((line["event"] == "block") == ("heard" in line) for line in lines)
         assert np.array_equal(value, ref_value)
         assert np.array_equal(owner.values, ref_owner.values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(2, 4),
+    n=st.integers(1, 12),
+    p=st.floats(0.0, 0.6),
+    d_sched=st.integers(1, 6),
+    unanimous=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_wave_flags_all_true_iff_nothing_heard(k, n, p, d_sched, unanimous, seed):
+    """A flag clears only where a listener heard a beep, so a wave's flags
+    are all true exactly when its block lines sum to heard == 0, for any
+    d_sched, short of the diameter or not."""
+    rng = np.random.default_rng(seed)
+    graph = random_graph(n, p, rng)
+    values = np.full(n, rng.integers(1, k + 1)) if unanimous else rng.integers(1, k + 1, size=n)
+    trace = io.StringIO()
+    _, _, flags = drive_schedule(graph, termination_wave(values, k, d_sched), trace)
+    lines = [json.loads(line) for line in trace.getvalue().splitlines()]
+    heard = sum(line["heard"] for line in lines if line["event"] == "block")
+    assert flags.all() == (heard == 0)
+    if unanimous:
+        assert flags.all()

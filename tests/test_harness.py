@@ -226,6 +226,9 @@ def test_mesh_shape():
     assert mesh_shape(100) == (10, 10)
     assert mesh_shape(12) == (3, 4)
     assert mesh_shape(13) == (1, 13)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="^node count must be >= 1$"):
+            mesh_shape(n)
 
 
 def test_topology_spec():

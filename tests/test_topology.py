@@ -45,7 +45,7 @@ def test_single_node():
     for g in (build(Complete(1)), build(Mesh2D(1, 1))):
         assert g.node_count == 1
         assert degrees(g).tolist() == [0]
-        assert g.distance2_colouring().tolist() == [1]
+        assert g.distance2_colouring.tolist() == [1]
         assert g.diameter == 0
         assert g.max_degree == 0
 
@@ -54,6 +54,8 @@ def test_complete_graph_closed_forms_match_its_csr_form():
     for n in (1, 2, 3, 8, 50):
         g, ref = build(Complete(n)), graph_from_edges(n, np.argwhere(~np.eye(n, dtype=bool)))
         assert type(g) is not type(ref)
+        for graph in (g, ref):  # stored when built, not derived on each read
+            assert {"node_count", "max_degree"} <= vars(graph).keys()
         assert (g.node_count, g.max_degree, g.diameter) == (
             ref.node_count,
             ref.max_degree,
@@ -61,8 +63,8 @@ def test_complete_graph_closed_forms_match_its_csr_form():
         )
         assert ref.adj.nnz // 2 == n * (n - 1) // 2
         assert degrees(g).tolist() == degrees(ref).tolist() == [n - 1] * n
-        assert g.distance2_colouring().tolist() == ref.distance2_colouring().tolist()
-        assert g.distance2_colouring().tolist() == list(range(1, n + 1))
+        assert g.distance2_colouring.tolist() == ref.distance2_colouring.tolist()
+        assert g.distance2_colouring.tolist() == list(range(1, n + 1))
         assert np.array_equal(neighbor_rows(g), ref.adj.toarray())
         for seed in range(3):
             values = np.random.default_rng(seed).integers(1, 4, size=n)
