@@ -2,30 +2,33 @@
 
 Graphs are undirected, connected, and immutable once built.  Nodes are
 indexed 0..N-1; the 2D mesh is numbered row-major.  Only this module
-reads a graph's storage (`adj` and its CSR arrays): other modules see its
-edges through the channel rule (`activity`) and the distance-2 colouring.
-Level assignments map each node to a voting level in 1..K.
+reads a graph's storage (its CSR arrays `indptr`, `indices` and `data`):
+other modules see its edges through the channel rule (`activity`) and the
+distance-2 colouring.  Level assignments map each node to a voting level
+in 1..K.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-
-# scipy is imported where it is used: scipy.sparse by the first mesh,
-# Erdos-Renyi or edge-list build (`_symmetric_csr`); its compiled kernel
-# module scipy.sparse._sparsetools, which that import has already loaded,
-# by the first CSR product (`_csr_matvecs`, from `exact_diameter` during
-# that build); and scipy.sparse.csgraph, which loads scipy.linalg, by
-# `spots` on such a graph alone.  A complete graph stores no adjacency,
-# so complete-graph runs and the oracle never load scipy.
+# Graphs are built and their channel is run from numpy arrays alone, so no
+# scipy package is imported for them: the first CSR product (`_csr_matvecs`:
+# the diameter search of an Erdos-Renyi or edge-list build, or a mesh's
+# first channel slot) loads scipy's compiled kernel module
+# scipy.sparse._sparsetools from its file.  scipy.sparse itself, whose init
+# costs about 15 MB of RSS, is imported by the distance-2 colouring of such
+# a graph (DVB2's preassigned ids) and by `spots` on one, which also loads
+# scipy.sparse.csgraph and scipy.linalg.  A complete graph stores no
+# adjacency, so complete-graph runs and the oracle never load scipy.
 
 ER_RETRY_LIMIT = 1000
 D_MODES = ("exact", "upper_bound_n")
@@ -63,24 +66,32 @@ TopologySpec = Complete | Mesh2D | ErdosRenyi
 class Graph:
     """Immutable undirected graph, the one place adjacency is stored.
 
-    The constructor takes ownership of `adj` without a copy, puts it in
-    canonical form and makes its arrays read-only; `graph_from_edges` is
-    the entry point that validates a caller's edge list.
+    The constructor takes ownership of `indptr` and `indices` without a
+    copy and makes them read-only; they must already be in canonical form,
+    as `_symmetric_csr` builds them.  `graph_from_edges` is the entry point
+    that validates a caller's edge list.
 
     Attributes:
-        adj: (N, N) boolean CSR adjacency, symmetric, zero diagonal.
+        indptr, indices: the (N, N) symmetric, zero-diagonal adjacency in
+            scipy's canonical CSR form (each row's columns sorted, no
+            repeats), int64 numpy arrays.
+        data: the matching all-true bool array the compiled kernel reads.
         diameter: exact hop diameter (0 for a single node).
         node_count, max_degree: N and the largest degree, stored when the
             graph is built.
     """
 
-    adj: csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
     diameter: int
 
     def __post_init__(self) -> None:
-        _freeze(self.adj)
-        object.__setattr__(self, "node_count", self.adj.shape[0])
-        object.__setattr__(self, "max_degree", int(np.diff(self.adj.indptr).max(initial=0)))
+        data = np.ones(len(self.indices), dtype=bool)
+        for part in (self.indptr, self.indices, data):
+            part.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "node_count", len(self.indptr) - 1)
+        object.__setattr__(self, "max_degree", int(np.diff(self.indptr).max(initial=0)))
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
         """The channel rule, row by row: activity[i] iff some neighbor of i
@@ -90,14 +101,15 @@ class Graph:
         product sums with logical OR, and the adjacency is symmetric, so
         row s is adj @ beeps[s]."""
         _check_width(beeps, self.node_count)
-        return np.ascontiguousarray(_or_product(self.adj, beeps.T).T)
+        return np.ascontiguousarray(_or_product(self.indptr, self.indices, self.data, beeps.T).T)
 
     @cached_property
     def distance2_colouring(self) -> np.ndarray:
         """Greedy colours from 1 in node order, each the least not held within
         two hops, so every closed neighborhood holds pairwise distinct colours.
         A read-only array, computed on first read."""
-        within_two = self.adj + self.adj @ self.adj
+        adj = _scipy_csr(self)
+        within_two = adj + adj @ adj
         ptr, near = within_two.indptr, within_two.indices
         colours = np.zeros(self.node_count, dtype=np.int64)
         for i in range(len(colours)):  # i and the nodes after it still read 0
@@ -115,7 +127,7 @@ class CompleteGraph(Graph):
     and maximum degree alone.
 
     The channel rule, the distance-2 colouring and the spots are closed
-    forms, so no adjacency matrix is ever built and `adj` is not set.
+    forms, so no adjacency is ever built and the CSR arrays are not set.
     """
 
     def __init__(self, n: int) -> None:
@@ -123,7 +135,7 @@ class CompleteGraph(Graph):
         object.__setattr__(self, "diameter", min(n - 1, 1))
         object.__setattr__(self, "max_degree", n - 1)
 
-    def __repr__(self) -> str:  # the dataclass repr would read adj
+    def __repr__(self) -> str:  # the dataclass repr would read indptr
         return f"CompleteGraph(n={self.node_count})"
 
     def activity(self, beeps: np.ndarray) -> np.ndarray:
@@ -146,39 +158,54 @@ def _check_width(beeps: np.ndarray, n: int) -> None:
         raise ValueError(f"beeps of shape {beeps.shape} must end in an axis of N = {n} nodes")
 
 
-def _freeze(adj: csr_array) -> csr_array:
-    """Canonical form (sorted, no duplicates), then read-only arrays."""
-    adj.sum_duplicates()
-    for part in (adj.data, adj.indices, adj.indptr):
-        part.setflags(write=False)
-    return adj
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays (indptr, indices) holding the undirected edges
+    (u[k], v[k]) of int64 endpoints in 0..n-1, in scipy's canonical form:
+    each row's columns sorted, a repeated or reversed pair stored once."""
+    keys = np.unique(np.concatenate([u * n + v, v * n + u]))  # row-major cell numbers
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
 
 
-def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> csr_array:
-    """Bool CSR holding the undirected edges (u[k], v[k])."""
+def _scipy_csr(graph: Graph):
+    """The adjacency as a scipy csr_array over the graph's own arrays, for
+    the matrix product and csgraph callers; imports scipy.sparse."""
     from scipy.sparse import csr_array
 
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    n = graph.node_count
+    return csr_array((graph.data, graph.indices, graph.indptr), shape=(n, n))
 
 
 @cache
 def _csr_matvecs():
     """scipy's compiled CSR kernel for adj @ (N, S) blocks, the one that
-    `adj @ x` ends in; a private scipy API, pinned by the tests."""
-    from scipy.sparse._sparsetools import csr_matvecs
+    `adj @ x` ends in; a private scipy API, pinned by the tests.  Its
+    extension module is loaded from its file, so the scipy.sparse package
+    (about 15 MB of RSS) is not imported; a module already imported, by
+    scipy.sparse or an earlier load, is reused."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")  # imports nothing
+        roots = (scipy and scipy.submodule_search_locations) or ()
+        where = [os.path.join(root, "sparse") for root in roots]
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"no compiled module {name} in {where}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].csr_matvecs
 
-    return csr_matvecs
 
-
-def _or_product(adj: csr_array, x: np.ndarray) -> np.ndarray:
+def _or_product(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray
+) -> np.ndarray:
     """adj @ x for a bool (N,) or (N, S) x, as a new C-contiguous bool array
-    of x's shape: the compiled kernel on the stored arrays, without the
-    Python dispatch of `adj @ x` (shape checks, copies, a strided result)."""
+    of x's shape: the compiled kernel on the CSR arrays, without the Python
+    dispatch of a scipy `adj @ x` (shape checks, copies, a strided result)."""
     x = np.ascontiguousarray(x, dtype=bool)
     out = np.zeros(x.shape, dtype=bool)
-    n = adj.shape[0]
-    _csr_matvecs()(n, n, x.size // n, adj.indptr, adj.indices, adj.data, x, out)
+    n = len(indptr) - 1
+    _csr_matvecs()(n, n, x.size // n, indptr, indices, data, x, out)
     return out
 
 
@@ -191,13 +218,14 @@ def hop_bound(graph: Graph, d_mode: str) -> int:
     return max(1, graph.diameter if d_mode == "exact" else graph.node_count)
 
 
-def exact_diameter(adj: csr_array) -> int | None:
-    """Hop diameter via BFS from every node, DIAMETER_BLOCK sources at a
-    time: column j of `reach` marks the nodes within `hops` of source j and
-    grows by one product `adj @ reach` per hop, so memory is O(N * block).
-    None when the graph is disconnected: some reach stops growing short of
-    every node, which the first block of sources already finds."""
-    n = adj.shape[0]
+def exact_diameter(indptr: np.ndarray, indices: np.ndarray) -> int | None:
+    """Hop diameter of the CSR adjacency via BFS from every node,
+    DIAMETER_BLOCK sources at a time: column j of `reach` marks the nodes
+    within `hops` of source j and grows by one product `adj @ reach` per
+    hop, so memory is O(N * block).  None when the graph is disconnected:
+    some reach stops growing short of every node, which the first block of
+    sources already finds."""
+    n, data = len(indptr) - 1, np.ones(len(indices), dtype=bool)
     diameter = 0
     for start in range(0, n, DIAMETER_BLOCK):
         sources = np.arange(start, min(start + DIAMETER_BLOCK, n))
@@ -205,7 +233,7 @@ def exact_diameter(adj: csr_array) -> int | None:
         reach[sources, np.arange(len(sources))] = True
         hops = 0
         while not reach.all():
-            grown = reach | _or_product(adj, reach)
+            grown = reach | _or_product(indptr, indices, data, reach)
             if np.array_equal(grown, reach):
                 return None
             reach, hops = grown, hops + 1
@@ -214,17 +242,23 @@ def exact_diameter(adj: csr_array) -> int | None:
 
 
 def graph_from_edges(n: int, edges) -> Graph:
-    """The connected graph on n nodes with undirected (u, v) edges, no self-loops."""
+    """The connected graph on n nodes with undirected (u, v) edges, no
+    self-loops; each endpoint is a whole number in 0..n-1."""
     if n < 1:
         raise ValueError("node count must be >= 1")
-    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    raw = np.array(list(edges)).reshape(-1, 2)
+    if raw.dtype.kind not in "biu" and not (np.isfinite(raw) & (np.trunc(raw) == raw)).all():
+        raise ValueError("edge endpoints must be whole numbers")
+    if ((raw < 0) | (raw >= n)).any():
+        raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    u, v = raw.astype(np.int64).T
     if (u == v).any():
         raise ValueError("self-loops are not allowed")
-    adj = _symmetric_csr(n, u, v)
-    diameter = exact_diameter(adj)
+    indptr, indices = _symmetric_csr(n, u, v)
+    diameter = exact_diameter(indptr, indices)
     if diameter is None:
         raise ValueError("graph not connected")
-    return Graph(adj, diameter)
+    return Graph(indptr, indices, diameter)
 
 
 def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
@@ -248,7 +282,7 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
         right = nodes[(nodes + 1) % c != 0]  # every node but the last column
         down = nodes[: n - c]  # every node but the last row
         u, v = np.concatenate([right, down]), np.concatenate([right + 1, down + c])
-        return Graph(_symmetric_csr(n, u, v), (r - 1) + (c - 1))
+        return Graph(*_symmetric_csr(n, u, v), (r - 1) + (c - 1))
 
     if isinstance(spec, ErdosRenyi):
         n = spec.n
@@ -262,10 +296,10 @@ def build(spec: TopologySpec, rng: np.random.Generator | None = None) -> Graph:
         iu = np.triu_indices(n, k=1)
         for _ in range(ER_RETRY_LIMIT):
             mask = rng.random(len(iu[0])) < p
-            adj = _symmetric_csr(n, iu[0][mask], iu[1][mask])
-            diameter = exact_diameter(adj)
+            indptr, indices = _symmetric_csr(n, iu[0][mask], iu[1][mask])
+            diameter = exact_diameter(indptr, indices)
             if diameter is not None:
-                return Graph(adj, diameter)
+                return Graph(indptr, indices, diameter)
         raise ValueError("connectivity retry limit exceeded")
 
     raise TypeError(f"unknown topology spec: {spec!r}")
@@ -329,7 +363,7 @@ def spots(graph: Graph, values: np.ndarray) -> list[list[int]]:
         from scipy.sparse import coo_array
         from scipy.sparse.csgraph import connected_components
 
-        edges = graph.adj.tocoo()
+        edges = _scipy_csr(graph).tocoo()
         keep = values[edges.row] == values[edges.col]
         kept = (edges.row[keep], edges.col[keep])
         same = coo_array((edges.data[keep], kept), shape=edges.shape)

@@ -77,8 +77,9 @@ def test_package_import_skips_scipy_stats():
 
 def test_complete_graph_runs_and_the_oracle_load_no_scipy_sparse():
     # a complete graph stores no adjacency, so its trials (both protocols)
-    # and the exact chain never import scipy.sparse; the first mesh build
-    # in the same process does
+    # and the exact chain never import scipy.sparse; a mesh build in the
+    # same process loads no scipy module at all, since it keeps numpy CSR
+    # arrays and its closed-form diameter needs no CSR product
     src = str(Path(beepvote.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
@@ -88,10 +89,39 @@ def test_complete_graph_runs_and_the_oracle_load_no_scipy_sparse():
         "analysis.markov_success((35, 65)); "
         "print(all(r.terminated for r in runs), 'scipy.sparse' in sys.modules); "
         "g = topology.build(topology.Mesh2D(3, 4)); "
-        "print(g.diameter, 'scipy.sparse' in sys.modules)"
+        "print(g.diameter, [m for m in sys.modules if m.startswith('scipy')])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.split("\n")[:2] == ["True False", "5 True"]
+    assert done.stdout.split("\n")[:2] == ["True False", "5 []"]
+
+
+def test_mesh_and_erdos_renyi_runs_load_no_scipy_sparse():
+    # scipy.sparse's init (numpy.f2py and numpy.testing among it) costs
+    # about 15 MB of RSS, and sparse runs need only its compiled kernel;
+    # spots and preassigned ids, which do import scipy.sparse, then reuse
+    # the loaded kernel and print what they print when scipy.sparse was
+    # imported first
+    src = str(Path(beepvote.__file__).resolve().parents[1])
+    runs = (
+        "from beepvote import cli; "
+        "cli.main(['run', '--topology', 'mesh2d', '--nodes', '16', '--max-phases', '3']); "
+        "cli.main(['run', '--algo', 'dvb2', '--topology', 'erdos_renyi', '--nodes', '16', "
+        "'--max-phases', '1']); "
+        "print([m for m in ('scipy.sparse', 'numpy.f2py') if m in sys.modules], file=sys.stderr); "
+        "sys.exit(cli.main(['spots', '--topology', 'mesh2d', '--nodes', '36', '--delta', '0.7']) "
+        "or cli.main(['run', '--algo', 'dvb2', '--id-mode', 'preassigned_unique', "
+        "'--topology', 'mesh2d', '--nodes', '16', '--max-phases', '1']))"
+    )
+    outputs = []
+    for first in ("", "import scipy.sparse; "):
+        code = f"import sys; sys.path.insert(0, {src!r}); {first}{runs}"
+        outputs.append(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True))
+    lazy, eager = outputs
+    assert (lazy.returncode, lazy.stderr) == (0, "[]\n")
+    assert eager.returncode == 0
+    assert lazy.stdout == eager.stdout
+    assert "spot 3: level=1 size=3 nodes=18 24 25" in lazy.stdout
+    assert "phases=1 consensus_phase=None slots=27200 beeps=37" in lazy.stdout
 
 
 def test_analysis_import_loads_no_scipy():

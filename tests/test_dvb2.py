@@ -98,7 +98,7 @@ def test_unique_ids_distinct_within_two_hops():
     ids = assign_ids(g, id_space(g.max_degree), "preassigned_unique", rng)
     for i in range(30):
         seen = {int(ids[i])}
-        for j in np.flatnonzero(g.adj.toarray()[i]):
+        for j in np.flatnonzero(adj[i]):
             assert int(ids[j]) not in seen
             seen.add(int(ids[j]))
 
@@ -194,7 +194,10 @@ def test_dvb2_params_refuses_small_id_space_and_colours_once(topology, n):
     params = dvb2_params(g, 2, c2=0.01)
     dvb2_run(g, LevelAssignment([1] * (n // 2) + [2] * (n - n // 2), 2), params, max_phases=1)
     assert "distance2_colouring" not in vars(g)
-    adj = ~np.eye(n, dtype=bool) if topology == "complete" else g.adj.toarray()
+    adj = ~np.eye(n, dtype=bool)
+    if topology != "complete":  # the dense matrix of the graph's CSR arrays
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = True
     needed = int(_dense_greedy_ids(adj, n).max())
     for c2 in (1e-3, 0.3, 0.6, 1.0, C2_DEFAULT):
         y = id_space(g.max_degree, c2)

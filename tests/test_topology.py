@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import triu
+from scipy.sparse import csr_array, triu
 
 from beepvote import topology
 from beepvote.dvb2 import assign_ids, id_space
@@ -30,6 +30,12 @@ def neighbor_rows(g):
 
 def degrees(g):
     return neighbor_rows(g).sum(axis=1)
+
+
+def scipy_adjacency(g):
+    """A scipy matrix over the graph's own CSR arrays, for scipy's operators."""
+    n = g.node_count
+    return csr_array((g.data, g.indices, g.indptr), shape=(n, n))
 
 
 def test_complete_graph_shape():
@@ -61,11 +67,11 @@ def test_complete_graph_closed_forms_match_its_csr_form():
             ref.max_degree,
             ref.diameter,
         )
-        assert ref.adj.nnz // 2 == n * (n - 1) // 2
+        assert len(ref.indices) // 2 == n * (n - 1) // 2
         assert degrees(g).tolist() == degrees(ref).tolist() == [n - 1] * n
         assert g.distance2_colouring.tolist() == ref.distance2_colouring.tolist()
         assert g.distance2_colouring.tolist() == list(range(1, n + 1))
-        assert np.array_equal(neighbor_rows(g), ref.adj.toarray())
+        assert np.array_equal(neighbor_rows(g), scipy_adjacency(ref).toarray())
         for seed in range(3):
             values = np.random.default_rng(seed).integers(1, 4, size=n)
             assert spots(g, values) == spots(ref, values)
@@ -101,7 +107,8 @@ def test_mesh_matches_row_major_edge_list():
             edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
             edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
             g, ref = build(Mesh2D(r, c)), graph_from_edges(r * c, edges)
-            assert np.array_equal(g.adj.toarray(), ref.adj.toarray())
+            assert np.array_equal(g.indptr, ref.indptr)
+            assert np.array_equal(g.indices, ref.indices)
             assert (g.node_count, g.diameter, g.max_degree) == (
                 ref.node_count,
                 ref.diameter,
@@ -110,15 +117,16 @@ def test_mesh_matches_row_major_edge_list():
 
 
 def test_mesh_row_major_edges():
-    g = build(Mesh2D(2, 3))
-    assert g.adj[0, 1] and g.adj[1, 2] and g.adj[0, 3] and g.adj[2, 5]
-    assert not g.adj[0, 4]
-    assert not g.adj[2, 3]
+    adj = scipy_adjacency(build(Mesh2D(2, 3)))
+    assert adj[0, 1] and adj[1, 2] and adj[0, 3] and adj[2, 5]
+    assert not adj[0, 4]
+    assert not adj[2, 3]
 
 
 def test_csr_channel_matches_scipys_product_and_the_rule():
-    # Graph.activity calls scipy's private compiled kernel; this pins it to
-    # the public operator and to the per-node rule, on every input layout
+    # Graph.activity calls scipy's private compiled kernel on the graph's
+    # arrays; this pins it to the public operator of a scipy matrix over
+    # the same arrays and to the per-node rule, on every input layout
     rng = np.random.default_rng(29)
     graphs = [
         build(Mesh2D(3, 4)),
@@ -129,7 +137,7 @@ def test_csr_channel_matches_scipys_product_and_the_rule():
     ]
     for g in graphs:
         n = g.node_count
-        near = [g.adj.indices[g.adj.indptr[i] : g.adj.indptr[i + 1]] for i in range(n)]
+        near = [g.indices[g.indptr[i] : g.indptr[i + 1]] for i in range(n)]
         inputs = [rng.random(n) < 0.3, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
         inputs += [rng.random((s, n)) < rng.random((s, 1)) for s in (0, 1, 2, 33)]
         block = rng.random((6, n)) < 0.3
@@ -140,7 +148,7 @@ def test_csr_channel_matches_scipys_product_and_the_rule():
             assert activity.dtype == bool and activity.shape == beeps.shape
             assert activity.flags.c_contiguous
             assert np.array_equal(beeps, before)
-            assert np.array_equal(activity, (g.adj @ beeps.T).T)
+            assert np.array_equal(activity, (scipy_adjacency(g) @ beeps.T).T)
             rule = [[row[near[i]].any() for i in range(n)] for row in beeps.reshape(-1, n)]
             assert np.array_equal(activity, np.array(rule, dtype=bool).reshape(beeps.shape))
 
@@ -163,7 +171,7 @@ def test_erdos_renyi_connected_with_default_probability():
     for seed in range(5):
         g = build(ErdosRenyi(40, default_edge_probability(40)), np.random.default_rng(seed))
         assert g.node_count == 40
-        assert exact_diameter(g.adj) == g.diameter
+        assert exact_diameter(g.indptr, g.indices) == g.diameter
     assert default_edge_probability(40) == pytest.approx(2 * np.log2(40) / 40)
 
 
@@ -178,8 +186,41 @@ def test_erdos_renyi_retry_exhaustion():
         build(ErdosRenyi(3, 0.0), np.random.default_rng(0))
 
 
-def _symmetric_adjacency(n, edges):
-    return topology._symmetric_csr(n, *np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+def _scipy_canonical(n, edges):
+    """scipy's own canonical CSR of the undirected edges: the reference the
+    numpy build must match array for array."""
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    adj = csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    adj.sum_duplicates()
+    return adj
+
+
+def test_numpy_csr_build_matches_scipys_canonical_form():
+    # seeded random edge lists with repeated and reversed pairs, each
+    # stored once in sorted rows, with the index dtype scipy picks
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        k = len(edges)
+        edges = np.concatenate([edges, edges[: k // 3], edges[: k // 2, ::-1]])
+        rng.shuffle(edges)
+        indptr, indices = topology._symmetric_csr(n, *edges.T)
+        ref = _scipy_canonical(n, edges)
+        assert ref.has_canonical_format
+        for ours, theirs in ((indptr, ref.indptr), (indices, ref.indices)):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+    g = graph_from_edges(3, [(0, 1), (1, 0), (2, 1), (0, 1)])
+    assert (g.indptr.tolist(), g.indices.tolist()) == ([0, 1, 3, 4], [1, 0, 2, 1])
+    assert g.data.tolist() == [True] * 4
+
+
+def _exact_diameter_of(n, edges):
+    adj = _scipy_canonical(n, edges)
+    return exact_diameter(adj.indptr, adj.indices)
 
 
 def _reference_erdos_renyi(n, p, rng):
@@ -191,7 +232,7 @@ def _reference_erdos_renyi(n, p, rng):
     for attempt in range(1, topology.ER_RETRY_LIMIT + 1):
         mask = rng.random(len(iu[0])) < p
         edges = list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
-        adj = _symmetric_adjacency(n, edges)
+        adj = _scipy_canonical(n, edges)
         if connected_components(adj, directed=False)[0] == 1:
             diameter = int(shortest_path(adj, unweighted=True, directed=False).max())
             return edges, diameter, attempt
@@ -206,7 +247,7 @@ def test_erdos_renyi_redraws_exactly_the_disconnected_draws():
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         g = build(ErdosRenyi(12, 0.15), rng)
         edges, diameter, tries = _reference_erdos_renyi(12, 0.15, ref_rng)
-        upper = triu(g.adj, format="coo")
+        upper = triu(scipy_adjacency(g), format="coo")
         assert list(zip(upper.row.tolist(), upper.col.tolist())) == edges, seed
         assert g.diameter == diameter, seed
         assert rng.random() == ref_rng.random(), seed  # both took the same draws
@@ -215,11 +256,11 @@ def test_erdos_renyi_redraws_exactly_the_disconnected_draws():
 
 
 def test_exact_diameter_is_none_when_disconnected():
-    assert exact_diameter(_symmetric_adjacency(4, [(0, 1), (2, 3)])) is None
-    assert exact_diameter(_symmetric_adjacency(3, [])) is None
+    assert _exact_diameter_of(4, [(0, 1), (2, 3)]) is None
+    assert _exact_diameter_of(3, []) is None
     path = [(i, i + 1) for i in range(299)]
-    assert exact_diameter(_symmetric_adjacency(301, path)) is None  # node 300 alone
-    assert exact_diameter(_symmetric_adjacency(300, path)) == 299
+    assert _exact_diameter_of(301, path) is None  # node 300 alone
+    assert _exact_diameter_of(300, path) == 299
 
 
 def test_graph_from_edges_rejects_disconnected():
@@ -237,8 +278,8 @@ def test_exact_diameter_matches_all_pairs_shortest_paths():
     graphs += [build(Mesh2D(r, c)) for r, c in ((1, 7), (5, 9), (17, 17))]
     graphs += [graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 3, 300)]
     for g in graphs:
-        dist = shortest_path(g.adj, unweighted=True, directed=False)
-        assert exact_diameter(g.adj) == int(dist.max())
+        dist = shortest_path(scipy_adjacency(g), unweighted=True, directed=False)
+        assert exact_diameter(g.indptr, g.indices) == int(dist.max())
 
 
 @pytest.mark.parametrize(
@@ -279,6 +320,40 @@ def test_graph_from_edges_rejects_no_nodes_and_self_loops():
         graph_from_edges(3, [(0, 1), (1, 1), (1, 2)])
 
 
+def test_graph_from_edges_refuses_fractional_and_out_of_range_endpoints():
+    # refused, not truncated: (0, 1.5) and (0, 1.9) used to build edge (0, 1)
+    for edges in ([(0, 1.5)], [(0, 1.9)], [(0, 1), (1, np.nan)], [(0, np.inf)]):
+        with pytest.raises(ValueError, match="edge endpoints must be whole numbers"):
+            graph_from_edges(2, edges)
+    bad = [(3, [(0, 5)]), (3, [(-1, 0)]), (3, [(0, 3.0)]), (2, [(0, 2**40)]), (2, [(1e20, 0)])]
+    for n, edges in bad:
+        with pytest.raises(ValueError, match=rf"edge endpoints must lie in 0\.\.{n - 1}"):
+            graph_from_edges(n, edges)
+    g = graph_from_edges(3, np.array([(0.0, 1.0), (2.0, 1.0)]))
+    assert g.indices.tolist() == [1, 0, 2, 1]
+
+
+def test_csr_kernel_is_loaded_from_its_file_or_refused(monkeypatch, tmp_path):
+    # scipy.sparse is not imported to reach the kernel, and with no such
+    # file the load fails naming where it looked, with no other route
+    import importlib.util
+    import sys
+
+    from scipy.sparse import _sparsetools
+
+    assert topology._csr_matvecs() is _sparsetools.csr_matvecs
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    topology._csr_matvecs.cache_clear()
+    scipy = importlib.util.spec_from_loader("scipy", loader=None, is_package=True)
+    scipy.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+            topology._csr_matvecs()
+    finally:
+        topology._csr_matvecs.cache_clear()
+
+
 def test_path_diameter():
     g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert g.diameter == 4
@@ -316,7 +391,7 @@ def test_spots_partition_and_maximality():
         for i in part:
             spot_of[i] = idx
     for i in range(25):
-        for j in np.flatnonzero(g.adj.toarray()[i]):
+        for j in np.flatnonzero(scipy_adjacency(g).toarray()[i]):
             if values[i] == values[j]:
                 assert spot_of[i] == spot_of[int(j)]
 
@@ -372,7 +447,7 @@ def test_complete_graph_spots_build_no_adjacency():
     assert [values[part[0]] for part in parts] == list(dict.fromkeys(values.tolist()))
     assert sorted(i for part in parts for i in part) == list(range(3000))
     assert all(len(set(values[part].tolist())) == 1 for part in parts)
-    assert not hasattr(g, "adj")
+    assert not hasattr(g, "indptr")
 
 
 def test_complete_graph_colouring_builds_no_two_hop_matrix():
@@ -386,7 +461,7 @@ def test_complete_graph_colouring_builds_no_two_hop_matrix():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert ids.tolist() == list(range(1, 3001))
-    assert not hasattr(g, "adj")
+    assert not hasattr(g, "indptr")
 
 
 def test_assignment_validates_levels():
@@ -436,8 +511,9 @@ def test_graph_and_assignment_compare_by_identity():
 def test_graph_and_assignment_arrays_are_read_only():
     g = build(Mesh2D(1, 3))
     asg = LevelAssignment(np.array([1, 2, 1]), 2)
-    with pytest.raises(ValueError):
-        g.adj[0, 1] = False
+    for part in (g.indptr, g.indices, g.data):
+        with pytest.raises(ValueError):
+            part[0] = part[0]
     with pytest.raises(ValueError):
         asg.values[0] = 2
 
@@ -454,8 +530,8 @@ def test_assignment_copies_its_values():
 
 
 def test_only_topology_reads_the_adjacency_matrix():
-    # neither the matrix nor its CSR arrays (np.indices aside) leave topology
-    storage = re.compile(r"\.adj\b|\btwo_hop\b|\.indptr\b|(?<!\bnp)\.indices\b")
+    # no CSR array of the adjacency (np.indices aside) leaves topology
+    storage = re.compile(r"\.(indptr|data|adj)\b|\btwo_hop\b|(?<!\bnp)\.indices\b")
     package = Path(topology.__file__).parent
     readers = [
         path.name
